@@ -300,12 +300,13 @@ int run_legacy(int argc, char** argv) {
   // disarm lets the half-open probe recover it.
   std::this_thread::sleep_for(std::chrono::seconds(seconds / 2));
   totals.fault_window.store(true);
-  // Unbounded fires for a fixed 300 ms: every pop fails, so the breaker
-  // trips and STAYS open (a single success would re-close it instantly)
-  // while the lane burns the queue down. Once the backlog is gone,
-  // arrivals meet an empty queue — below every shed watermark — and hit
-  // the open breaker directly, making the breaker-rejection leg
-  // deterministic instead of a race against the next success.
+  // Unbounded fires for a fixed 300 ms: every pop fails, so the shard's
+  // breaker trips and STAYS open (a single success would re-close it
+  // instantly) and its ledger quarantines the shard, evicting the
+  // backlog. Arrivals then meet an empty queue — below every shed
+  // watermark — and hit the open breaker directly, making the
+  // breaker-rejection leg deterministic instead of a race against the
+  // next success.
   robust::FaultInjector::instance().arm(
       robust::FaultSite::kWorkerThrow,
       robust::FaultSpec{/*fire_after=*/0, /*max_fires=*/1u << 20});

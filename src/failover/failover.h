@@ -25,7 +25,8 @@
 //     route hash is untouched, so coalescing keys stay stable);
 //   - hedged execution: a kHigh request with deadline slack gets a
 //     backup submission on a different shard after a percentile-based
-//     delay (LatencyWindow), first terminal wins;
+//     delay (LatencyWindow), first terminal wins — only when the
+//     service has a second shard to fire it on;
 //   - brownout: when a majority of shards are quarantined, kLow is shed
 //     at the door, tune sampling pauses, and ABFT-correct serves
 //     detect-only — explicit degraded service instead of collapsing
@@ -55,11 +56,10 @@ enum class ShardState : std::uint8_t {
 
 const char* to_string(ShardState state);
 
+/// Per-shard failure-domain knobs. Every shard of every service runs the
+/// ledger; a one-shard service is a one-domain case of the same code
+/// (its quarantine has no fallback and is a majority outage).
 struct FailoverOptions {
-  /// Master switch for the per-shard failure domains; single-shard
-  /// services ignore it (with one domain there is nowhere to fail over,
-  /// so the legacy global breaker path is kept verbatim).
-  bool enabled = true;
   /// Consecutive infra-class failures before healthy -> degraded.
   int degrade_after = 2;
   /// Consecutive infra-class failures before degraded -> quarantined.

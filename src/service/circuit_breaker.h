@@ -6,7 +6,7 @@
 // it has burned queue time. The breaker converts that state into fast
 // rejections at admission: it *trips* open after `failure_threshold`
 // consecutive infrastructure failures (or immediately on an external
-// trip, e.g. a pool quarantine observed in robust::health), rejects all
+// trip: its shard's health ledger entering quarantine), rejects all
 // traffic for `open_for`, then lets exactly one probe request through
 // (half-open). The probe's outcome decides: success closes the breaker,
 // failure re-opens it for another `open_for`.
@@ -58,7 +58,7 @@ class CircuitBreaker {
   void on_neutral();
 
   /// External trip — the caller observed substrate sickness out of band
-  /// (pool quarantine delta in robust::health).
+  /// (the owning shard's ledger entered quarantine).
   void trip();
 
   [[nodiscard]] BreakerState state() const;

@@ -104,7 +104,7 @@ bool Ticket::done() const {
 }
 
 SmmService::SmmService(ServiceOptions options)
-    : options_(options), breaker_(options.breaker) {
+    : options_(options) {
   // Resolve the auto knobs into options_ so options() reports what the
   // service actually runs with.
   if (options_.shards <= 0) options_.shards = shard::default_shard_count();
@@ -124,24 +124,24 @@ SmmService::SmmService(ServiceOptions options)
                                : model::reference_cost_model();
   flop_ns_ = model.flop_ns;
   dispatch_ns_ = model.dispatch_ns;
-  seen_pool_quarantines_ =
-      robust::health().pool_quarantines.load(std::memory_order_relaxed);
 
-  // A single-shard service keeps the legacy process-wide pool and plan
-  // cache; N > 1 gives every shard a private domain (DESIGN.md §13) so
-  // panels stop contending on one region lock and one cache mutex.
+  // A single-shard service runs on the process-wide pool and plan cache;
+  // N > 1 gives every shard a private domain (DESIGN.md §13) so panels
+  // stop contending on one region lock and one cache mutex. Either way
+  // every shard is a failure domain with its own ledger and breaker.
   const bool isolated = options_.shards > 1;
-  failover_active_ = isolated && options_.failover.enabled;
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     auto sh = std::make_unique<Shard>();
+    sh->health = std::make_unique<failover::ShardHealth>(options_.failover,
+                                                         options_.breaker);
     if (isolated) {
       sh->pool = par::WorkerPool::create_private();
       sh->cache = std::make_unique<core::PlanCache>(core::reference_smm());
     }
-    if (failover_active_)
-      sh->health = std::make_unique<failover::ShardHealth>(
-          options_.failover, options_.breaker);
+    // Only quarantines from here on are this service's business: the
+    // shared process pool may carry earlier ones.
+    sh->seen_pool_quarantines = shard_pool(*sh).stats().quarantines;
     shards_.push_back(std::move(sh));
   }
   for (int s = 0; s < options_.shards; ++s) {
@@ -150,10 +150,8 @@ SmmService::SmmService(ServiceOptions options)
     for (int l = 0; l < options_.lanes; ++l)
       sh.lanes.emplace_back([this, s] { lane_main(s); });
   }
-  if (failover_active_) {
-    supervisor_running_ = true;
-    supervisor_ = std::thread([this] { failover_main(); });
-  }
+  supervisor_running_ = true;
+  supervisor_ = std::thread([this] { failover_main(); });
 }
 
 SmmService::~SmmService() { shutdown(); }
@@ -200,6 +198,10 @@ core::PlanCache& SmmService::shard_cache(Shard& shard) const {
   return shard.cache != nullptr ? *shard.cache : core::smm_plan_cache();
 }
 
+par::WorkerPool& SmmService::shard_pool(Shard& shard) const {
+  return shard.pool != nullptr ? *shard.pool : par::WorkerPool::instance();
+}
+
 void SmmService::complete(
     const std::shared_ptr<detail::RequestState>& state, Result result) {
   std::lock_guard<std::mutex> lock(state->mu);
@@ -226,7 +228,7 @@ Ticket SmmService::admit(Request request) {
   // (and with it the coalesce key population) stays stable, only the
   // placement moves.
   int target = request.home;
-  if (failover_active_ && !shard_admissible(target)) {
+  if (!shard_admissible(target)) {
     const int n = static_cast<int>(shards_.size());
     target = failover::next_on_ring(
         target, n, [&](int idx) { return shard_admissible(idx); });
@@ -282,7 +284,7 @@ Ticket SmmService::admit(Request request) {
   // state and the submit-time operand snapshot; backup=true makes it
   // silent on a lost claim.
   std::optional<Request> backup_template;
-  if (failover_active_ && request.run_claim != nullptr && !request.backup) {
+  if (request.run_claim != nullptr && !request.backup) {
     backup_template = request;
     backup_template->backup = true;
     backup_template->rerouted = false;
@@ -296,20 +298,10 @@ Ticket SmmService::admit(Request request) {
                     false);
     }
 
-    if (failover_active_ && !shard_admissible(target)) {
-      // Either every domain is quarantined (the ring fell back to the
-      // quarantined home) or the target flipped between selection and
-      // lock. Refuse — never enqueue onto a domain the drain owns.
-      lock.unlock();
-      return refuse(ErrorCode::kOverloaded,
-                    "smm service: no healthy shard domain available",
-                    false, false);
-    }
-
-    // Brownout (DESIGN.md §15): under sustained multi-shard failure the
-    // surviving capacity is reserved for the traffic that matters —
-    // kLow is shed at the door regardless of queue fill.
-    if (failover_active_ && request.priority == Priority::kLow &&
+    // Brownout (DESIGN.md §15): under a majority outage the surviving
+    // capacity is reserved for the traffic that matters — kLow is shed
+    // at the door regardless of queue fill.
+    if (request.priority == Priority::kLow &&
         brownout_.load(std::memory_order_relaxed)) {
       lock.unlock();
       return refuse(ErrorCode::kOverloaded,
@@ -363,16 +355,29 @@ Ticket SmmService::admit(Request request) {
       }
     }
 
-    // The breaker — the *target shard's* when the failover layer is
-    // active, the legacy global one otherwise — is consulted after every
-    // load-shaped refusal (so a refused request never consumes the
-    // half-open probe slot) but before the eviction is performed (so a
-    // breaker refusal strands no already-popped victim — it simply
-    // stays queued).
-    if (!effective_breaker(shard).allow()) {
+    // The target shard's breaker is consulted after every load-shaped
+    // refusal (so a refused request never consumes the half-open probe
+    // slot) but before the eviction is performed (so a breaker refusal
+    // strands no already-popped victim — it simply stays queued). A
+    // quarantined domain's breaker is tripped on entry, so traffic with
+    // no admissible domain left (on a one-shard service: its only one)
+    // is normally refused here.
+    CircuitBreaker& breaker = shard.health->breaker();
+    if (!breaker.allow()) {
       lock.unlock();
       return refuse(ErrorCode::kOverloaded,
                     "smm service: circuit breaker open", false, true);
+    }
+    if (!shard_admissible(target)) {
+      // The breaker went half-open during a long (administrative) hold,
+      // or the target flipped between selection and lock. Release the
+      // probe slot and refuse — never enqueue onto a domain the drain
+      // owns.
+      breaker.on_neutral();
+      lock.unlock();
+      return refuse(ErrorCode::kOverloaded,
+                    "smm service: no healthy shard domain available",
+                    false, false);
     }
 
     if (victim_class >= 0) {
@@ -420,36 +425,17 @@ Ticket SmmService::admit(Request request) {
   return ticket;
 }
 
-void SmmService::observe_pool_health() {
-  const std::size_t quarantines =
-      robust::health().pool_quarantines.load(std::memory_order_relaxed);
-  bool trip = false;
-  {
-    std::lock_guard<std::mutex> lock(pool_health_mu_);
-    if (quarantines > seen_pool_quarantines_) {
-      seen_pool_quarantines_ = quarantines;
-      trip = true;
-    }
-  }
-  if (trip) breaker_.trip();
-}
-
-CircuitBreaker& SmmService::effective_breaker(Shard& shard) {
-  return failover_active_ ? shard.health->breaker() : breaker_;
-}
-
 bool SmmService::shard_admissible(int idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(idx)];
-  return shard.health == nullptr || shard.health->admissible();
+  return shards_[static_cast<std::size_t>(idx)]->health->admissible();
 }
 
 void SmmService::record_outcome(const Result& result, Shard& shard) {
-  CircuitBreaker& breaker = effective_breaker(shard);
-  // Ledger transitions (multi-shard): the executing shard's own outcome
-  // stream drives its lifecycle — a quarantine entry discovered here
-  // owns the drain that follows.
+  CircuitBreaker& breaker = shard.health->breaker();
+  // Ledger transitions: the executing shard's own outcome stream drives
+  // its lifecycle — a quarantine entry discovered here owns the drain
+  // that follows.
   const auto on_shard_failure = [&] {
-    if (shard.health == nullptr || !shard.health->on_failure()) return;
+    if (!shard.health->on_failure()) return;
     // The ledger just crossed into quarantine: drain the shard. shards_
     // holds unique_ptrs, so recover the index by scan (failure path
     // only, <=64 entries).
@@ -465,7 +451,7 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
     robust::health().service_completed.fetch_add(1,
                                                  std::memory_order_relaxed);
     breaker.on_success();
-    if (shard.health != nullptr) shard.health->on_success();
+    shard.health->on_success();
     return;
   }
   switch (result.code) {
@@ -506,19 +492,16 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
 }
 
 BreakerState SmmService::shard_breaker_state(int shard_idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
-  return shard.health != nullptr ? shard.health->breaker().state()
-                                 : breaker_.state();
+  return shards_[static_cast<std::size_t>(shard_idx)]
+      ->health->breaker()
+      .state();
 }
 
 failover::ShardState SmmService::shard_state(int shard_idx) const {
-  const Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
-  return shard.health != nullptr ? shard.health->state()
-                                 : failover::ShardState::kHealthy;
+  return shards_[static_cast<std::size_t>(shard_idx)]->health->state();
 }
 
 void SmmService::quarantine_shard(int shard_idx) {
-  if (!failover_active_) return;
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
   // force_quarantine() is true exactly on *entry*: an upgrade of an
   // existing quarantine to an administrative hold needs no second drain.
@@ -526,7 +509,6 @@ void SmmService::quarantine_shard(int shard_idx) {
 }
 
 void SmmService::revive_shard(int shard_idx) {
-  if (!failover_active_) return;
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
   if (!shard.health->revive()) return;
   begin_shard_rebuild(shard);
@@ -536,6 +518,8 @@ void SmmService::begin_shard_rebuild(Shard& shard) {
   // The quarantined domain's cached plans are suspect — whatever broke
   // the substrate may have rotted them (that is what the seals catch,
   // but a rebuild starts from a blank slate instead of betting on it).
+  // The process-wide cache a one-shard service borrows is left alone:
+  // it serves callers outside this service too.
   if (shard.cache != nullptr) shard.cache->clear();
   shard_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   robust::health().shard_rebuilds.fetch_add(1, std::memory_order_relaxed);
@@ -561,15 +545,13 @@ void SmmService::tick_failover() {
   const auto now = std::chrono::steady_clock::now();
   const int n = static_cast<int>(shards_.size());
 
-  // 1. Pool-quarantine attribution: each shard's private pool watchdog
-  //    is that shard's hardest health signal. The process-wide
-  //    observe_pool_health() path is bypassed entirely when the failover
-  //    layer is active — a panel's hung pool condemns the panel, not
-  //    the whole service.
+  // 1. Pool-quarantine attribution: the watchdog of the pool a shard
+  //    runs on is that shard's hardest health signal. Each shard reads
+  //    its own pool's count — a panel's hung pool condemns the panel,
+  //    never a shard of this or another service that runs elsewhere.
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[static_cast<std::size_t>(i)];
-    if (shard.pool == nullptr) continue;
-    const std::size_t q = shard.pool->stats().quarantines;
+    const std::size_t q = shard_pool(shard).stats().quarantines;
     if (q > shard.seen_pool_quarantines) {
       shard.seen_pool_quarantines = q;
       if (shard.health->on_pool_quarantine()) handle_quarantine(i);
@@ -842,7 +824,6 @@ void SmmService::execute(Request& request, Shard& shard) {
       // state at run start; a mid-run transition misclassifies at most
       // this one observation.
       const bool shard_healthy =
-          !failover_active_ ||
           shard.health->state() == failover::ShardState::kHealthy;
       std::optional<tune::ScopedSampleSuppression> suppress;
       if (!shard_healthy) suppress.emplace();
@@ -851,7 +832,7 @@ void SmmService::execute(Request& request, Shard& shard) {
         // claim. Only the winner published into the caller's C; the
         // loser's work is discarded without touching any shared state.
         if (!request.run_claim(token, shard_cache(shard))) {
-          if (!request.backup) effective_breaker(shard).on_neutral();
+          if (!request.backup) shard.health->breaker().on_neutral();
           return;  // the sibling owns the outcome — record nothing
         }
         result.ok = true;
@@ -864,7 +845,7 @@ void SmmService::execute(Request& request, Shard& shard) {
         request.run(token, shard_cache(shard));
         result.ok = true;
       }
-      if (failover_active_ && shard_healthy)
+      if (shard_healthy)
         latency_.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
@@ -894,12 +875,11 @@ void SmmService::execute(Request& request, Shard& shard) {
     // still racing (or already terminal); if the claim is lost, this
     // arm's outcome is nobody's business.
     if (!request.state->claim()) {
-      if (!request.backup) effective_breaker(shard).on_neutral();
+      if (!request.backup) shard.health->breaker().on_neutral();
       return;
     }
   }
   record_outcome(result, shard);
-  if (!failover_active_) observe_pool_health();
   complete(request.state, std::move(result));
 }
 
@@ -941,8 +921,7 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
   // sibling; the catch below only guards its own preconditions.
   std::vector<core::BatchItemStatus> statuses;
   std::optional<tune::ScopedSampleSuppression> suppress;
-  if (svc.failover_active_ &&
-      shard.health->state() != failover::ShardState::kHealthy)
+  if (shard.health->state() != failover::ShardState::kHealthy)
     suppress.emplace();
   try {
     statuses = core::batched_smm_each(
@@ -989,10 +968,9 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     svc.completed_.fetch_add(ok_members, std::memory_order_relaxed);
     robust::health().service_completed.fetch_add(ok_members,
                                                  std::memory_order_relaxed);
-    svc.effective_breaker(shard).on_success();
-    if (shard.health != nullptr) shard.health->on_success();
+    shard.health->breaker().on_success();
+    shard.health->on_success();
   }
-  if (!svc.failover_active_) svc.observe_pool_health();
 }
 
 void SmmService::reap_stopped_locked(Shard& shard) {
@@ -1038,7 +1016,7 @@ void SmmService::reap_stopped_locked(Shard& shard) {
       // Mirrors execute()'s queued pre-check: a stop is neutral for the
       // breaker, but must still release a half-open probe slot the
       // request may hold from admission. Backups never took that slot.
-      if (!it->backup) effective_breaker(shard).on_neutral();
+      if (!it->backup) shard.health->breaker().on_neutral();
       complete(it->state, std::move(result));
       unqueue();
     }
@@ -1150,20 +1128,18 @@ bool SmmService::try_steal(int thief_idx) {
   if (state() != State::kRunning) return false;
   const int n = static_cast<int>(shards_.size());
   Shard& mine = *shards_[static_cast<std::size_t>(thief_idx)];
-  if (failover_active_) {
-    // Only a healthy or merely degraded shard may steal: a quarantined
-    // or rebuilding domain must not pull fresh work onto the very
-    // substrate the ledger just condemned.
-    const auto mine_state = mine.health->state();
-    if (mine_state != failover::ShardState::kHealthy &&
-        mine_state != failover::ShardState::kDegraded)
-      return false;
-  }
+  // Only a healthy or merely degraded shard may steal: a quarantined or
+  // rebuilding domain must not pull fresh work onto the very substrate
+  // the ledger just condemned.
+  const auto mine_state = mine.health->state();
+  if (mine_state != failover::ShardState::kHealthy &&
+      mine_state != failover::ShardState::kDegraded)
+    return false;
   for (int d = 1; d < n; ++d) {
     const int victim_idx = (thief_idx + d) % n;
     // A quarantined victim's queue belongs to the drain: stealing from
     // it would race the re-route and double-handle tickets.
-    if (failover_active_ && !shard_admissible(victim_idx)) continue;
+    if (!shard_admissible(victim_idx)) continue;
     Shard& victim = *shards_[static_cast<std::size_t>(victim_idx)];
     Request stolen;
     bool got = false;
@@ -1204,10 +1180,9 @@ bool SmmService::try_steal(int thief_idx) {
 void SmmService::lane_main(int shard_idx) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_idx)];
   const bool multi = shards_.size() > 1;
-  // Bind the shard's private pool as this lane's run_parallel target:
-  // every nested fork-join region lands on shard-local workers.
-  std::optional<par::WorkerPool::CurrentPoolBinding> binding;
-  if (shard.pool != nullptr) binding.emplace(*shard.pool);
+  // Bind the shard's pool as this lane's run_parallel target: every
+  // nested fork-join region lands on shard-local workers.
+  par::WorkerPool::CurrentPoolBinding binding(shard_pool(shard));
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
     const auto ready = [&] {
@@ -1412,8 +1387,10 @@ Ticket SmmService::submit(T alpha, ConstMatrixView<T> a,
   // into private scratch; only the claim winner publishes into the
   // caller's C (and beta-accumulation reads a stable pre-image). A
   // hedged request never coalesces: its group siblings would write the
-  // user's C directly, defeating the claim protocol.
-  if (failover_active_ && priority == Priority::kHigh && ms > 0 &&
+  // user's C directly, defeating the claim protocol. A one-shard service
+  // has no second domain to fire a backup on, so it never pays for the
+  // snapshots.
+  if (shards_.size() > 1 && priority == Priority::kHigh && ms > 0 &&
       c.rows() > 0 && c.cols() > 0 && a.cols() > 0 &&
       static_cast<double>(ms) * 1e6 >
           options_.failover.hedge_budget_factor * request.est_cost_ns) {

@@ -29,18 +29,19 @@
 // the individual Tickets with per-item error/cancel propagation — a
 // coalesced neighbor's failure never poisons siblings.
 //
-// Failure domains (smm::failover, DESIGN.md §15): on a multi-shard
-// service every shard carries its own health ledger and circuit breaker,
-// driven by that shard's outcome stream alone. A quarantined shard is
-// drained — its queue re-routes along a deterministic fallback ring, in-
-// flight work runs to terminal state — and its home traffic diverts at
-// admission until the rebuild probe proves recovery. kHigh requests with
-// deadline slack are hedged: a backup fires on a different shard after a
+// Failure domains (smm::failover, DESIGN.md §15): every shard — the only
+// shard of a one-shard service included — carries its own health ledger
+// and circuit breaker, driven by that shard's outcome stream alone. A
+// quarantined shard is drained — its queue re-routes along a
+// deterministic fallback ring, in-flight work runs to terminal state —
+// and its home traffic diverts at admission until the rebuild probe
+// proves recovery. With multiple shards, kHigh requests with deadline
+// slack are hedged: a backup fires on a different shard after a
 // percentile-based delay, the first terminal claims the ticket, the
 // loser is cancelled and never double-counts. When a majority of shards
-// are quarantined the service browns out (kLow shed at the door, tune
-// sampling paused, ABFT-correct serving detect-only) instead of
-// collapsing into a global breaker.
+// are quarantined (a quarantined sole shard is a majority) the service
+// browns out: kLow shed at the door, tune sampling paused, ABFT-correct
+// serving detect-only.
 //
 // Rejections are O(µs): submit() does shape validation, routing, plus a
 // mutex-guarded admission decision — plan resolution, packing, and
@@ -88,8 +89,9 @@ struct ServiceOptions {
   /// Execution domains (DESIGN.md §13). 0 = auto: SMMKIT_SHARDS, else 8
   /// (the sim's panel count). Each shard owns its queue, lanes, a
   /// private WorkerPool, and a partitioned PlanCache; queue_depth,
-  /// watermarks, and cost_budget_ns are all per shard. 1 = the legacy
-  /// single-domain service (process-wide pool and plan cache).
+  /// watermarks, and cost_budget_ns are all per shard. 1 = one domain
+  /// on the process-wide pool and plan cache; it runs the same
+  /// admission, breaker and health code as N shards.
   int shards = 0;
   /// Bounded queue depth per shard; admissions beyond it are rejected
   /// (or evict a lower-priority entry). Env: SMMKIT_QUEUE_DEPTH.
@@ -132,10 +134,8 @@ struct ServiceOptions {
   core::SmmOptions gemm;
   CircuitBreaker::Options breaker;
   /// Per-shard failure domains, re-routing, hedging, brownout
-  /// (smm::failover, DESIGN.md §15). Active only when shards > 1 — a
-  /// single-shard service keeps the legacy global-breaker path verbatim
-  /// (there is nowhere to fail over, and the layer must cost nothing
-  /// when it cannot help).
+  /// (smm::failover, DESIGN.md §15). `breaker` above configures every
+  /// shard's private breaker.
   failover::FailoverOptions failover;
 };
 
@@ -163,8 +163,8 @@ struct RequestState {
   Result result;
   /// Hedged execution (DESIGN.md §15): primary and backup share this
   /// state, and exactly one of them may record the outcome and publish
-  /// the result — whoever wins this exchange. Only consulted when the
-  /// failover layer is active.
+  /// the result — whoever wins this exchange. Only consulted for hedged
+  /// requests.
   std::atomic<bool> claimed{false};
   bool claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 };
@@ -311,23 +311,17 @@ class SmmService {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// The legacy global breaker (the only one consulted when shards == 1
-  /// or the failover layer is disabled; informational otherwise — a
-  /// multi-shard service admits through the per-shard breakers).
-  [[nodiscard]] BreakerState breaker_state() const {
-    return breaker_.state();
-  }
-  /// Per-shard breaker (multi-shard failover); breaker_state() when the
-  /// failover layer is inactive.
+  /// The breaker admission consults for traffic placed on one shard.
   [[nodiscard]] BreakerState shard_breaker_state(int shard_idx) const;
 
-  // Failure-domain surface (DESIGN.md §15). All of these are no-ops /
-  // kHealthy on a single-shard or failover-disabled service.
+  // Failure-domain surface (DESIGN.md §15), the same for any shard count.
   /// Lifecycle state of one shard.
   [[nodiscard]] failover::ShardState shard_state(int shard_idx) const;
   /// Administratively quarantine a shard (fault drills, operational
   /// tooling): its queue drains onto the fallback ring, its home traffic
-  /// diverts at admission, and it is *held* until revive_shard().
+  /// diverts at admission, and it is *held* until revive_shard(). On a
+  /// one-shard service there is no fallback: queued work is evicted,
+  /// new work is refused kOverloaded, and the service browns out.
   void quarantine_shard(int shard_idx);
   /// Administrative revive: the shard re-enters as kRebuilding and heals
   /// to kHealthy on its first clean completion.
@@ -426,9 +420,10 @@ class SmmService {
     ByteRange c_range{nullptr, nullptr};
   };
 
-  /// One execution domain: queue + lanes + pool + plan cache
-  /// (DESIGN.md §13). `pool`/`cache` are null on a single-shard service,
-  /// which keeps the legacy process-wide instances.
+  /// One execution domain: queue + lanes + pool + plan cache + health
+  /// (DESIGN.md §13/§15). `pool`/`cache` are null on a single-shard
+  /// service, which runs on the process-wide instances (shard_pool() and
+  /// shard_cache() hide the difference).
   struct Shard {
     std::mutex mu;
     std::condition_variable work_cv;
@@ -439,11 +434,11 @@ class SmmService {
     std::vector<std::thread> lanes;
     std::unique_ptr<par::WorkerPool> pool;
     std::unique_ptr<core::PlanCache> cache;
-    /// Failure-domain ledger + per-shard breaker; null unless the
-    /// failover layer is active (DESIGN.md §15).
+    /// Failure-domain ledger + per-shard breaker (DESIGN.md §15); never
+    /// null.
     std::unique_ptr<failover::ShardHealth> health;
-    /// Pool-quarantine count last attributed by the supervisor (only the
-    /// supervisor thread touches it).
+    /// Pool-quarantine count last attributed by the supervisor (seeded
+    /// at construction; afterwards only the supervisor thread touches it).
     std::size_t seen_pool_quarantines = 0;
     std::atomic<std::size_t> routed{0};
     std::atomic<std::size_t> admitted{0};
@@ -502,15 +497,12 @@ class SmmService {
   /// The completed/cancelled/deadline/breaker bookkeeping shared by the
   /// single-request and coalesced completion paths. `shard` is the
   /// domain that *executed* the request — its ledger and breaker take
-  /// the outcome when the failover layer is active.
+  /// the outcome.
   void record_outcome(const Result& result, Shard& shard);
   static void complete(const std::shared_ptr<detail::RequestState>& state,
                        Result result);
-  void observe_pool_health();
 
-  // Failure domains (DESIGN.md §15). All run only when failover_active_.
-  /// The breaker admission and outcome recording consult for `shard`.
-  [[nodiscard]] CircuitBreaker& effective_breaker(Shard& shard);
+  // Failure domains (DESIGN.md §15).
   /// May placements land on shards_[idx] right now?
   [[nodiscard]] bool shard_admissible(int idx) const;
   /// Supervisor thread: pool-quarantine attribution, quarantine expiry,
@@ -539,6 +531,7 @@ class SmmService {
   /// hedges are best-effort; a full queue skips the fire).
   bool enqueue_backup(int target, Request backup);
   [[nodiscard]] core::PlanCache& shard_cache(Shard& shard) const;
+  [[nodiscard]] par::WorkerPool& shard_pool(Shard& shard) const;
   /// The construction-time constants alone (no tuner feedback): what
   /// route_shard buckets on, so a shape's home shard never moves when
   /// the tuner revises its cost (plan/pool locality outlives tuning).
@@ -552,11 +545,6 @@ class SmmService {
   ServiceOptions options_;
   double flop_ns_ = 0.0;      ///< cost-model constants, resolved once
   double dispatch_ns_ = 0.0;
-  CircuitBreaker breaker_;
-  /// shards > 1 && options_.failover.enabled, resolved once: the single
-  /// branch every failover hook hides behind — a single-shard service
-  /// runs the PR 7 code paths unchanged.
-  bool failover_active_ = false;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<State> state_{State::kRunning};
@@ -568,9 +556,6 @@ class SmmService {
   std::condition_variable drained_cv_;
   std::atomic<std::size_t> total_queued_{0};
   std::atomic<std::size_t> total_in_flight_{0};
-
-  std::mutex pool_health_mu_;
-  std::size_t seen_pool_quarantines_ = 0;
 
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> admitted_{0};
@@ -595,8 +580,7 @@ class SmmService {
   std::atomic<std::size_t> brownouts_{0};
   std::atomic<bool> brownout_{false};
   failover::LatencyWindow latency_;
-  /// Hedge registry and its supervisor thread (started only when
-  /// failover_active_).
+  /// Hedge registry and the supervisor thread (failover_main).
   std::mutex hedge_mu_;
   std::vector<HedgeEntry> hedges_;
   std::mutex supervisor_mu_;

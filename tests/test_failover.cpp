@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -515,6 +516,11 @@ TEST_F(FailoverTest, HedgeDoesNotFireWhenThePrimaryIsFast) {
   SmmService svc(options);
   test::GemmProblem<double> p(24, 24, 24, 97);
   p.reference(1.0, 0.0);
+  // Warm the shape unhedged first: a process's first gemm calibrates the
+  // cost model and builds the plan, which on a loaded host can outlast
+  // the hedge delay — the request below must be the fast one.
+  ASSERT_TRUE(
+      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait().ok);
   const Result& r = svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0,
                                p.c.view(), Priority::kHigh,
                                /*deadline_ms=*/2000)
@@ -646,12 +652,10 @@ TEST_F(FailoverTest, OneSickShardTripsOnlyItsOwnBreaker) {
     }
   }
   // Two infra failures on shard 0's own traffic: its ledger quarantines
-  // and its breaker trips — the sibling's breaker and the legacy global
-  // breaker never hear about it.
+  // and its breaker trips — the sibling's breaker never hears about it.
   EXPECT_EQ(svc.shard_state(sick), ShardState::kQuarantined);
   EXPECT_EQ(svc.shard_breaker_state(sick), BreakerState::kOpen);
   EXPECT_EQ(svc.shard_breaker_state(1), BreakerState::kClosed);
-  EXPECT_EQ(svc.breaker_state(), BreakerState::kClosed);
   EXPECT_GE(svc.stats().shard_quarantines, 1u);
 
   // Healthy-shard traffic flows; sick-homed traffic diverts and flows.
@@ -681,45 +685,160 @@ TEST_F(FailoverTest, OneSickShardTripsOnlyItsOwnBreaker) {
   svc.shutdown();
 }
 
-// ---- single-shard / disabled: legacy paths ---------------------------------
+// ---- one shard: a one-domain failure domain --------------------------------
 
-TEST_F(FailoverTest, SingleShardKeepsTheLegacyBreakerPath) {
-  SmmService svc(failover_options(1));
-  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  EXPECT_EQ(svc.shard_breaker_state(0), svc.breaker_state());
-  svc.quarantine_shard(0);  // no-op without the failover layer
-  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  EXPECT_FALSE(svc.in_brownout());
+TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
+  // Operands outlive the service: a failed assertion must not free
+  // storage that queued requests still point at.
   test::GemmProblem<double> p(24, 24, 24, 101);
   p.reference(1.0, 0.0);
-  ASSERT_TRUE(svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(),
-                         Priority::kHigh, /*deadline_ms=*/2000)
-                  .wait()
-                  .ok);
+  test::GemmProblem<double> blocker(64, 64, 64, 102);
+  std::vector<Matrix<double>> cs;
+  ServiceOptions options = failover_options(1);
+  // Route through the worker pool: two threads, and the static split so
+  // a loaded host's calibration cannot plan the blocker serial.
+  options.threads_per_request = 2;
+  options.gemm.thread_scaling = core::SmmOptions::ThreadScaling::kStatic;
+  SmmService svc(options);
+  // Runs before ~SmmService, which would otherwise wait on a parked lane.
+  struct ReleaseHangs {
+    ~ReleaseHangs() { robust::cancel_injected_hangs(); }
+  } release_hangs;
+  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
+  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
+
+  // Hold the only lane inside a pooled region on a hung worker (released
+  // below, long before the 30 s watchdog), then queue work behind it.
+  robust::reset_injected_hangs();
+  Ticket busy;
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     FaultSpec{/*fire_after=*/0, /*max_fires=*/1});
+    busy = svc.submit(1.0, blocker.a.cview(), blocker.b.cview(), 0.0,
+                      blocker.c.view());
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(10);
+    while (robust::HangController::instance().waiting() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    ASSERT_EQ(robust::HangController::instance().waiting(), 1);
+  }
+  std::vector<Ticket> queued;
+  cs.reserve(6);
+  for (int i = 0; i < 6; ++i) {
+    cs.emplace_back(24, 24);
+    queued.push_back(
+        svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, cs.back().view()));
+  }
+  EXPECT_EQ(svc.stats().queued, queued.size());
+
+  // Quarantine: with no fallback domain the queue is evicted, new work
+  // is refused at the door, and the sole domain down is a majority
+  // outage — brownout.
+  svc.quarantine_shard(0);
+  EXPECT_EQ(svc.shard_state(0), ShardState::kQuarantined);
+  EXPECT_TRUE(svc.in_brownout());
+  for (auto& t : queued) {
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(t.wait().code, ErrorCode::kOverloaded) << t.wait().message;
+  }
+  SmmService::Stats s = svc.stats();
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.evicted, queued.size());
+  const Result& refused =
+      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrorCode::kOverloaded);
+  check_accounting(svc);
+
+  // In-flight work runs to its terminal state where it is.
+  robust::cancel_injected_hangs();
+  EXPECT_TRUE(busy.wait_for(std::chrono::seconds(10)));
+  robust::reset_injected_hangs();
+
+  // Revive, then a clean probe heals the shard.
+  svc.revive_shard(0);
+  EXPECT_EQ(svc.shard_state(0), ShardState::kRebuilding);
+  EXPECT_FALSE(svc.in_brownout());
+  const Result& probe =
+      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
+  ASSERT_TRUE(probe.ok) << probe.message;
   EXPECT_TRUE(p.check(24));
-  const SmmService::Stats s = svc.stats();
-  EXPECT_EQ(s.rerouted, 0u);
+  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
+  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
+
+  // kHigh with deadline slack: one domain has nowhere to fire a backup.
+  for (int i = 0; i < 8; ++i)
+    ASSERT_TRUE(svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(),
+                           Priority::kHigh, /*deadline_ms=*/2000)
+                    .wait()
+                    .ok);
+  EXPECT_TRUE(p.check(24));
+  s = svc.stats();
   EXPECT_EQ(s.hedged, 0u);
-  EXPECT_EQ(s.shard_quarantines, 0u);
+  EXPECT_EQ(s.rerouted, 0u);
+  EXPECT_EQ(s.shard_quarantines, 1u);
+  EXPECT_EQ(s.shard_rebuilds, 1u);
+  EXPECT_EQ(s.brownouts, 1u);
   check_accounting(svc);
   svc.shutdown();
 }
 
-TEST_F(FailoverTest, DisabledFailoverOnMultiShardKeepsPr7Paths) {
-  ServiceOptions options = failover_options(2);
-  options.failover.enabled = false;
-  SmmService svc(options);
-  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  svc.quarantine_shard(0);
-  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  test::GemmProblem<double> p(24, 24, 24, 102);
+TEST_F(FailoverTest, AnotherServicesPoolQuarantineLeavesASingleShardAlone) {
+  // A one-shard service runs on the process-wide pool; a two-shard
+  // service in the same process runs on private pools.
+  SmmService single(failover_options(1));
+  test::GemmProblem<double> p(24, 24, 24, 104);
   p.reference(1.0, 0.0);
   ASSERT_TRUE(
-      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait().ok);
+      single.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait().ok);
+
+  // Private pools read their watchdog deadline at construction: a short
+  // one turns the hung worker below into a pool quarantine quickly.
+  const char* old_timeout = std::getenv("SMMKIT_POOL_TIMEOUT_MS");
+  const std::string saved = old_timeout != nullptr ? old_timeout : "";
+  setenv("SMMKIT_POOL_TIMEOUT_MS", "150", 1);
+  ServiceOptions options = failover_options(2);
+  // Route through the private pools (static split: see above).
+  options.threads_per_request = 2;
+  options.gemm.thread_scaling = core::SmmOptions::ThreadScaling::kStatic;
+  SmmService sharded(options);
+  if (old_timeout != nullptr) {
+    setenv("SMMKIT_POOL_TIMEOUT_MS", saved.c_str(), 1);
+  } else {
+    unsetenv("SMMKIT_POOL_TIMEOUT_MS");
+  }
+
+  robust::reset_injected_hangs();
+  const std::size_t before = robust::health().snapshot().pool_quarantines;
+  test::GemmProblem<double> q(64, 64, 64, 105);
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     FaultSpec{/*fire_after=*/0, /*max_fires=*/1});
+    const Result& r =
+        sharded.submit(1.0, q.a.cview(), q.b.cview(), 0.0, q.c.view())
+            .wait();
+    EXPECT_FALSE(r.ok);
+  }
+  robust::cancel_injected_hangs();
+  robust::reset_injected_hangs();
+  ASSERT_GE(robust::health().snapshot().pool_quarantines, before + 1);
+
+  // The quarantined pool belongs to the other service: the one-shard
+  // service keeps admitting and stays healthy with its breaker closed.
+  for (int i = 0; i < 2; ++i) {
+    const Result& r =
+        single.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view())
+            .wait();
+    EXPECT_TRUE(r.ok) << r.message;
+  }
   EXPECT_TRUE(p.check(24));
-  EXPECT_EQ(svc.stats().rerouted, 0u);
-  check_accounting(svc);
-  svc.shutdown();
+  EXPECT_EQ(single.shard_state(0), ShardState::kHealthy);
+  EXPECT_EQ(single.shard_breaker_state(0), BreakerState::kClosed);
+  EXPECT_EQ(single.stats().breaker_rejections, 0u);
+  check_accounting(single);
+  sharded.shutdown();
+  single.shutdown();
 }
 
 // ---- fork safety with shards > 1 (satellite) -------------------------------

@@ -27,6 +27,13 @@ struct Golden {
   double efficiency;  // expected, +-5% relative
 };
 
+// Without this, gtest prints a Golden as a raw byte dump, and the bytes of
+// `strategy` are an address that moves from run to run. The printed value
+// ends up in the discovered CTest names, so it must be deterministic.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << "efficiency " << g.efficiency;
+}
+
 // Captured from the calibrated model (see EXPERIMENTS.md for the paper
 // values these reproduce in shape).
 const Golden kGolden[] = {

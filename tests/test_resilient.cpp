@@ -364,6 +364,9 @@ TEST_F(ResilientTest, DeadlinePricingRefusesDoomedResubmission) {
   test::GemmProblem<double> big2(256, 256, 256, 311);
   service::Ticket b1 = svc.submit(1.0, big1.a.cview(), big1.b.cview(), 0.0,
                                   big1.c.view(), Priority::kHigh);
+  // b2 must find the slot free: wait until the lane has popped b1, or b2
+  // is refused at the full queue and the slot is empty again.
+  while (svc.stats().in_flight == 0 && !b1.done()) std::this_thread::yield();
   service::Ticket b2 = svc.submit(1.0, big2.a.cview(), big2.b.cview(), 0.0,
                                   big2.c.view(), Priority::kHigh);
 

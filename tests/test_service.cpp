@@ -467,7 +467,7 @@ TEST_F(ServiceTest, ServiceBreakerTripsOnRepeatedFailuresAndRecovers) {
       ASSERT_FALSE(r.ok);
       EXPECT_EQ(r.code, ErrorCode::kWorkerPanic) << r.message;
     }
-    EXPECT_EQ(svc.breaker_state(), BreakerState::kOpen);
+    EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kOpen);
     // Open breaker: rejected at admission with kOverloaded, counted.
     const Result& rejected =
         svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
@@ -482,7 +482,7 @@ TEST_F(ServiceTest, ServiceBreakerTripsOnRepeatedFailuresAndRecovers) {
   const Result& probe =
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   EXPECT_TRUE(probe.ok) << probe.message;
-  EXPECT_EQ(svc.breaker_state(), BreakerState::kClosed);
+  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
   svc.shutdown();
 }
 
@@ -669,9 +669,10 @@ TEST_F(ServiceTest, ServiceScreensNonFiniteWhenConfigured) {
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.code, ErrorCode::kNonFinite) << r.message;
-  // A poisoned request is the caller's fault, not the substrate's: the
-  // breaker must stay closed.
-  EXPECT_EQ(svc.breaker_state(), BreakerState::kClosed);
+  // A poisoned request is the caller's fault, not the substrate's: every
+  // shard's breaker must stay closed.
+  for (int s = 0; s < svc.options().shards; ++s)
+    EXPECT_EQ(svc.shard_breaker_state(s), BreakerState::kClosed);
   svc.shutdown();
 }
 

@@ -289,7 +289,11 @@ class TableTest : public TuneTest {
  protected:
   void SetUp() override {
     TuneTest::SetUp();
-    dir_ = "tune_test_tables";
+    // One directory per test: ctest -j runs these cases as concurrent
+    // processes, and a shared table path lets one case's TearDown remove
+    // another's file mid-test.
+    dir_ = std::string("tune_test_tables_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     ::mkdir(dir_.c_str(), 0755);
     path_ = Tuner::table_path(dir_);
     std::remove(path_.c_str());
