@@ -47,6 +47,59 @@ const T* a_group_ptr(const KernelOperands<T>& ops, index_t r, index_t k) {
   return ops.a + a_offset(ops, r, k);
 }
 
+// Width of the column blocks the packed path splits an MR x NR tile into:
+// the largest divisor of NR whose accumulators, plus one A sliver and one
+// broadcast, fit the host's vector registers (Eq. 4 with the host count).
+template <typename T, int MR, int NR>
+constexpr int column_block() {
+  constexpr index_t kRowVecs = MR / simd::kLanes<T>;
+  for (int nb = NR; nb > 1; --nb)
+    if (NR % nb == 0 && kRowVecs * nb + kRowVecs + 1 <= simd::kVecRegisters)
+      return nb;
+  return 1;
+}
+
+// The packed path: reads a[k*MR + i] and b[k*NR + j], holds one column
+// block of C in registers at a time. Per element it performs the same k
+// order, multiply-then-add and epilogue as the runtime-stride loop, so
+// the two paths agree bit for bit.
+template <typename T, int MR, int NR>
+void packed_tile(index_t kc, T alpha, T beta, const T* a, const T* b, T* c,
+                 index_t ldc) {
+  using V = simd::Vec<T>;
+  constexpr index_t kLanes = V::lanes;
+  constexpr index_t kRowVecs = MR / kLanes;
+  constexpr int kNB = column_block<T, MR, NR>();
+
+  for (int j0 = 0; j0 < NR; j0 += kNB) {
+    V acc[kRowVecs][kNB];
+    for (index_t k = 0; k < kc; ++k) {
+      V av[kRowVecs];
+#pragma GCC unroll 16
+      for (index_t rv = 0; rv < kRowVecs; ++rv)
+        av[rv] = V::load(&a[k * MR + rv * kLanes]);
+#pragma GCC unroll 16
+      for (int j = 0; j < kNB; ++j) {
+        const T bkj = b[k * NR + j0 + j];
+#pragma GCC unroll 16
+        for (index_t rv = 0; rv < kRowVecs; ++rv)
+          acc[rv][j].v += av[rv].v * bkj;
+      }
+    }
+
+#pragma GCC unroll 16
+    for (int j = 0; j < kNB; ++j) {
+#pragma GCC unroll 16
+      for (index_t rv = 0; rv < kRowVecs; ++rv) {
+        T* cp = c + rv * kLanes + (j0 + j) * ldc;
+        V old = (beta == T(0)) ? V::zero() : V::load(cp);
+        V out(alpha * acc[rv][j].v + beta * old.v);
+        out.store(cp);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 template <typename T, int MR, int NR>
@@ -61,9 +114,14 @@ void tile_microkernel(index_t kc, T alpha, T beta,
              "tile_microkernel handles only full tiles");
   SMM_EXPECT(ops.a_ps % kLanes == 0 && ops.a_istride == 1,
              "tile_microkernel requires contiguous vector-aligned A panels");
+  if (is_packed_panel(ops, MR, NR)) {
+    packed_tile<T, MR, NR>(kc, alpha, beta, ops.a, ops.b, ops.c, ops.c_cs);
+    return;
+  }
 
-  // The register block: kRowVecs x NR accumulators, mirroring how the
-  // ARMv8 kernels hold the C tile in v-registers.
+  // Runtime-stride path for every other layout. The register block:
+  // kRowVecs x NR accumulators, mirroring how the ARMv8 kernels hold the
+  // C tile in v-registers.
   V acc[kRowVecs][NR];
   for (index_t rv = 0; rv < kRowVecs; ++rv)
     for (index_t j = 0; j < NR; ++j) acc[rv][j] = V::zero();

@@ -73,6 +73,18 @@ inline index_t b_offset(const KernelOperands<T>& ops, index_t k, index_t j) {
          k * ops.b_kstride;
 }
 
+/// True when A and B are single packed panels of an mr x nr tile (the
+/// PackA/PackB layout: a_ps == a_kstride == mr, b_ps == b_kstride == nr,
+/// unit in-panel strides) and C columns are contiguous (c_rs == 1). The
+/// panel strides are irrelevant because i < mr and j < nr.
+template <typename T>
+inline bool is_packed_panel(const KernelOperands<T>& ops, index_t mr,
+                            index_t nr) {
+  return ops.a_ps == mr && ops.a_kstride == mr && ops.a_istride == 1 &&
+         ops.b_ps == nr && ops.b_kstride == nr && ops.b_jstride == 1 &&
+         ops.c_rs == 1;
+}
+
 // ---- Operand factory helpers -------------------------------------------
 
 /// A sliver packed in mr-panel format (contiguous kc columns of mr rows).
@@ -172,7 +184,19 @@ void generic_microkernel(index_t kc, T alpha, T beta,
                          const KernelOperands<T>& ops, index_t mr_eff,
                          index_t nr_eff);
 
-/// Register-blocked vector kernel for a full MR x NR tile.
+/// Register-blocked vector kernel for a full MR x NR tile, with two
+/// addressing paths that produce bit-identical C.
+///
+///  - Packed panels (is_packed_panel): A is read as a[k*MR + i] and B as
+///    b[k*NR + j] with compile-time strides. The tile is split into column
+///    blocks of NB columns, NB the largest divisor of NR whose
+///    (MR/lanes)*NB accumulators, MR/lanes A vectors and one broadcast fit
+///    the host's vector registers (simd::kVecRegisters: Eq. 4 on the host,
+///    not the ARMv8 budget the plans use). The loops are fully unrolled and
+///    the accumulators stay in registers. Every PackA/PackB buffer has this
+///    layout.
+///  - Any other layout (direct operands, BLASFEO panels, row-major C) uses
+///    runtime strides through a_offset/b_offset.
 ///
 /// Requirements (checked with SMM_EXPECT):
 ///  - mr_eff == MR and nr_eff == NR,

@@ -21,6 +21,17 @@ namespace smm::simd {
 template <typename T>
 inline constexpr index_t kLanes = static_cast<index_t>(16 / sizeof(T));
 
+/// 128-bit registers the compiler may allocate on the host: v0-v31 on
+/// AArch64, xmm0-xmm15 on x86-64 SSE. Native kernels size their register
+/// blocks with this count; the simulator keeps the modelled machine's
+/// Eq. 4 budget.
+inline constexpr index_t kVecRegisters =
+#if defined(__aarch64__)
+    32;
+#else
+    16;
+#endif
+
 namespace detail {
 // The vector_size attribute is ignored on dependent types, so the raw
 // vector type is provided through explicit specializations.

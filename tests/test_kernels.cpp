@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -13,6 +15,7 @@
 #include "src/kernels/schedules_armv8.h"
 #include "src/matrix/matrix.h"
 #include "src/pack/pack.h"
+#include "src/simd/vec.h"
 
 namespace smm::kern {
 namespace {
@@ -79,6 +82,123 @@ TEST_P(TileKernel, PackedOperandsF32) {
 TEST_P(TileKernel, PackedOperandsF64) {
   const auto [mr, nr] = GetParam();
   for (index_t kc : {1, 3, 32}) run_tile_test<double>(mr, nr, kc, -2.0, 1.0);
+}
+
+// Runs `fn` on the given operands into a copy of `c0` and returns it.
+template <typename T>
+std::vector<T> run_into(MicroKernelFn<T> fn, index_t kc, T alpha, T beta,
+                        KernelOperands<T> ops, const std::vector<T>& c0,
+                        index_t mr, index_t nr) {
+  std::vector<T> c = c0;
+  ops.c = c.data();
+  fn(kc, alpha, beta, ops, mr, nr);
+  return c;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+// The packed-panel path must give the same bits as the runtime-stride path
+// on the same values: A copied with a_kstride = mr + lanes and B with
+// b_kstride = nr + 1 force the latter. Also covers beta == 0 over a NaN C,
+// row-major C and BLASFEO ps = 4 panels, which must take the fallback.
+template <typename T>
+void check_packed_path(int mr, int nr) {
+  constexpr index_t kLanes = simd::kLanes<T>;
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const MicroKernelFn<T> fn = native_tile_fn<T>(mr, nr);
+  const T alpha = T(-0.75);
+  const index_t ldc = mr + 3;  // padded C column stride
+  const index_t a_ks = mr + kLanes;
+  const index_t b_ks = nr + 1;
+  const bool blasfeo = mr > 4 && mr % 4 == 0;  // a_ps = 4 < mr applies
+  for (index_t kc : {0, 1, 2, 7, 64, 513}) {
+    Rng rng(static_cast<std::uint64_t>(mr * 100000 + nr * 1000 + kc));
+    const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
+    std::vector<T> a(sz(mr * kc)), b(sz(nr * kc)), c0(sz(ldc * nr));
+    for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
+    for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
+    for (auto& v : c0) v = static_cast<T>(rng.uniform(-1, 1));
+    // Strided copies; the padding is NaN so reading it would show.
+    std::vector<T> a_strided(sz(a_ks * kc), nan), b_strided(sz(b_ks * kc), nan);
+    std::vector<T> a_panel(sz(mr * kc), nan);  // BLASFEO ps = 4, mr / 4 panels
+    for (index_t k = 0; k < kc; ++k) {
+      for (index_t i = 0; i < mr; ++i) {
+        const T v = a[sz(k * mr + i)];
+        a_strided[sz(k * a_ks + i)] = v;
+        if (blasfeo) a_panel[sz((i / 4) * 4 * kc + k * 4 + i % 4)] = v;
+      }
+      for (index_t j = 0; j < nr; ++j)
+        b_strided[sz(k * b_ks + j)] = b[sz(k * nr + j)];
+    }
+
+    KernelOperands<T> packed;
+    set_packed_a(packed, a.data(), mr);
+    set_packed_b(packed, b.data(), nr);
+    packed.c_rs = 1;
+    packed.c_cs = ldc;
+    KernelOperands<T> strided = packed;
+    set_direct_a_colmajor(strided, a_strided.data(), a_ks, mr);
+    set_direct_b_rowmajor(strided, b_strided.data(), b_ks, nr);
+    KernelOperands<T> panel = packed;
+    set_panel_a(panel, a_panel.data(), index_t{4}, kc);
+    KernelOperands<T> row_major_c = packed;
+    row_major_c.c_rs = nr + 2;
+    row_major_c.c_cs = 1;
+    ASSERT_TRUE(is_packed_panel(packed, mr, nr));
+    ASSERT_FALSE(is_packed_panel(strided, mr, nr));
+    ASSERT_FALSE(is_packed_panel(row_major_c, mr, nr));
+
+    for (T beta : {T(0), T(1), T(-1), T(0.37)}) {
+      SCOPED_TRACE(::testing::Message() << mr << "x" << nr << " kc=" << kc
+                                        << " beta=" << beta);
+      const auto fast = run_into(fn, kc, alpha, beta, packed, c0, mr, nr);
+      EXPECT_TRUE(same_bits(
+          fast, run_into(fn, kc, alpha, beta, strided, c0, mr, nr)));
+      if (blasfeo) {
+        EXPECT_FALSE(is_packed_panel(panel, mr, nr));
+        EXPECT_TRUE(same_bits(
+            fast, run_into(fn, kc, alpha, beta, panel, c0, mr, nr)));
+      }
+      if (beta == T(0)) {
+        // beta == 0 never reads C: a NaN-filled C must not leak through.
+        const std::vector<T> c_nan(c0.size(), nan);
+        const auto fast_nan =
+            run_into(fn, kc, alpha, beta, packed, c_nan, mr, nr);
+        const auto strided_nan =
+            run_into(fn, kc, alpha, beta, strided, c_nan, mr, nr);
+        EXPECT_TRUE(same_bits(fast_nan, strided_nan));
+        for (index_t j = 0; j < nr; ++j)
+          for (index_t i = 0; i < mr; ++i)
+            EXPECT_FALSE(std::isnan(fast_nan[sz(i + j * ldc)]));
+      }
+      // Row-major C: the scalar epilogue skips the "+ beta * 0" of the
+      // vector one when beta == 0, so only the sign of a zero may differ;
+      // compare values, not bits.
+      std::vector<T> c_rm(sz(mr * (nr + 2)), T(0.5));
+      for (index_t j = 0; j < nr; ++j)
+        for (index_t i = 0; i < mr; ++i)
+          c_rm[sz(i * (nr + 2) + j)] = c0[sz(i + j * ldc)];
+      const auto rm = run_into(fn, kc, alpha, beta, row_major_c, c_rm, mr, nr);
+      for (index_t j = 0; j < nr; ++j)
+        for (index_t i = 0; i < mr; ++i)
+          ASSERT_EQ(rm[sz(i * (nr + 2) + j)], fast[sz(i + j * ldc)])
+              << "row-major C at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST_P(TileKernel, PackedPathBitIdenticalF32) {
+  const auto [mr, nr] = GetParam();
+  check_packed_path<float>(mr, nr);
+}
+
+TEST_P(TileKernel, PackedPathBitIdenticalF64) {
+  const auto [mr, nr] = GetParam();
+  check_packed_path<double>(mr, nr);
 }
 
 INSTANTIATE_TEST_SUITE_P(
