@@ -191,12 +191,15 @@ void generic_microkernel(index_t kc, T alpha, T beta,
 ///    b[k*NR + j] with compile-time strides. The tile is split into column
 ///    blocks of NB columns, NB the largest divisor of NR whose
 ///    (MR/lanes)*NB accumulators, MR/lanes A vectors and one broadcast fit
-///    the host's vector registers (simd::kVecRegisters: Eq. 4 on the host,
-///    not the ARMv8 budget the plans use). The loops are fully unrolled and
-///    the accumulators stay in registers. Every PackA/PackB buffer has this
-///    layout.
+///    the build's vector registers (Eq. 4 on the host, not the ARMv8 budget
+///    the plans use). The loops are fully unrolled and the accumulators
+///    stay in registers. Every PackA/PackB buffer has this layout.
 ///  - Any other layout (direct operands, BLASFEO panels, row-major C) uses
 ///    runtime strides through a_offset/b_offset.
+///
+/// This is the 128-bit build (SSE on x86-64, NEON on AArch64). On x86-64
+/// the packed path is also built at 256 bits (AVX2, 16 registers) and 512
+/// bits (AVX-512F/VL, 32 registers); see tile_clone_fn.
 ///
 /// Requirements (checked with SMM_EXPECT):
 ///  - mr_eff == MR and nr_eff == NR,
@@ -209,5 +212,28 @@ template <typename T, int MR, int NR>
 void tile_microkernel(index_t kc, T alpha, T beta,
                       const KernelOperands<T>& ops, index_t mr_eff,
                       index_t nr_eff);
+
+/// Packed-path vector width, in bits, of an MR-row tile of T on a host
+/// whose widest usable vector is `max_bits` (128, 256 or 512): the widest
+/// width <= max_bits whose lane count divides MR. So f32 12xN and f32
+/// 4xN tiles stay at 128 bits on every host.
+template <typename T>
+constexpr int tile_vector_bits(int mr, int max_bits) {
+  for (int bits = max_bits; bits > 128; bits /= 2)
+    if (mr % (bits / 8 / static_cast<int>(sizeof(T))) == 0) return bits;
+  return 128;
+}
+
+/// The native kernel for an mr x nr tile on a host whose widest usable
+/// vector is `max_bits`: the tile_microkernel clone built at
+/// tile_vector_bits<T>(mr, max_bits) (128 = tile_microkernel itself), or
+/// generic_microkernel for a tile with no register-blocked instantiation.
+/// A clone differs from the 128-bit build only in its packed path: wider
+/// lanes batch more rows, while each C element keeps the same k order,
+/// multiply-then-add and epilogue, so every clone is bit-identical to it.
+/// native_tile_fn passes the host's width; tests pass each width the host
+/// runs.
+template <typename T>
+MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits);
 
 }  // namespace smm::kern

@@ -72,8 +72,14 @@ ScheduleSpec kernel_spec(KernelId id);
 std::vector<index_t> decompose_edge(index_t extent,
                                     const std::vector<index_t>& sizes);
 
-/// Pick the native micro-kernel function for a tile: a specialized
-/// register-blocked instantiation when one exists, else the generic kernel.
+/// Widest vector, in bits, the CPU and OS support for the kernel clones:
+/// 512 with AVX2 + AVX-512F/VL, 256 with AVX2, else 128 (always on
+/// AArch64). Read from cpuid once per process; there is no override.
+int host_vector_bits();
+
+/// Pick the native micro-kernel function for a tile: the register-blocked
+/// clone tile_clone_fn<T>(mr, nr, host_vector_bits()) names when one
+/// exists, else the generic kernel.
 template <typename T>
 MicroKernelFn<T> native_tile_fn(int mr, int nr);
 

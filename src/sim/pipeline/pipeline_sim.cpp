@@ -37,11 +37,6 @@ QueueClass class_of(UopKind kind) {
   return QueueClass::kInt;
 }
 
-bool is_load(UopKind kind) {
-  return kind == UopKind::kLoadVec || kind == UopKind::kLoadPair ||
-         kind == UopKind::kLoadScalar;
-}
-
 double latency_of(const Uop& uop, const CoreConfig& core,
                   const StreamLatency& lat) {
   switch (uop.kind) {
@@ -172,8 +167,8 @@ PipelineResult simulate_schedule(const KernelSchedule& schedule,
       for (auto it = q.begin(); it != q.end();) {
         InFlight& e =
             rob[static_cast<std::size_t>(*it - rob.front().seq)];
-        int* budget = nullptr;
-        int limit = 0;
+        int* budget = &ints_issued;
+        int limit = core.int_ports;
         switch (e.cls) {
           case QueueClass::kFp:
             budget = &fp_issued;
@@ -188,9 +183,7 @@ PipelineResult simulate_schedule(const KernelSchedule& schedule,
               limit = core.load_ports;
             }
             break;
-          case QueueClass::kInt:
-            budget = &ints_issued;
-            limit = core.int_ports;
+          case QueueClass::kInt:  // the defaults above
             break;
         }
         if (*budget >= limit) {

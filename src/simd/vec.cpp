@@ -8,5 +8,7 @@ static_assert(Vec4f::lanes == 4);
 static_assert(Vec2d::lanes == 2);
 static_assert(sizeof(Vec4f) == 16);
 static_assert(sizeof(Vec2d) == 16);
+static_assert(kLanes<float, 32> == 8 && kLanes<double, 32> == 4);
+static_assert(kLanes<float, 64> == 16 && kLanes<double, 64> == 8);
 
 }  // namespace smm::simd

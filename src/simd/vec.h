@@ -1,4 +1,4 @@
-// Portable 128-bit SIMD vector abstraction.
+// Portable SIMD vector abstraction, 128-bit by default.
 //
 // Micro-kernels in smmkit are written against this type instead of NEON
 // intrinsics: Vec<float> models one ARMv8 "Vn.4S" register (4 floats),
@@ -9,6 +9,11 @@
 //
 // Implementation uses GCC/Clang vector extensions so -O2 lowers each op to
 // one SSE/NEON instruction on the host while the code stays ISA-portable.
+// The width is a template parameter: the x86-64 packed-panel kernels also
+// use 32- and 64-byte vectors inside AVX2 / AVX-512 target-attributed
+// functions (src/kernels/microkernel.cpp). Member functions that take or
+// return a Vec are for the 16-byte width; a wider Vec passed by value
+// outside such a function would change the calling convention.
 #pragma once
 
 #include <cstring>
@@ -17,14 +22,15 @@
 
 namespace smm::simd {
 
-/// Number of scalars of type T in one 128-bit vector register.
-template <typename T>
-inline constexpr index_t kLanes = static_cast<index_t>(16 / sizeof(T));
+/// Number of scalars of type T in one vector of kBytes bytes (default: one
+/// 128-bit register).
+template <typename T, int kBytes = 16>
+inline constexpr index_t kLanes = static_cast<index_t>(kBytes / sizeof(T));
 
-/// 128-bit registers the compiler may allocate on the host: v0-v31 on
-/// AArch64, xmm0-xmm15 on x86-64 SSE. Native kernels size their register
-/// blocks with this count; the simulator keeps the modelled machine's
-/// Eq. 4 budget.
+/// 128-bit registers the compiler may allocate in the baseline build:
+/// v0-v31 on AArch64, xmm0-xmm15 on x86-64 SSE. Native kernels size their
+/// register blocks with this count (the AVX2 / AVX-512 clones with their
+/// own); the simulator keeps the modelled machine's Eq. 4 budget.
 inline constexpr index_t kVecRegisters =
 #if defined(__aarch64__)
     32;
@@ -35,22 +41,38 @@ inline constexpr index_t kVecRegisters =
 namespace detail {
 // The vector_size attribute is ignored on dependent types, so the raw
 // vector type is provided through explicit specializations.
-template <typename T>
+template <typename T, int kBytes>
 struct RawVec;
 template <>
-struct RawVec<float> {
+struct RawVec<float, 16> {
   using type = float __attribute__((vector_size(16)));
 };
 template <>
-struct RawVec<double> {
+struct RawVec<double, 16> {
   using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct RawVec<float, 32> {
+  using type = float __attribute__((vector_size(32)));
+};
+template <>
+struct RawVec<double, 32> {
+  using type = double __attribute__((vector_size(32)));
+};
+template <>
+struct RawVec<float, 64> {
+  using type = float __attribute__((vector_size(64)));
+};
+template <>
+struct RawVec<double, 64> {
+  using type = double __attribute__((vector_size(64)));
 };
 }  // namespace detail
 
-template <typename T>
+template <typename T, int kBytes = 16>
 struct Vec {
-  static constexpr index_t lanes = kLanes<T>;
-  using Raw = typename detail::RawVec<T>::type;
+  static constexpr index_t lanes = kLanes<T, kBytes>;
+  using Raw = typename detail::RawVec<T, kBytes>::type;
 
   Raw v;
 

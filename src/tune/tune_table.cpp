@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "src/common/str.h"
@@ -214,8 +215,9 @@ TableStatus read_table(const std::string& path,
   entries->clear();
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return TableStatus::kMissing;
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  const std::string buf = std::move(contents).str();
   if (buf.size() < sizeof(kMagic) + sizeof(std::uint64_t))
     return TableStatus::kCorrupt;
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -101,15 +102,25 @@ bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
-// The packed-panel path must give the same bits as the runtime-stride path
-// on the same values: A copied with a_kstride = mr + lanes and B with
-// b_kstride = nr + 1 force the latter. Also covers beta == 0 over a NaN C,
-// row-major C and BLASFEO ps = 4 panels, which must take the fallback.
+// Clone widths this host runs: 128 always, then 256 and 512 up to
+// host_vector_bits().
+std::vector<int> host_clone_widths() {
+  std::vector<int> widths;
+  for (int bits : {128, 256, 512})
+    if (bits <= host_vector_bits()) widths.push_back(bits);
+  return widths;
+}
+
+// The packed-panel path of the clone tile_clone_fn names for `max_bits`
+// must give the same bits as the runtime-stride path on the same values:
+// A copied with a_kstride = mr + lanes and B with b_kstride = nr + 1 force
+// the latter, which every clone shares. Also covers beta == 0 over a NaN
+// C, row-major C and BLASFEO ps = 4 panels, which must take the fallback.
 template <typename T>
-void check_packed_path(int mr, int nr) {
+void check_packed_path(int mr, int nr, int max_bits) {
   constexpr index_t kLanes = simd::kLanes<T>;
   const T nan = std::numeric_limits<T>::quiet_NaN();
-  const MicroKernelFn<T> fn = native_tile_fn<T>(mr, nr);
+  const MicroKernelFn<T> fn = tile_clone_fn<T>(mr, nr, max_bits);
   const T alpha = T(-0.75);
   const index_t ldc = mr + 3;  // padded C column stride
   const index_t a_ks = mr + kLanes;
@@ -154,7 +165,8 @@ void check_packed_path(int mr, int nr) {
 
     for (T beta : {T(0), T(1), T(-1), T(0.37)}) {
       SCOPED_TRACE(::testing::Message() << mr << "x" << nr << " kc=" << kc
-                                        << " beta=" << beta);
+                                        << " beta=" << beta << " clone="
+                                        << max_bits << "-bit");
       const auto fast = run_into(fn, kc, alpha, beta, packed, c0, mr, nr);
       EXPECT_TRUE(same_bits(
           fast, run_into(fn, kc, alpha, beta, strided, c0, mr, nr)));
@@ -193,12 +205,12 @@ void check_packed_path(int mr, int nr) {
 
 TEST_P(TileKernel, PackedPathBitIdenticalF32) {
   const auto [mr, nr] = GetParam();
-  check_packed_path<float>(mr, nr);
+  for (int bits : host_clone_widths()) check_packed_path<float>(mr, nr, bits);
 }
 
 TEST_P(TileKernel, PackedPathBitIdenticalF64) {
   const auto [mr, nr] = GetParam();
-  check_packed_path<double>(mr, nr);
+  for (int bits : host_clone_widths()) check_packed_path<double>(mr, nr, bits);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,6 +224,88 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.first) + "x" +
              std::to_string(info.param.second);
     });
+
+// ---- Width clones and their dispatch --------------------------------------
+
+// Widest packed-path vector for an MR-row tile: lane count divides MR.
+static_assert(tile_vector_bits<float>(16, 512) == 512);
+static_assert(tile_vector_bits<float>(16, 256) == 256);
+static_assert(tile_vector_bits<float>(12, 512) == 128);
+static_assert(tile_vector_bits<float>(8, 512) == 256);
+static_assert(tile_vector_bits<float>(4, 512) == 128);
+static_assert(tile_vector_bits<double>(16, 512) == 512);
+static_assert(tile_vector_bits<double>(12, 512) == 256);
+static_assert(tile_vector_bits<double>(8, 512) == 512);
+static_assert(tile_vector_bits<double>(4, 512) == 256);
+static_assert(tile_vector_bits<double>(4, 128) == 128);
+
+constexpr std::pair<int, int> kSpecializedTiles[] = {
+    {16, 4}, {16, 2}, {16, 1}, {12, 4}, {8, 12}, {8, 8},
+    {8, 4},  {8, 2},  {8, 1},  {4, 4},  {4, 2},  {4, 1}};
+
+// The dispatch rule, restated: the widest clone the host runs whose lane
+// count divides MR, else the 128-bit build.
+template <typename T>
+int rule_bits(int mr) {
+  for (int bits : {512, 256}) {
+    const int lanes = bits / 8 / static_cast<int>(sizeof(T));
+    if (bits <= host_vector_bits() && mr % lanes == 0) return bits;
+  }
+  return 128;
+}
+
+template <typename T>
+void check_dispatch() {
+  const auto& reg = KernelRegistry::instance();
+  for (const auto& [mr, nr] : kSpecializedTiles) {
+    SCOPED_TRACE(::testing::Message() << mr << "x" << nr << " f"
+                                      << 8 * sizeof(T));
+    const MicroKernelFn<T> named = tile_clone_fn<T>(mr, nr, rule_bits<T>(mr));
+    EXPECT_EQ(native_tile_fn<T>(mr, nr), named);
+    // Each width the host runs is its own function, so `named` is the
+    // clone of that width and no other.
+    for (int bits : host_clone_widths())
+      if (tile_vector_bits<T>(mr, bits) != rule_bits<T>(mr))
+        EXPECT_NE(tile_clone_fn<T>(mr, nr, bits), named) << bits;
+  }
+  for (KernelId id = 0; id < static_cast<KernelId>(reg.size()); ++id) {
+    const KernelInfo& k = reg.info(id);
+    EXPECT_EQ(kernel_fn<T>(id), native_tile_fn<T>(k.mr, k.nr)) << k.name;
+  }
+}
+
+TEST(KernelDispatch, NativeFnIsTheCloneTheRuleNames) {
+  check_dispatch<float>();
+  check_dispatch<double>();
+  // 128-bit fallbacks on every host: no wider f32 lane count divides 12 or 4.
+  EXPECT_EQ(native_tile_fn<float>(12, 4), (&tile_microkernel<float, 12, 4>));
+  EXPECT_EQ(native_tile_fn<float>(4, 4), (&tile_microkernel<float, 4, 4>));
+  EXPECT_EQ(native_tile_fn<float>(4, 2), (&tile_microkernel<float, 4, 2>));
+  EXPECT_EQ(native_tile_fn<float>(4, 1), (&tile_microkernel<float, 4, 1>));
+  EXPECT_EQ(kernel_fn<float>(KernelRegistry::instance().find("eigen/12x4")),
+            (&tile_microkernel<float, 12, 4>));
+  EXPECT_EQ(native_tile_fn<float>(3, 5), &generic_microkernel<float>);
+  EXPECT_THROW((void)tile_clone_fn<float>(8, 12, 1024), Error);
+}
+
+// Asserts nothing: it puts one line per width in the test log, so a CI
+// run shows which clones PackedPathBitIdentical exercised, and skips by
+// name each width the host cannot run.
+class CloneWidth : public ::testing::TestWithParam<int> {};
+
+TEST_P(CloneWidth, HostRunsIt) {
+  const int bits = GetParam();
+  if (bits > host_vector_bits())
+    GTEST_SKIP() << "host lacks the " << bits << "-bit clone ("
+                 << (bits == 512 ? "AVX-512F/VL" : "AVX2")
+                 << "): PackedPathBitIdentical did not exercise it";
+  std::printf("[  CLONE   ] %d-bit packed-panel clone exercised\n", bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, CloneWidth, ::testing::Values(128, 256, 512),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "bit";
+                         });
 
 TEST(GenericKernel, StridedDirectB) {
   // Direct col-major B: b(k, j) = b[k + j*ldb].
@@ -300,9 +394,9 @@ TEST(Registry, OpenblasEdgeLattice) {
 
 TEST(Registry, UnknownLookupsThrow) {
   const auto& reg = KernelRegistry::instance();
-  EXPECT_THROW(reg.find("no/such"), Error);
-  EXPECT_THROW(reg.find_tile("openblas", 7, 3), Error);
-  EXPECT_THROW(reg.info(-1), Error);
+  EXPECT_THROW((void)reg.find("no/such"), Error);
+  EXPECT_THROW((void)reg.find_tile("openblas", 7, 3), Error);
+  EXPECT_THROW((void)reg.info(-1), Error);
 }
 
 TEST(Registry, FindByName) {

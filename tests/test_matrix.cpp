@@ -43,8 +43,8 @@ TEST(MatrixView, BlockIsView) {
 
 TEST(MatrixView, BlockOutOfRangeThrows) {
   Matrix<float> m(4, 4);
-  EXPECT_THROW(m.view().block(2, 2, 3, 1), Error);
-  EXPECT_THROW(m.view().block(0, 0, 1, 5), Error);
+  EXPECT_THROW((void)m.view().block(2, 2, 3, 1), Error);
+  EXPECT_THROW((void)m.view().block(0, 0, 1, 5), Error);
 }
 
 TEST(MatrixView, TooSmallLeadingDimensionThrows) {
