@@ -97,8 +97,13 @@ double measure_pack_ns_per_elem() {
 }
 
 double measure_dispatch_ns(int hw) {
-  // Empty 2-wide region: pure fork-join handshake. Oversubscribed hosts
-  // get fewer iterations — each region already costs context switches.
+  // Empty 2-wide regions back to back: the warm fork-join handoff, which
+  // the pool serves by spinning (no futex) when 2 threads fit the host.
+  // A region after an idle gap longer than the pool's spin budget pays
+  // the parked path instead, several times this; the model prices the
+  // steady state of a caller that keeps issuing parallel calls.
+  // Oversubscribed hosts get fewer iterations — each region already
+  // costs context switches.
   const int iters = hw >= 2 ? 32 : 8;
   const double ns =
       min_of_reps_ns(4, iters, [] { par::run_parallel(2, [](int) {}); });

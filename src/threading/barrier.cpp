@@ -2,6 +2,7 @@
 
 #include "src/common/error.h"
 #include "src/robust/fault_injection.h"
+#include "src/threading/spin.h"
 #include "src/threading/thread_pool.h"
 
 namespace smm::par {
@@ -12,16 +13,6 @@ namespace {
 /// microseconds behind resolves without a syscall, while a genuinely
 /// stalled round parks quickly instead of burning a core.
 constexpr int kSpinRounds = 4096;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
 
 }  // namespace
 

@@ -10,6 +10,8 @@
 #include "src/common/str.h"
 #include "src/robust/fault_injection.h"
 #include "src/robust/health.h"
+#include "src/threading/spin.h"
+#include "src/threading/thread_pool.h"
 
 namespace smm::par {
 
@@ -24,6 +26,28 @@ thread_local bool tls_in_pool_region = false;
 // process-wide instance()". A raw pointer is safe because a binding's
 // lifetime brackets every use (shard lanes bind for the whole request).
 thread_local WorkerPool* tls_current_pool = nullptr;
+
+// Spin budget of both handoff waits, as a time: `pause` costs ~140
+// cycles on Sapphire Rapids and ~10 on pre-Skylake Intel cores, so a
+// pause count would mean a different wait on every host. 50 µs covers
+// what a caller does between back-to-back regions (a warm plan lookup
+// is ≤ 28 µs at 192³) while an idle pool stops burning its cores almost
+// at once.
+constexpr std::chrono::microseconds kHandoffSpin{50};
+
+/// Spin until `done()` holds or kHandoffSpin elapses; true when done()
+/// held. Only used when the region fits the host (participants ≤
+/// native_threads_available()), Barrier's rule: an oversubscribed
+/// spinner steals the timeslice of the thread it waits for.
+template <typename Done>
+bool spin_for_handoff(Done done) {
+  const auto until = std::chrono::steady_clock::now() + kHandoffSpin;
+  for (;;) {
+    if (done()) return true;
+    if (std::chrono::steady_clock::now() >= until) return false;
+    cpu_relax();
+  }
+}
 
 }  // namespace
 
@@ -91,10 +115,12 @@ WorkerPool::WorkerPool(bool fork_guard) {
         workers_.clear();
         if (watchdog_.joinable()) new std::thread(std::move(watchdog_));
         ++generation_;
+        wake_spinners();
         region_.reset();
         spare_region_.reset();
         task_nthreads_ = 0;
         deadline_armed_ = false;
+        watchdog_wake_at_ = std::chrono::steady_clock::time_point::max();
         quarantined_ = false;
         watchdog_exit_ = false;
         // One increment per fork for the whole runtime (the plan caches
@@ -110,6 +136,7 @@ WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    wake_spinners();
   }
   cv_work_.notify_all();
   watchdog_cv_.notify_all();
@@ -180,7 +207,12 @@ void WorkerPool::serve(const std::shared_ptr<Region>& r, int tid) {
     // can never race a reader (exception_ptr's refcount lives in
     // uninstrumented libstdc++, invisible to TSan).
     err = nullptr;
-    if (tid != 0 && --r->pending == 0) r->done_cv.notify_all();
+    if (tid != 0) {
+      if (--r->pending == 0) r->done_cv.notify_all();
+      // Last write under r->mu: a spinning master takes r->mu as soon as
+      // it sees the mirror reach zero.
+      r->pending_spin.store(r->pending, std::memory_order_release);
+    }
   }
 }
 
@@ -192,41 +224,82 @@ void WorkerPool::worker_main(int wid, std::uint64_t seen,
   // new work, or the region waits forever for it. A generation mismatch
   // means the roster was rebuilt after a quarantine: this thread is no
   // longer part of the pool and exits.
+  //
+  // After serving a region the worker spins on wake_seq_ (no mu_) before
+  // it parks, so a region dispatched right after the previous one is
+  // picked up without a futex wakeup on either side.
   std::unique_lock<std::mutex> lock(mu_);
+  const auto ready = [&] {
+    return stop_ || generation_ != generation || epoch_ != seen;
+  };
+  bool caught_spinning = false;
   for (;;) {
-    cv_work_.wait(lock, [&] {
-      return stop_ || generation_ != generation || epoch_ != seen;
-    });
+    bool parked = false;
+    if (!ready()) {
+      cv_work_.wait(lock, ready);
+      parked = true;
+    }
     if (stop_ || generation_ != generation) return;
     seen = epoch_;
-    if (wid >= task_nthreads_ - 1) continue;  // not part of this region
+    if (wid >= task_nthreads_ - 1) {  // not part of this region
+      caught_spinning = false;
+      continue;
+    }
+    if (parked)
+      ++parks_;
+    else if (caught_spinning)
+      ++spin_handoffs_;
     const std::shared_ptr<Region> region = region_;
+    const bool spin = task_nthreads_ <= native_threads_available();
+    // Read under mu_, so it matches `seen`: any later change to the
+    // epoch or the roster moves it.
+    const std::uint64_t ticket = wake_seq_.load(std::memory_order_relaxed);
     lock.unlock();
     serve(region, /*tid=*/wid + 1);
+    caught_spinning = spin && spin_for_handoff([&] {
+      return wake_seq_.load(std::memory_order_acquire) != ticket;
+    });
     lock.lock();
   }
 }
 
 void WorkerPool::watchdog_main() {
+  using Clock = std::chrono::steady_clock;
   std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t last_epoch = 0;
-  while (!stop_ && !watchdog_exit_) {
-    watchdog_cv_.wait(lock, [&] {
-      return stop_ || watchdog_exit_ ||
-             (region_ != nullptr && deadline_armed_ && epoch_ != last_epoch);
-    });
+  std::uint64_t checked = 0;  // last epoch judged at its deadline
+  for (;;) {
     if (stop_ || watchdog_exit_) return;
+    if (region_ == nullptr || !deadline_armed_ || epoch_ == checked) {
+      // Idle: nothing in flight needs a deadline. The next timed region's
+      // try_run lowers watchdog_wake_at_ and notifies.
+      watchdog_wake_at_ = Clock::time_point::max();
+      watchdog_cv_.wait(lock, [&] {
+        return stop_ || watchdog_exit_ ||
+               watchdog_wake_at_ != Clock::time_point::max();
+      });
+      continue;
+    }
+    // Sleep until this region's deadline. Regions completing (or
+    // starting) meanwhile do not wake the watchdog; only a try_run whose
+    // deadline is earlier does, by lowering watchdog_wake_at_.
+    const std::uint64_t epoch = epoch_;
+    const auto wake_at = region_deadline_;
+    watchdog_wake_at_ = wake_at;
+    if (watchdog_cv_.wait_until(lock, wake_at, [&] {
+          return stop_ || watchdog_exit_ || watchdog_wake_at_ != wake_at;
+        }))
+      continue;
+    // The deadline belongs to `epoch`: if that region is over, re-arm on
+    // whatever is in flight now instead of charging it to the next one.
+    if (epoch_ != epoch || region_ == nullptr) continue;
+    checked = epoch;
     const std::shared_ptr<Region> region = region_;
-    const auto deadline = region_deadline_;
     const long timeout = timeout_ms_.load(std::memory_order_relaxed);
-    last_epoch = epoch_;
     lock.unlock();
 
     {
       std::unique_lock<std::mutex> g(region->mu);
-      const bool done = region->done_cv.wait_until(
-          g, deadline, [&] { return region->pending == 0; });
-      if (!done) {
+      if (region->pending != 0) {
         region->timed_out = true;
         // Cancel the region: the caller's failure hook poisons the plan
         // barriers, so every body that is still alive fails out of its
@@ -289,6 +362,7 @@ void WorkerPool::rebuild() {
   // are detached — joining would inherit the very hang the quarantine is
   // escaping.
   ++generation_;
+  wake_spinners();
   for (auto& w : workers_) w.detach();
   workers_.clear();
   quarantined_ = false;
@@ -322,6 +396,7 @@ bool WorkerPool::try_run(int nthreads,
 
   const long timeout = timeout_ms_.load(std::memory_order_relaxed);
   std::shared_ptr<Region> region;
+  bool wake_watchdog = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!spare_region_) spare_region_ = std::make_shared<Region>();
@@ -332,6 +407,7 @@ bool WorkerPool::try_run(int nthreads,
       region->on_failure = &on_worker_failure;
       region->nthreads = nthreads;
       region->pending = nthreads - 1;
+      region->pending_spin.store(nthreads - 1, std::memory_order_relaxed);
       region->timed_out = false;
       region->abandoned = false;
       region->errors.assign(static_cast<std::size_t>(nthreads), nullptr);
@@ -339,7 +415,6 @@ bool WorkerPool::try_run(int nthreads,
     }
     region_ = region;
     task_nthreads_ = nthreads;
-    ++epoch_;
     ++regions_;
     dispatches_ += static_cast<std::size_t>(nthreads - 1);
     deadline_armed_ = timeout > 0;
@@ -353,14 +428,27 @@ bool WorkerPool::try_run(int nthreads,
           // No watchdog thread available: the pool still works, it just
           // cannot detect hangs. Deliberate best-effort.
         }
+      } else if (region_deadline_ < watchdog_wake_at_) {
+        // Idle-parked watchdog (wake_at is max), or one sleeping toward
+        // a later deadline than this region's (the timeout shrank).
+        watchdog_wake_at_ = region_deadline_;
+        wake_watchdog = true;
       }
     }
+    ++epoch_;
+    wake_spinners();
   }
+  // No syscall when no worker is parked: spinning workers saw wake_seq_.
   cv_work_.notify_all();
-  if (timeout > 0) watchdog_cv_.notify_one();
+  if (wake_watchdog) watchdog_cv_.notify_one();
   robust::health().pool_regions.fetch_add(1, std::memory_order_relaxed);
 
   serve(region, /*tid=*/0);  // master participates instead of blocking
+  if (nthreads <= native_threads_available()) {
+    spin_for_handoff([&] {
+      return region->pending_spin.load(std::memory_order_acquire) == 0;
+    });
+  }
 
   bool timed_out = false;
   bool abandoned = false;
@@ -434,6 +522,7 @@ void WorkerPool::release_threads() {
     retired.swap(workers_);
     dog = std::move(watchdog_);
     watchdog_exit_ = dog.joinable();
+    wake_spinners();
   }
   cv_work_.notify_all();
   watchdog_cv_.notify_all();
@@ -447,6 +536,7 @@ void WorkerPool::release_threads() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     watchdog_exit_ = false;  // the next timed region respawns a watchdog
+    watchdog_wake_at_ = std::chrono::steady_clock::time_point::max();
   }
 }
 
@@ -462,7 +552,9 @@ WorkerPool::Stats WorkerPool::stats() const {
                dispatches_,
                watchdog_timeouts_,
                quarantines_,
-               rebuilds_};
+               rebuilds_,
+               spin_handoffs_,
+               parks_};
 }
 
 }  // namespace smm::par

@@ -3,13 +3,25 @@
 // The paper's Table II shows fixed per-call costs (Sync dominating
 // multi-threaded SMM); spawning and joining OS threads per fork-join
 // region is exactly such a cost — microseconds of kernel work to execute
-// microseconds of FMAs. The pool parks a set of workers on a condvar and
-// hands them fork-join regions by epoch: dispatching a region is one
-// mutex acquisition plus a notify_all, and completion is a counter, so
-// the steady-state per-call price is two wakeups instead of N clones.
+// microseconds of FMAs. The pool keeps a set of workers and hands them
+// fork-join regions by epoch: dispatching a region is one mutex
+// acquisition plus an epoch bump, and completion is a counter.
+//
+// Even a condvar handoff costs two futex wakeups per region (worker on
+// dispatch, master on completion), each a scheduler round trip of
+// several microseconds on a virtualized host. So both sides spin before
+// they park: after serving a region a worker spins on an atomic wake
+// sequence (bumped with every epoch) for a bounded time, and the master,
+// after body 0, spins on an atomic mirror of the region's pending count.
+// Back-to-back regions — a caller looping over parallel GEMMs — are then
+// handed off with no syscall at all; a region after an idle gap pays the
+// parked path. Spinning only happens when the region's participants fit
+// the host (≤ native_threads_available(), Barrier's rule): an
+// oversubscribed spinner would steal the timeslice of the very thread it
+// waits for.
 //
 // Plans may contain inter-thread barriers, so all nthreads bodies of a
-// region must run concurrently; the pool therefore dedicates one parked
+// region must run concurrently; the pool therefore dedicates one
 // worker per body (growing on demand, master runs body 0 in place) and
 // never multiplexes two bodies of one region onto a thread. Regions are
 // exclusive: a caller that cannot take the pool (it is busy, or the
@@ -20,12 +32,18 @@
 // Watchdog + quarantine (DESIGN.md §10): a persistent pool turns one
 // hung/parked/killed worker into a process-wide hang — every later
 // region waits on the dead thread forever. A dedicated watchdog thread
-// therefore puts a deadline on each in-flight region: on expiry it
-// poisons the region (the caller's on_worker_failure hook, which cancels
-// plan barriers), releases injected hangs, and — if workers still have
-// not reported in after a grace period — abandons the region (survivors
-// skip the caller's body, which may no longer exist) and quarantines the
-// pool. The timed-out call fails with ErrorCode::kPoolTimeout instead of
+// therefore puts a deadline on each in-flight region. It does not wake
+// per region: it sleeps until the deadline of the region it armed on,
+// and on waking checks whether that same epoch is still in flight with
+// workers outstanding; if not, it re-arms on the current region, or
+// parks idle until the next one. try_run notifies it only when it is
+// idle-parked or the new deadline is earlier than the one it sleeps
+// toward (a shortened timeout). On a real expiry it poisons the region
+// (the caller's on_worker_failure hook, which cancels plan barriers),
+// releases injected hangs, and — if workers still have not reported in
+// after a grace period — abandons the region (survivors skip the
+// caller's body, which may no longer exist) and quarantines the pool.
+// The timed-out call fails with ErrorCode::kPoolTimeout instead of
 // hanging. A quarantined pool rebuilds its roster (fresh generation,
 // old threads detached) on the next try_run, which is declined once so
 // the caller serves that region via spawn-per-call while the new roster
@@ -113,6 +131,13 @@ class WorkerPool {
     std::size_t watchdog_timeouts = 0;  ///< regions past their deadline
     std::size_t quarantines = 0;        ///< pool taken out of service
     std::size_t rebuilds = 0;           ///< fresh rosters after quarantine
+    /// Worker handoffs caught while the worker was still spinning after
+    /// its previous region (no futex wakeup on either side).
+    std::size_t spin_handoffs = 0;
+    /// Worker handoffs that had to wake a worker parked on the condvar
+    /// (idle gap longer than the spin budget, or an oversubscribed
+    /// region, which never spins).
+    std::size_t parks = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -158,6 +183,9 @@ class WorkerPool {
     std::mutex mu;
     std::condition_variable done_cv;
     int pending = 0;       ///< workers (not the master) still running
+    /// Mirror of `pending` the master spins on before parking on
+    /// done_cv; written under `mu` together with `pending`.
+    std::atomic<int> pending_spin{0};
     bool timed_out = false;
     /// Watchdog gave up waiting: the caller will return, so body /
     /// on_failure / the error slots must no longer be touched by late
@@ -174,6 +202,10 @@ class WorkerPool {
   /// a rebuild bumps the generation and the old roster exits.
   void worker_main(int wid, std::uint64_t start_epoch,
                    std::uint64_t generation);
+  /// Bump wake_seq_ so spinning workers re-check the pool state. Callers
+  /// hold mu_ and have just changed epoch_, stop_, generation_ or
+  /// watchdog_exit_.
+  void wake_spinners() { wake_seq_.fetch_add(1, std::memory_order_release); }
   void watchdog_main();
   /// Execute body `tid` of `region` with capture/poison/accounting.
   void serve(const std::shared_ptr<Region>& region, int tid);
@@ -196,7 +228,16 @@ class WorkerPool {
   std::shared_ptr<Region> region_;  ///< in-flight region (null when idle)
   std::chrono::steady_clock::time_point region_deadline_{};
   bool deadline_armed_ = false;  ///< region_deadline_ applies to region_
+  /// When the watchdog next wakes on its own; time_point::max() while it
+  /// is parked idle. try_run notifies it only for a deadline earlier than
+  /// this (idle, or a shrunken timeout).
+  std::chrono::steady_clock::time_point watchdog_wake_at_ =
+      std::chrono::steady_clock::time_point::max();
   std::uint64_t epoch_ = 0;
+  /// What spinning workers watch instead of taking mu_: bumped (under
+  /// mu_) with every epoch_, stop_, generation_ and watchdog_exit_
+  /// change.
+  std::atomic<std::uint64_t> wake_seq_{0};
   std::uint64_t generation_ = 0;
   int task_nthreads_ = 0;
   bool stop_ = false;
@@ -209,6 +250,8 @@ class WorkerPool {
   std::size_t watchdog_timeouts_ = 0;
   std::size_t quarantines_ = 0;
   std::size_t rebuilds_ = 0;
+  std::size_t spin_handoffs_ = 0;
+  std::size_t parks_ = 0;
   std::atomic<long> timeout_ms_;
 
   /// Reused across regions (regions are serialized, so between regions

@@ -15,7 +15,11 @@ namespace smm::tune {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'M', 'M', 'T', 'U', 'N', 'E', '1'};
-constexpr std::uint32_t kVersion = 1;
+/// 2: the pool hands regions off by spinning, so a version-1 table's
+/// dispatch_ns (measured on the parked condvar path, several times the
+/// spin handoff) would misprice every parallel split; such tables are
+/// refused and the process recalibrates.
+constexpr std::uint32_t kVersion = 2;
 
 /// First "model name" line of /proc/cpuinfo (x86) or the whole first
 /// block's identifying lines (ARM exposes "CPU part"/"CPU implementer").

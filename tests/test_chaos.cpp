@@ -67,6 +67,20 @@ class ChaosTest : public ::testing::Test {
     for (int i = 0; i < 2; ++i) par::run_parallel(2, [](int) {});
   }
 
+  /// Back-to-back 1 ms regions on the process-wide pool until `span`
+  /// has passed; returns how many ran.
+  static int run_back_to_back_regions(std::chrono::milliseconds span) {
+    const auto until = std::chrono::steady_clock::now() + span;
+    int regions = 0;
+    while (std::chrono::steady_clock::now() < until) {
+      par::run_parallel(2, [](int) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+      ++regions;
+    }
+    return regions;
+  }
+
   long default_timeout_ = 0;
 };
 
@@ -120,6 +134,51 @@ TEST_F(ChaosTest, WatchdogDetectsHungWorkerQuarantinesAndRecovers) {
   core::smm_gemm(1.0f, prob.a.cview(), prob.b.cview(), 1.0f, prob.c.view(),
                  4);
   EXPECT_TRUE(prob.check(48));
+}
+
+TEST_F(ChaosTest, DeadlineSleepingWatchdogNeverChargesARegionToTheNext) {
+  // The watchdog sleeps until the deadline of the region it armed on; by
+  // then dozens of later regions have started. Each wake must re-arm on
+  // the region in flight, never time that one out on an older deadline.
+  auto& pool = par::WorkerPool::instance();
+  pool.set_watchdog_timeout_ms(50);
+  const auto before = pool.stats();
+  EXPECT_GT(run_back_to_back_regions(std::chrono::milliseconds(250)), 0);
+  const auto after = pool.stats();
+  EXPECT_EQ(after.watchdog_timeouts, before.watchdog_timeouts);
+  EXPECT_EQ(after.quarantines, before.quarantines);
+  EXPECT_FALSE(pool.quarantined());
+}
+
+TEST_F(ChaosTest, WatchdogCatchesAHangAfterBackToBackRegions) {
+  auto& pool = par::WorkerPool::instance();
+  pool.set_watchdog_timeout_ms(50);
+  run_back_to_back_regions(std::chrono::milliseconds(250));
+  const auto before = pool.stats();
+
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     {.fire_after = 0, .max_fires = 1});
+    try {
+      par::run_parallel(4, [](int) {});
+      FAIL() << "a hung worker did not fail the region";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kPoolTimeout) << e.what();
+    }
+    EXPECT_TRUE(pool.quarantined());
+  }
+
+  robust::reset_injected_hangs();
+  std::atomic<int> ran{0};
+  par::run_parallel(4, [&](int) { ran.fetch_add(1); });
+  EXPECT_FALSE(pool.quarantined());
+  par::run_parallel(4, [&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+
+  const auto after = pool.stats();
+  EXPECT_EQ(after.watchdog_timeouts, before.watchdog_timeouts + 1);
+  EXPECT_EQ(after.quarantines, before.quarantines + 1);
+  EXPECT_EQ(after.rebuilds, before.rebuilds + 1);
 }
 
 TEST_F(ChaosTest, ZeroTimeoutDisablesTheWatchdog) {

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/threading/barrier.h"
 #include "src/threading/partition.h"
 #include "src/threading/thread_pool.h"
+#include "src/threading/worker_pool.h"
 
 namespace smm::par {
 namespace {
@@ -54,6 +61,82 @@ TEST(RunParallel, PropagatesException) {
                      if (tid == 2) throw Error("boom");
                    }),
       smm::Error);
+}
+
+// ---- spin-then-park pool handoff --------------------------------------------
+
+TEST(PoolHandoff, RegionWiderThanTheHostNeverSpins) {
+  // A private pool, so no earlier narrow region left a worker spinning.
+  auto pool = WorkerPool::create_private();
+  const int width = native_threads_available() + 1;
+  std::atomic<int> ran{0};
+  const std::function<void(int)> body = [&](int) { ran.fetch_add(1); };
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(width));
+  constexpr int kRegions = 200;
+  for (int i = 0; i < kRegions; ++i)
+    ASSERT_TRUE(pool->try_run(width, body, {}, errors));
+  EXPECT_EQ(ran.load(), kRegions * width);
+  const WorkerPool::Stats stats = pool->stats();
+  EXPECT_EQ(stats.regions, static_cast<std::size_t>(kRegions));
+  EXPECT_EQ(stats.spin_handoffs, 0u);
+}
+
+TEST(PoolHandoff, RegionAfterTheWorkerParkedCompletesAndCountsOnePark) {
+  auto pool = WorkerPool::create_private();
+  std::atomic<int> ran{0};
+  const std::function<void(int)> body = [&](int) { ran.fetch_add(1); };
+  std::vector<std::exception_ptr> errors(2);
+  ASSERT_TRUE(pool->try_run(2, body, {}, errors));  // spawns the worker
+  // Far past the spin budget: the worker has given up and parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const WorkerPool::Stats before = pool->stats();
+  ASSERT_TRUE(pool->try_run(2, body, {}, errors));
+  const WorkerPool::Stats after = pool->stats();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(after.parks, before.parks + 1);
+  EXPECT_EQ(after.spin_handoffs, before.spin_handoffs);
+}
+
+TEST(PoolHandoff, FailuresInBackToBackRegionsAggregateExactly) {
+  // Every 97th region fails: alternately on one worker (its exception
+  // rethrown as-is) and on two (one aggregate kWorkerPanic naming both),
+  // so failures land on regions that were handed off while spinning.
+  constexpr int kRegions = 10000;
+  constexpr int kThreads = 3;
+  auto& pool = WorkerPool::instance();
+  const std::size_t regions_before = pool.stats().regions;
+  std::atomic<long> bodies{0};
+  int single = 0;
+  int aggregated = 0;
+  int wrong = 0;
+  for (int i = 0; i < kRegions; ++i) {
+    const bool fail = i % 97 == 0;
+    const bool twice = fail && (i / 97) % 2 == 1;
+    try {
+      run_parallel(kThreads, [&](int tid) {
+        bodies.fetch_add(1);
+        if (fail && tid == 1) throw std::invalid_argument("tid 1 dies");
+        if (twice && tid == 2) throw std::runtime_error("tid 2 dies");
+      });
+      if (fail) ++wrong;
+    } catch (const std::invalid_argument&) {
+      if (twice) ++wrong;
+      ++single;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      if (!twice || e.code() != ErrorCode::kWorkerPanic ||
+          what.find("thread 1") == std::string::npos ||
+          what.find("thread 2") == std::string::npos)
+        ++wrong;
+      ++aggregated;
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(single, 52);
+  EXPECT_EQ(aggregated, 52);
+  EXPECT_EQ(bodies.load(), static_cast<long>(kRegions) * kThreads);
+  EXPECT_EQ(pool.stats().regions - regions_before,
+            static_cast<std::size_t>(kRegions));
 }
 
 TEST(SplitRange, CoversWithoutOverlap) {
