@@ -2,9 +2,22 @@
 
 #include <atomic>
 
-#include "src/common/str.h"
-
 namespace smm::robust {
+
+namespace {
+
+/// One row of SMM_HEALTH_COUNTERS: its name, snapshot field and atomic.
+struct Counter {
+  const char* name;
+  std::size_t HealthSnapshot::*value;
+  std::atomic<std::size_t> Health::*live;
+};
+
+#define SMM_HEALTH_ROW(name) {#name, &HealthSnapshot::name, &Health::name},
+constexpr Counter kCounters[] = {SMM_HEALTH_COUNTERS(SMM_HEALTH_ROW)};
+#undef SMM_HEALTH_ROW
+
+}  // namespace
 
 Health& Health::instance() {
   static Health h;
@@ -34,90 +47,8 @@ Health::Transaction::~Transaction() {
 
 HealthSnapshot Health::read_counters() const {
   HealthSnapshot s;
-  s.guarded_runs = guarded_runs.load(std::memory_order_relaxed);
-  s.clean_runs = clean_runs.load(std::memory_order_relaxed);
-  s.retries = retries.load(std::memory_order_relaxed);
-  s.rebuild_fallbacks = rebuild_fallbacks.load(std::memory_order_relaxed);
-  s.naive_fallbacks = naive_fallbacks.load(std::memory_order_relaxed);
-  s.failures = failures.load(std::memory_order_relaxed);
-  s.checksum_rejections =
-      checksum_rejections.load(std::memory_order_relaxed);
-  s.worker_panics = worker_panics.load(std::memory_order_relaxed);
-  s.alloc_failures = alloc_failures.load(std::memory_order_relaxed);
-  s.batched_items = batched_items.load(std::memory_order_relaxed);
-  s.batched_item_failures =
-      batched_item_failures.load(std::memory_order_relaxed);
-  s.batched_prepack_reuse =
-      batched_prepack_reuse.load(std::memory_order_relaxed);
-  s.pool_regions = pool_regions.load(std::memory_order_relaxed);
-  s.pool_spawn_fallbacks =
-      pool_spawn_fallbacks.load(std::memory_order_relaxed);
-  s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
-  s.plan_cache_misses = plan_cache_misses.load(std::memory_order_relaxed);
-  s.pool_watchdog_timeouts =
-      pool_watchdog_timeouts.load(std::memory_order_relaxed);
-  s.pool_quarantines = pool_quarantines.load(std::memory_order_relaxed);
-  s.pool_rebuilds = pool_rebuilds.load(std::memory_order_relaxed);
-  s.pool_spawn_failures =
-      pool_spawn_failures.load(std::memory_order_relaxed);
-  s.arena_fallbacks = arena_fallbacks.load(std::memory_order_relaxed);
-  s.plan_cache_insert_failures =
-      plan_cache_insert_failures.load(std::memory_order_relaxed);
-  s.prepack_fallbacks = prepack_fallbacks.load(std::memory_order_relaxed);
-  s.service_submitted = service_submitted.load(std::memory_order_relaxed);
-  s.service_admitted = service_admitted.load(std::memory_order_relaxed);
-  s.service_completed = service_completed.load(std::memory_order_relaxed);
-  s.service_rejected = service_rejected.load(std::memory_order_relaxed);
-  s.service_shed = service_shed.load(std::memory_order_relaxed);
-  s.service_evictions =
-      service_evictions.load(std::memory_order_relaxed);
-  s.service_deadline_misses =
-      service_deadline_misses.load(std::memory_order_relaxed);
-  s.service_cancellations =
-      service_cancellations.load(std::memory_order_relaxed);
-  s.service_breaker_trips =
-      service_breaker_trips.load(std::memory_order_relaxed);
-  s.service_breaker_rejections =
-      service_breaker_rejections.load(std::memory_order_relaxed);
-  s.service_routed = service_routed.load(std::memory_order_relaxed);
-  s.service_steals = service_steals.load(std::memory_order_relaxed);
-  s.service_coalesced_groups =
-      service_coalesced_groups.load(std::memory_order_relaxed);
-  s.service_coalesced_items =
-      service_coalesced_items.load(std::memory_order_relaxed);
-  s.service_rerouted = service_rerouted.load(std::memory_order_relaxed);
-  s.service_hedged = service_hedged.load(std::memory_order_relaxed);
-  s.service_hedge_wins =
-      service_hedge_wins.load(std::memory_order_relaxed);
-  s.shard_quarantines =
-      shard_quarantines.load(std::memory_order_relaxed);
-  s.shard_rebuilds = shard_rebuilds.load(std::memory_order_relaxed);
-  s.service_brownouts =
-      service_brownouts.load(std::memory_order_relaxed);
-  s.nonfinite_rejections =
-      nonfinite_rejections.load(std::memory_order_relaxed);
-  s.fork_resets = fork_resets.load(std::memory_order_relaxed);
-  s.integrity_detected =
-      integrity_detected.load(std::memory_order_relaxed);
-  s.integrity_corrected =
-      integrity_corrected.load(std::memory_order_relaxed);
-  s.integrity_recomputed =
-      integrity_recomputed.load(std::memory_order_relaxed);
-  s.integrity_quarantines =
-      integrity_quarantines.load(std::memory_order_relaxed);
-  s.prepack_repacks = prepack_repacks.load(std::memory_order_relaxed);
-  s.plan_seal_rebuilds =
-      plan_seal_rebuilds.load(std::memory_order_relaxed);
-  s.corrected_runs = corrected_runs.load(std::memory_order_relaxed);
-  s.tune_samples = tune_samples.load(std::memory_order_relaxed);
-  s.tune_replans = tune_replans.load(std::memory_order_relaxed);
-  s.tune_table_hits = tune_table_hits.load(std::memory_order_relaxed);
-  s.tune_table_stale = tune_table_stale.load(std::memory_order_relaxed);
-  s.retry_attempts = retry_attempts.load(std::memory_order_relaxed);
-  s.retry_successes = retry_successes.load(std::memory_order_relaxed);
-  s.retry_budget_exhausted =
-      retry_budget_exhausted.load(std::memory_order_relaxed);
-  s.limiter_dips = limiter_dips.load(std::memory_order_relaxed);
+  for (const Counter& c : kCounters)
+    s.*c.value = (this->*c.live).load(std::memory_order_relaxed);
   return s;
 }
 
@@ -142,114 +73,18 @@ HealthSnapshot Health::snapshot() const {
 }
 
 void Health::reset() {
-  guarded_runs = 0;
-  clean_runs = 0;
-  retries = 0;
-  rebuild_fallbacks = 0;
-  naive_fallbacks = 0;
-  failures = 0;
-  checksum_rejections = 0;
-  worker_panics = 0;
-  alloc_failures = 0;
-  batched_items = 0;
-  batched_item_failures = 0;
-  batched_prepack_reuse = 0;
-  pool_regions = 0;
-  pool_spawn_fallbacks = 0;
-  plan_cache_hits = 0;
-  plan_cache_misses = 0;
-  pool_watchdog_timeouts = 0;
-  pool_quarantines = 0;
-  pool_rebuilds = 0;
-  pool_spawn_failures = 0;
-  arena_fallbacks = 0;
-  plan_cache_insert_failures = 0;
-  prepack_fallbacks = 0;
-  service_submitted = 0;
-  service_admitted = 0;
-  service_completed = 0;
-  service_rejected = 0;
-  service_shed = 0;
-  service_evictions = 0;
-  service_deadline_misses = 0;
-  service_cancellations = 0;
-  service_breaker_trips = 0;
-  service_breaker_rejections = 0;
-  service_routed = 0;
-  service_steals = 0;
-  service_coalesced_groups = 0;
-  service_coalesced_items = 0;
-  service_rerouted = 0;
-  service_hedged = 0;
-  service_hedge_wins = 0;
-  shard_quarantines = 0;
-  shard_rebuilds = 0;
-  service_brownouts = 0;
-  nonfinite_rejections = 0;
-  fork_resets = 0;
-  integrity_detected = 0;
-  integrity_corrected = 0;
-  integrity_recomputed = 0;
-  integrity_quarantines = 0;
-  prepack_repacks = 0;
-  plan_seal_rebuilds = 0;
-  corrected_runs = 0;
-  tune_samples = 0;
-  tune_replans = 0;
-  tune_table_hits = 0;
-  tune_table_stale = 0;
-  retry_attempts = 0;
-  retry_successes = 0;
-  retry_budget_exhausted = 0;
-  limiter_dips = 0;
+  for (const Counter& c : kCounters) this->*c.live = 0;
 }
 
 std::string HealthSnapshot::to_string() const {
-  return strprintf(
-      "guarded_runs=%zu clean=%zu retries=%zu rebuilds=%zu naive=%zu "
-      "failures=%zu checksum_rej=%zu worker_panics=%zu alloc_fail=%zu "
-      "batched_items=%zu batched_item_failures=%zu "
-      "batched_prepack_reuse=%zu pool_regions=%zu "
-      "pool_spawn_fallbacks=%zu plan_cache_hits=%zu plan_cache_misses=%zu "
-      "pool_watchdog_timeouts=%zu pool_quarantines=%zu pool_rebuilds=%zu "
-      "pool_spawn_failures=%zu arena_fallbacks=%zu "
-      "plan_cache_insert_failures=%zu prepack_fallbacks=%zu "
-      "service_submitted=%zu service_admitted=%zu service_completed=%zu "
-      "service_rejected=%zu service_shed=%zu service_evictions=%zu "
-      "service_deadline_misses=%zu "
-      "service_cancellations=%zu service_breaker_trips=%zu "
-      "service_breaker_rejections=%zu service_routed=%zu "
-      "service_steals=%zu service_coalesced_groups=%zu "
-      "service_coalesced_items=%zu service_rerouted=%zu "
-      "service_hedged=%zu service_hedge_wins=%zu "
-      "shard_quarantines=%zu shard_rebuilds=%zu "
-      "service_brownouts=%zu nonfinite_rejections=%zu "
-      "fork_resets=%zu integrity_detected=%zu integrity_corrected=%zu "
-      "integrity_recomputed=%zu integrity_quarantines=%zu "
-      "prepack_repacks=%zu plan_seal_rebuilds=%zu corrected_runs=%zu "
-      "tune_samples=%zu tune_replans=%zu tune_table_hits=%zu "
-      "tune_table_stale=%zu retry_attempts=%zu retry_successes=%zu "
-      "retry_budget_exhausted=%zu limiter_dips=%zu",
-      guarded_runs, clean_runs, retries, rebuild_fallbacks, naive_fallbacks,
-      failures, checksum_rejections, worker_panics, alloc_failures,
-      batched_items, batched_item_failures, batched_prepack_reuse,
-      pool_regions,
-      pool_spawn_fallbacks, plan_cache_hits, plan_cache_misses,
-      pool_watchdog_timeouts, pool_quarantines, pool_rebuilds,
-      pool_spawn_failures, arena_fallbacks, plan_cache_insert_failures,
-      prepack_fallbacks, service_submitted, service_admitted,
-      service_completed, service_rejected, service_shed, service_evictions,
-      service_deadline_misses, service_cancellations, service_breaker_trips,
-      service_breaker_rejections, service_routed, service_steals,
-      service_coalesced_groups, service_coalesced_items,
-      service_rerouted, service_hedged, service_hedge_wins,
-      shard_quarantines, shard_rebuilds, service_brownouts,
-      nonfinite_rejections, fork_resets,
-      integrity_detected, integrity_corrected, integrity_recomputed,
-      integrity_quarantines, prepack_repacks, plan_seal_rebuilds,
-      corrected_runs, tune_samples, tune_replans, tune_table_hits,
-      tune_table_stale, retry_attempts, retry_successes,
-      retry_budget_exhausted, limiter_dips);
+  std::string out;
+  for (const Counter& c : kCounters) {
+    if (!out.empty()) out += ' ';
+    out += c.name;
+    out += '=';
+    out += std::to_string(this->*c.value);
+  }
+  return out;
 }
 
 }  // namespace smm::robust

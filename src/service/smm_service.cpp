@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -19,6 +20,23 @@
 #include "src/threading/worker_pool.h"
 
 namespace smm::service {
+
+namespace {
+
+/// One row of SMM_SERVICE_COUNTERS: the Stats field and its Health mirror,
+/// in enum order. A row naming a missing Health counter fails to compile.
+struct CounterRow {
+  std::size_t SmmService::Stats::*field;
+  std::atomic<std::size_t> robust::Health::*mirror;
+};
+
+#define SMM_SERVICE_COUNTER_ROW(field, mirror) \
+  {&SmmService::Stats::field, &robust::Health::mirror},
+constexpr CounterRow kCounterRows[] = {
+    SMM_SERVICE_COUNTERS(SMM_SERVICE_COUNTER_ROW)};
+#undef SMM_SERVICE_COUNTER_ROW
+
+}  // namespace
 
 const char* to_string(Priority priority) {
   switch (priority) {
@@ -221,6 +239,15 @@ void SmmService::maybe_notify_drained() {
   }
 }
 
+// Forced inline (GCC declines on its own): a bump stays two relaxed adds.
+[[gnu::always_inline]] inline void SmmService::count(Counter counter,
+                                                    std::size_t n) {
+  const auto i = static_cast<std::size_t>(counter);
+  counters_[i].fetch_add(n, std::memory_order_relaxed);
+  (robust::health().*kCounterRows[i].mirror)
+      .fetch_add(n, std::memory_order_relaxed);
+}
+
 Ticket SmmService::admit(Request request) {
   // Failure-domain diversion (DESIGN.md §15): a quarantined home sends
   // its placements to the next admissible shard on the deterministic
@@ -239,21 +266,16 @@ Ticket SmmService::admit(Request request) {
     // exactly once, before the admission decision — a health snapshot
     // must never observe service_submitted != service_routed.
     robust::Health::Transaction tx;
-    robust::health().service_submitted.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    robust::health().service_routed.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::submitted);
+    count(Counter::routed);
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  routed_.fetch_add(1, std::memory_order_relaxed);
   if (target == request.home) {
     shard.routed.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // Diverted placements land in rerouted_, not a shard's routed
+    // Diverted placements land in `rerouted`, not a shard's routed
     // counter: routed == Σ routed_per_shard + rerouted stays exact.
     request.rerouted = true;
-    rerouted_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_rerouted.fetch_add(1,
-                                                std::memory_order_relaxed);
+    count(Counter::rerouted);
   }
   Ticket ticket(request.state);
 
@@ -262,18 +284,9 @@ Ticket SmmService::admit(Request request) {
   // plan work.
   const auto refuse = [&](ErrorCode code, std::string msg, bool is_shed,
                           bool is_breaker) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_rejected.fetch_add(1,
-                                                std::memory_order_relaxed);
-    if (is_shed) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      robust::health().service_shed.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (is_breaker) {
-      breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
-      robust::health().service_breaker_rejections.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    count(Counter::rejected);
+    if (is_shed) count(Counter::shed);
+    if (is_breaker) count(Counter::breaker_rejections);
     complete(request.state, Result{false, code, std::move(msg)});
     return ticket;
   };
@@ -405,19 +418,16 @@ Ticket SmmService::admit(Request request) {
   // which is exactly where a home-relative scan would put the backup).
   if (backup_template.has_value())
     register_hedge(std::move(*backup_template), target);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  robust::health().service_admitted.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::admitted);
   shard.admitted.fetch_add(1, std::memory_order_relaxed);
 
   if (victim != nullptr) {
-    // The victim was *admitted* (it is counted in admitted_) and is now
+    // The victim was *admitted* (it is counted in `admitted`) and is now
     // terminated post-admission, so it lands in its own counter — not in
-    // rejected_/shed_, which partition *submissions*: submitted ==
+    // `rejected`/`shed`, which partition *submissions*: submitted ==
     // admitted + rejected, and admitted work ends completed, evicted,
     // cancelled, deadline-missed, or failed.
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_evictions.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    count(Counter::evicted);
     complete(victim,
              Result{false, ErrorCode::kOverloaded,
                     "smm service: evicted by a higher-priority arrival"});
@@ -447,24 +457,18 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
     }
   };
   if (result.ok) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_completed.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    count(Counter::completed);
     breaker.on_success();
     shard.health->on_success();
     return;
   }
   switch (result.code) {
     case ErrorCode::kCancelled:
-      cancellations_.fetch_add(1, std::memory_order_relaxed);
-      robust::health().service_cancellations.fetch_add(
-          1, std::memory_order_relaxed);
+      count(Counter::cancellations);
       breaker.on_neutral();
       break;
     case ErrorCode::kDeadlineExceeded:
-      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      robust::health().service_deadline_misses.fetch_add(
-          1, std::memory_order_relaxed);
+      count(Counter::deadline_misses);
       breaker.on_neutral();
       break;
     case ErrorCode::kNonFinite:
@@ -521,8 +525,7 @@ void SmmService::begin_shard_rebuild(Shard& shard) {
   // The process-wide cache a one-shard service borrows is left alone:
   // it serves callers outside this service too.
   if (shard.cache != nullptr) shard.cache->clear();
-  shard_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  robust::health().shard_rebuilds.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::shard_rebuilds);
   evaluate_brownout();
   shard.work_cv.notify_all();
 }
@@ -610,9 +613,7 @@ void SmmService::tick_failover() {
                   : std::make_shared<CancelSource>();
           it->backup_cancel = backup.exec_cancel;
           if (enqueue_backup(target, std::move(backup))) {
-            hedged_.fetch_add(1, std::memory_order_relaxed);
-            robust::health().service_hedged.fetch_add(
-                1, std::memory_order_relaxed);
+            count(Counter::hedged);
           } else {
             // Queue full or the service stopped running between the
             // check and the enqueue: the hedge is best-effort, the
@@ -630,9 +631,7 @@ void SmmService::tick_failover() {
 }
 
 void SmmService::handle_quarantine(int idx) {
-  shard_quarantines_.fetch_add(1, std::memory_order_relaxed);
-  robust::health().shard_quarantines.fetch_add(1,
-                                               std::memory_order_relaxed);
+  count(Counter::shard_quarantines);
   drain_shard_queue(idx);
   evaluate_brownout();
 }
@@ -686,13 +685,11 @@ void SmmService::place_rerouted(Request request, int from_idx) {
     if (placed) {
       if (attribute) {
         // First migration: the placement leaves its origin's routed
-        // count for rerouted_, keeping routed == Σ routed_per_shard +
+        // count for `rerouted`, keeping routed == Σ routed_per_shard +
         // rerouted exact.
         shards_[static_cast<std::size_t>(from_idx)]->routed.fetch_sub(
             1, std::memory_order_relaxed);
-        rerouted_.fetch_add(1, std::memory_order_relaxed);
-        robust::health().service_rerouted.fetch_add(
-            1, std::memory_order_relaxed);
+        count(Counter::rerouted);
       }
       shard.work_cv.notify_one();
       maybe_notify_drained();
@@ -709,9 +706,7 @@ void SmmService::place_rerouted(Request request, int from_idx) {
     maybe_notify_drained();
     return;
   }
-  evicted_.fetch_add(1, std::memory_order_relaxed);
-  robust::health().service_evictions.fetch_add(1,
-                                               std::memory_order_relaxed);
+  count(Counter::evicted);
   complete(request.state,
            Result{false, ErrorCode::kOverloaded,
                   "smm service: shard quarantined, no healthy fallback"});
@@ -730,9 +725,7 @@ void SmmService::evaluate_brownout() {
   const bool should = 2 * admissible < n;
   const bool was = brownout_.exchange(should, std::memory_order_relaxed);
   if (should && !was) {
-    brownouts_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_brownouts.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    count(Counter::brownouts);
     // Counted holds: a second browned-out service instance keeps the
     // process-wide suppressions up after this one exits or shuts down.
     tune::hold_sampling_suppression();
@@ -836,11 +829,7 @@ void SmmService::execute(Request& request, Shard& shard) {
           return;  // the sibling owns the outcome — record nothing
         }
         result.ok = true;
-        if (request.backup) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-          robust::health().service_hedge_wins.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+        if (request.backup) count(Counter::hedge_wins);
       } else {
         request.run(token, shard_cache(shard));
         result.ok = true;
@@ -906,13 +895,9 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     // Correlated pair: a snapshot must never see a group without its
     // items (or vice versa).
     robust::Health::Transaction tx;
-    robust::health().service_coalesced_groups.fetch_add(
-        1, std::memory_order_relaxed);
-    robust::health().service_coalesced_items.fetch_add(
-        group.size(), std::memory_order_relaxed);
+    svc.count(Counter::coalesced_groups);
+    svc.count(Counter::coalesced_items, group.size());
   }
-  svc.coalesced_groups_.fetch_add(1, std::memory_order_relaxed);
-  svc.coalesced_items_.fetch_add(group.size(), std::memory_order_relaxed);
 
   // One batched dispatch for the whole group: one plan lookup, one
   // pack of the shared B (when the items share one), one fork-join —
@@ -965,9 +950,7 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     complete(group[i].state, std::move(result));
   }
   if (ok_members > 0) {
-    svc.completed_.fetch_add(ok_members, std::memory_order_relaxed);
-    robust::health().service_completed.fetch_add(ok_members,
-                                                 std::memory_order_relaxed);
+    svc.count(Counter::completed, ok_members);
     shard.health->breaker().on_success();
     shard.health->on_success();
   }
@@ -1004,15 +987,8 @@ void SmmService::reap_stopped_locked(Shard& shard) {
                        "smm service: cancelled while queued"}
               : Result{false, ErrorCode::kDeadlineExceeded,
                        "smm service: deadline passed while queued"};
-      if (result.code == ErrorCode::kCancelled) {
-        cancellations_.fetch_add(1, std::memory_order_relaxed);
-        robust::health().service_cancellations.fetch_add(
-            1, std::memory_order_relaxed);
-      } else {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        robust::health().service_deadline_misses.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      count(result.code == ErrorCode::kCancelled ? Counter::cancellations
+                                                 : Counter::deadline_misses);
       // Mirrors execute()'s queued pre-check: a stop is neutral for the
       // breaker, but must still release a half-open probe slot the
       // request may hold from admission. Backups never took that slot.
@@ -1165,8 +1141,7 @@ bool SmmService::try_steal(int thief_idx) {
     }
     if (!got) continue;
     mine.steals.fetch_add(1, std::memory_order_relaxed);
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    robust::health().service_steals.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::steals);
     // Runs on the thief's domain (its pool binding is lane-scoped, its
     // cache passed here) — the whole point is using idle capacity.
     execute(stolen, mine);
@@ -1292,26 +1267,8 @@ void SmmService::shutdown() {
 
 SmmService::Stats SmmService::stats() const {
   Stats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.evicted = evicted_.load(std::memory_order_relaxed);
-  s.breaker_rejections =
-      breaker_rejections_.load(std::memory_order_relaxed);
-  s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  s.cancellations = cancellations_.load(std::memory_order_relaxed);
-  s.routed = routed_.load(std::memory_order_relaxed);
-  s.rerouted = rerouted_.load(std::memory_order_relaxed);
-  s.hedged = hedged_.load(std::memory_order_relaxed);
-  s.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  s.shard_quarantines = shard_quarantines_.load(std::memory_order_relaxed);
-  s.shard_rebuilds = shard_rebuilds_.load(std::memory_order_relaxed);
-  s.brownouts = brownouts_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.coalesced_groups = coalesced_groups_.load(std::memory_order_relaxed);
-  s.coalesced_items = coalesced_items_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < std::size(kCounterRows); ++i)
+    s.*kCounterRows[i].field = counters_[i].load(std::memory_order_relaxed);
   s.queued = total_queued_.load(std::memory_order_relaxed);
   s.in_flight = total_in_flight_.load(std::memory_order_relaxed);
   s.routed_per_shard.reserve(shards_.size());

@@ -230,6 +230,42 @@ struct BatchItem {
   MatrixView<T> c;
 };
 
+/// The SmmService counters that robust::health() mirrors, one
+/// X(stats_field, health_mirror) row each. SmmService::Stats has one field
+/// per row, and every bump of a row also bumps its Health mirror, so the
+/// two views move together. Invariants (DESIGN.md §13/§15): submitted ==
+/// routed == Σ routed_per_shard + rerouted (every submission is routed
+/// exactly once; a placement diverted off its quarantined home — at
+/// admission or by a drain — is attributed to `rerouted` instead of a
+/// shard), admitted == Σ admitted_per_shard, and submitted == admitted +
+/// rejected.
+#define SMM_SERVICE_COUNTERS(X)                                                \
+  X(submitted, service_submitted)                                              \
+  X(admitted, service_admitted)                                                \
+  X(completed, service_completed) /* finished successfully */                  \
+  X(rejected, service_rejected) /* kOverloaded/kShuttingDown at submit */      \
+  X(shed, service_shed) /* subset of rejected: watermark refusals */           \
+  X(breaker_rejections, service_breaker_rejections) /* subset of rejected */   \
+  /* Admitted, then displaced by a higher-priority arrival (completes          \
+     kOverloaded). Counted here only — submitted == admitted +                 \
+     rejected, and admitted work ends completed, evicted, cancelled,           \
+     deadline-missed, or failed. */                                            \
+  X(evicted, service_evictions)                                                \
+  X(deadline_misses, service_deadline_misses)                                  \
+  X(cancellations, service_cancellations)                                      \
+  /* Sharded runtime (DESIGN.md §13). */                                       \
+  X(routed, service_routed) /* placements (== submitted) */                    \
+  X(steals, service_steals) /* requests run by a non-home shard */             \
+  X(coalesced_groups, service_coalesced_groups) /* >=2-member dispatches */    \
+  X(coalesced_items, service_coalesced_items) /* requests in those groups */   \
+  /* Failure domains (DESIGN.md §15). */                                       \
+  X(rerouted, service_rerouted) /* diverted off a quarantined home */          \
+  X(hedged, service_hedged) /* backup submissions fired */                     \
+  X(hedge_wins, service_hedge_wins) /* hedged requests whose backup won */     \
+  X(shard_quarantines, shard_quarantines) /* entries into kQuarantined */      \
+  X(shard_rebuilds, shard_rebuilds) /* quarantine -> rebuilding probes */      \
+  X(brownouts, service_brownouts) /* brownout-mode entries */
+
 class SmmService {
  public:
   explicit SmmService(ServiceOptions options = {});
@@ -271,41 +307,14 @@ class SmmService {
   /// parked. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Point-in-time counters (each also mirrored into robust::health()'s
-  /// service_* counters). Invariants (DESIGN.md §13/§15): submitted ==
-  /// routed == Σ routed_per_shard + rerouted (every submission is routed
-  /// exactly once; a placement diverted off its quarantined home — at
-  /// admission or by a drain — is attributed to `rerouted` instead of a
-  /// shard), admitted == Σ admitted_per_shard, and submitted ==
-  /// admitted + rejected.
+  /// Point-in-time counters: one field per SMM_SERVICE_COUNTERS row (its
+  /// invariants are stated there), two queue gauges, per-shard counts.
   struct Stats {
-    std::size_t submitted = 0;
-    std::size_t admitted = 0;
-    std::size_t completed = 0;   ///< finished successfully
-    std::size_t rejected = 0;    ///< kOverloaded/kShuttingDown at submit
-    std::size_t shed = 0;        ///< subset of rejected: watermark refusals
-    std::size_t breaker_rejections = 0;  ///< subset of rejected
-    /// Admitted, then displaced by a higher-priority arrival (completes
-    /// kOverloaded). Counted here only — submitted == admitted +
-    /// rejected, and admitted work ends completed, evicted, cancelled,
-    /// deadline-missed, or failed.
-    std::size_t evicted = 0;
-    std::size_t deadline_misses = 0;
-    std::size_t cancellations = 0;
+#define SMM_SERVICE_STATS_FIELD(field, mirror) std::size_t field = 0;
+    SMM_SERVICE_COUNTERS(SMM_SERVICE_STATS_FIELD)
+#undef SMM_SERVICE_STATS_FIELD
     std::size_t queued = 0;      ///< currently waiting (all shards)
     std::size_t in_flight = 0;   ///< currently executing (all shards)
-    // Sharded runtime (DESIGN.md §13).
-    std::size_t routed = 0;            ///< placements (== submitted)
-    std::size_t steals = 0;            ///< requests run by a non-home shard
-    std::size_t coalesced_groups = 0;  ///< >=2-member batched dispatches
-    std::size_t coalesced_items = 0;   ///< requests served in those groups
-    // Failure domains (DESIGN.md §15).
-    std::size_t rerouted = 0;    ///< placements diverted off a quarantined home
-    std::size_t hedged = 0;      ///< backup submissions fired
-    std::size_t hedge_wins = 0;  ///< hedged requests whose backup won
-    std::size_t shard_quarantines = 0;  ///< lifecycle entries into kQuarantined
-    std::size_t shard_rebuilds = 0;     ///< quarantine -> rebuilding probes
-    std::size_t brownouts = 0;          ///< brownout-mode entries
     std::vector<std::size_t> routed_per_shard;
     std::vector<std::size_t> admitted_per_shard;
   };
@@ -359,6 +368,14 @@ class SmmService {
  private:
   enum class State { kRunning, kDraining, kStopped };
 
+  /// One enumerator per SMM_SERVICE_COUNTERS row; indexes counters_.
+  enum class Counter : std::size_t {
+#define SMM_SERVICE_COUNTER_ID(field, mirror) field,
+    SMM_SERVICE_COUNTERS(SMM_SERVICE_COUNTER_ID)
+#undef SMM_SERVICE_COUNTER_ID
+    kCount
+  };
+
   struct Shard;
 
   /// What coalescing keys on: two requests merge into one batched
@@ -401,7 +418,7 @@ class SmmService {
     /// lost claim (or a drain with no fallback) is dropped silently —
     /// the primary owns the ticket.
     bool backup = false;
-    /// Already attributed to rerouted_ instead of a shard's routed
+    /// Already attributed to `rerouted` instead of a shard's routed
     /// counter (admission diversion or a quarantine drain); a second
     /// move must not count again.
     bool rerouted = false;
@@ -541,6 +558,8 @@ class SmmService {
     return state_.load(std::memory_order_acquire);
   }
   void maybe_notify_drained();
+  /// Bump one service counter and its robust::health() mirror (relaxed).
+  void count(Counter counter, std::size_t n = 1);
 
   ServiceOptions options_;
   double flop_ns_ = 0.0;      ///< cost-model constants, resolved once
@@ -557,27 +576,10 @@ class SmmService {
   std::atomic<std::size_t> total_queued_{0};
   std::atomic<std::size_t> total_in_flight_{0};
 
-  std::atomic<std::size_t> submitted_{0};
-  std::atomic<std::size_t> admitted_{0};
-  std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> rejected_{0};
-  std::atomic<std::size_t> shed_{0};
-  std::atomic<std::size_t> evicted_{0};
-  std::atomic<std::size_t> breaker_rejections_{0};
-  std::atomic<std::size_t> deadline_misses_{0};
-  std::atomic<std::size_t> cancellations_{0};
-  std::atomic<std::size_t> routed_{0};
-  std::atomic<std::size_t> steals_{0};
-  std::atomic<std::size_t> coalesced_groups_{0};
-  std::atomic<std::size_t> coalesced_items_{0};
+  std::atomic<std::size_t>
+      counters_[static_cast<std::size_t>(Counter::kCount)]{};
 
   // Failure domains (DESIGN.md §15).
-  std::atomic<std::size_t> rerouted_{0};
-  std::atomic<std::size_t> hedged_{0};
-  std::atomic<std::size_t> hedge_wins_{0};
-  std::atomic<std::size_t> shard_quarantines_{0};
-  std::atomic<std::size_t> shard_rebuilds_{0};
-  std::atomic<std::size_t> brownouts_{0};
   std::atomic<bool> brownout_{false};
   failover::LatencyWindow latency_;
   /// Hedge registry and the supervisor thread (failover_main).

@@ -54,9 +54,15 @@ using service::ServiceOptions;
 using service::SmmService;
 using service::Ticket;
 
+/// robust::health() as the current test began. check_accounting compares
+/// each service counter with its mirror's delta since then (deltas, not
+/// absolute values: the whole binary may run as one process).
+robust::HealthSnapshot health_at_setup;
+
 class FailoverTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    health_at_setup = robust::health().snapshot();
     FaultInjector::instance().disarm_all();
     clear_suppressions();
     integrity::set_mode_override(integrity::AbftMode::kAuto);
@@ -104,7 +110,46 @@ index_t k_homed_on(const SmmService& svc, int want, index_t m, index_t n,
   return k0;
 }
 
-void check_accounting(const SmmService& svc) {
+/// One SMM_SERVICE_COUNTERS row, as the Stats field and the snapshot
+/// field of its Health mirror.
+struct MirrorRow {
+  const char* name;
+  std::size_t SmmService::Stats::*field;
+  std::size_t robust::HealthSnapshot::*mirror;
+};
+#define MIRROR_ROW(field, mirror) \
+  {#field, &SmmService::Stats::field, &robust::HealthSnapshot::mirror},
+constexpr MirrorRow kMirrorRows[] = {SMM_SERVICE_COUNTERS(MIRROR_ROW)};
+#undef MIRROR_ROW
+
+/// Every Stats counter equals its Health mirror's delta since SetUp. A
+/// bump lands on the service counter and then on its mirror, so a read
+/// that races one may see them apart for an instant: poll until the two
+/// views agree, and report the rows that never do.
+void check_mirrors(const SmmService& svc) {
+  std::vector<std::string> diffs;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(2);
+  do {
+    diffs.clear();
+    const SmmService::Stats s = svc.stats();
+    const robust::HealthSnapshot h = robust::health().snapshot();
+    for (const MirrorRow& row : kMirrorRows) {
+      const std::size_t delta = h.*row.mirror - health_at_setup.*row.mirror;
+      if (s.*row.field != delta)
+        diffs.push_back(std::string(row.name) + ": stats " +
+                        std::to_string(s.*row.field) + ", health delta " +
+                        std::to_string(delta));
+    }
+    if (diffs.empty()) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (std::chrono::steady_clock::now() < give_up);
+  for (const std::string& d : diffs) ADD_FAILURE() << d;
+}
+
+/// `mirrors` = false where a second live service also bumps the
+/// process-wide mirrors.
+void check_accounting(const SmmService& svc, bool mirrors = true) {
   const SmmService::Stats s = svc.stats();
   EXPECT_EQ(s.submitted, s.admitted + s.rejected);
   EXPECT_EQ(s.submitted, s.routed);
@@ -118,6 +163,7 @@ void check_accounting(const SmmService& svc) {
       s.admitted_per_shard.begin(), s.admitted_per_shard.end(),
       std::size_t{0});
   EXPECT_EQ(s.admitted, admitted_per_shard);
+  if (mirrors) check_mirrors(svc);
 }
 
 // ---- ShardHealth unit ------------------------------------------------------
@@ -836,7 +882,7 @@ TEST_F(FailoverTest, AnotherServicesPoolQuarantineLeavesASingleShardAlone) {
   EXPECT_EQ(single.shard_state(0), ShardState::kHealthy);
   EXPECT_EQ(single.shard_breaker_state(0), BreakerState::kClosed);
   EXPECT_EQ(single.stats().breaker_rejections, 0u);
-  check_accounting(single);
+  check_accounting(single, /*mirrors=*/false);  // `sharded` counts too
   sharded.shutdown();
   single.shutdown();
 }

@@ -5,7 +5,13 @@
 // Everything is deterministic by seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/common/str.h"
 #include "src/core/autotune.h"
@@ -445,6 +451,45 @@ TEST_F(RobustTest, HealthCountersAccumulate) {
   EXPECT_GE(snap.retries, 1u);
   EXPECT_GE(snap.checksum_rejections, 1u);
   EXPECT_FALSE(snap.to_string().empty());
+}
+
+TEST_F(RobustTest, EveryHealthCounterSnapshotsPrintsAndResets) {
+  struct Row {
+    const char* name;
+    std::atomic<std::size_t> robust::Health::*live;
+    std::size_t robust::HealthSnapshot::*value;
+  };
+#define HEALTH_ROW(name) \
+  {#name, &robust::Health::name, &robust::HealthSnapshot::name},
+  const Row rows[] = {SMM_HEALTH_COUNTERS(HEALTH_ROW)};
+#undef HEALTH_ROW
+  robust::Health& health = robust::health();
+  health.reset();
+  // A distinct value per row (its index + 1) catches a crossed field.
+  std::vector<std::string> want_tokens;
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    (health.*rows[i].live).fetch_add(i + 1);
+    want_tokens.push_back(std::string(rows[i].name) + "=" +
+                          std::to_string(i + 1));
+  }
+  const robust::HealthSnapshot snap = health.snapshot();
+  for (std::size_t i = 0; i < std::size(rows); ++i)
+    EXPECT_EQ(snap.*rows[i].value, i + 1) << rows[i].name;
+
+  // to_string(): each name=value token exactly once, nothing else.
+  std::vector<std::string> got_tokens;
+  std::istringstream in(snap.to_string());
+  for (std::string token; in >> token;) got_tokens.push_back(token);
+  std::sort(want_tokens.begin(), want_tokens.end());
+  std::sort(got_tokens.begin(), got_tokens.end());
+  EXPECT_EQ(got_tokens, want_tokens);
+
+  health.reset();
+  const robust::HealthSnapshot zero = health.snapshot();
+  for (const Row& row : rows) {
+    EXPECT_EQ(zero.*row.value, 0u) << row.name;
+    EXPECT_EQ((health.*row.live).load(), 0u) << row.name;
+  }
 }
 
 TEST_F(RobustTest, ReportSummaryIsReadable) {
