@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
-#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -57,42 +58,44 @@ bool prepack_reuse_allowed(int nworkers) {
   return nworkers == 1 || integrity::mode() == integrity::AbftMode::kOff;
 }
 
-/// Up-front validation: bad items are caller bugs and rejected before any
-/// work starts.
-template <typename T>
-void validate_batch(const std::vector<GemmBatchItem<T>>& items) {
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::string err = item_shape_error(items[i], i);
-    SMM_EXPECT_CODE(err.empty(), ErrorCode::kBadShape, err);
-  }
-  // A single-item batch has nothing to alias against: skip the extent
-  // vector + sort entirely (this path is hit per-call by adapters that
-  // funnel single GEMMs through the batch API, where the allocation and
-  // sort would be pure overhead).
+/// Output aliasing among the runnable items (workers write C
+/// concurrently): calls on_alias(i, message) for every runnable item i
+/// whose C storage overlaps the C of an earlier runnable item — the later
+/// index of an overlapping pair loses. The surviving items are pairwise
+/// disjoint, so ordered by start they are ordered by end too, and a new
+/// extent can only overlap its two neighbours: O(n log n) for any batch
+/// size and any address order.
+template <typename T, typename Runnable, typename OnAlias>
+void for_each_alias(const std::vector<GemmBatchItem<T>>& items,
+                    Runnable runnable, OnAlias on_alias) {
+  // A single-item batch has nothing to alias against: skip the set
+  // entirely (this path is hit per-call by adapters that funnel single
+  // GEMMs through the batch API, where the allocation would be pure
+  // overhead).
   if (items.size() < 2) return;
-  // Outputs must not alias across items (workers write them
-  // concurrently). Sort C ranges by start; any overlap shows up between
-  // neighbours, so the check is O(n log n), not O(n^2).
   struct Extent {
     const void* begin;
     const void* end;
     std::size_t item;
+    bool operator<(const Extent& o) const { return begin < o.begin; }
   };
-  std::vector<Extent> extents;
-  extents.reserve(items.size());
+  std::set<Extent> survivors;
   for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!runnable(i)) continue;
     const auto r = storage_range(ConstMatrixView<T>(items[i].c));
-    extents.push_back({r.first, r.second, i});
-  }
-  std::sort(extents.begin(), extents.end(),
-            [](const Extent& x, const Extent& y) {
-              return x.begin < y.begin;
-            });
-  for (std::size_t i = 1; i < extents.size(); ++i) {
-    SMM_EXPECT_CODE(
-        extents[i].begin >= extents[i - 1].end, ErrorCode::kAlias,
-        strprintf("batched_smm: C of item %zu aliases C of item %zu",
-                  extents[i].item, extents[i - 1].item));
+    const Extent e{r.first, r.second, i};
+    const auto next = survivors.lower_bound(e);
+    std::size_t hit = i;
+    if (next != survivors.begin() && std::prev(next)->end > e.begin)
+      hit = std::prev(next)->item;
+    else if (next != survivors.end() && next->begin < e.end)
+      hit = next->item;
+    if (hit == i)
+      survivors.insert(next, e);
+    else
+      on_alias(i, strprintf("batched_smm: C of item %zu aliases C of "
+                            "item %zu",
+                            i, hit));
   }
 }
 
@@ -103,107 +106,42 @@ void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
                  T beta, PlanCache& cache, int nworkers,
                  const CancelToken* cancel) {
   SMM_EXPECT(nworkers >= 1, "batched_smm needs at least one worker");
-  validate_batch(items);
+  // Up-front validation: bad items are caller bugs and reject the whole
+  // batch before any plan lookup or any work starts.
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::string err = item_shape_error(items[i], i);
+    SMM_EXPECT_CODE(err.empty(), ErrorCode::kBadShape, err);
+  }
+  for_each_alias(
+      items, [](std::size_t) { return true; },
+      [](std::size_t, const std::string& message) {
+        throw Error(ErrorCode::kAlias, message);
+      });
   // A token already stopped at entry fails the whole batch before any
   // plan is resolved or any C is written.
   if (cancel != nullptr) cancel->throw_if_stopped();
-  robust::health().batched_items.fetch_add(items.size(),
-                                           std::memory_order_relaxed);
-  const auto scalar =
-      sizeof(T) == 4 ? plan::ScalarType::kF32 : plan::ScalarType::kF64;
-
-  // Resolve plans up front (single pass warms the cache; repeated shapes
-  // share one plan object).
-  std::vector<std::shared_ptr<const plan::GemmPlan>> plans;
-  plans.reserve(items.size());
-  for (const auto& item : items) {
-    plans.push_back(cache.get(
-        {item.c.rows(), item.c.cols(), item.a.cols()}, scalar,
-        /*nthreads=*/1));
-  }
-
-  // Same-shape shared-B fast path (DESIGN.md §13): coalesced traffic is
-  // many As against one B. When every item replays one plan against
-  // literally the same B view, pack B once into a PrepackedB handle and
-  // skip the per-item pack. Mid-item cancellation needs execute_plan, so
-  // a live token keeps the per-item path.
-  std::shared_ptr<plan::PrepackedB<T>> packed;
-  if (items.size() >= 2 && (cancel == nullptr || !cancel->valid()) &&
-      prepack_reuse_allowed(nworkers)) {
-    bool uniform = true;
-    for (std::size_t i = 1; i < items.size() && uniform; ++i)
-      uniform =
-          plans[i] == plans[0] && identical_view(items[i].b, items[0].b);
-    if (uniform) {
-      try {
-        auto candidate =
-            std::make_shared<plan::PrepackedB<T>>(plans[0], items[0].b);
-        if (candidate->materialized()) {
-          packed = std::move(candidate);
-          robust::health().batched_prepack_reuse.fetch_add(
-              items.size(), std::memory_order_relaxed);
-        }
-      } catch (...) {
-        // Pack-once is an optimization; execute_plan is always correct.
-      }
-    }
-  }
 
   // Per-item failures are collected (with the item index) instead of
   // tearing down the whole batch at the first worker exception: every
   // healthy item still completes, then one aggregate error reports all
-  // the casualties.
-  std::mutex failures_mu;
-  std::vector<std::pair<index_t, std::string>> failures;
+  // the casualties, carrying the code of the lowest-index failure.
+  const std::vector<const CancelToken*> tokens(items.size(), cancel);
+  const auto statuses = batched_smm_each(alpha, items, beta, cache,
+                                         nworkers, /*options=*/nullptr,
+                                         &tokens);
+  std::size_t failed = 0;
   ErrorCode first_code = ErrorCode::kUnknown;
-
-  // run_parallel dispatches on the shared persistent WorkerPool: batch
-  // after batch reuses the same parked workers (and a one-item batch
-  // takes the single-thread bypass, touching no pool state at all).
-  const int workers =
-      std::min<int>(nworkers, std::max<std::size_t>(items.size(), 1));
-  par::run_parallel(workers, [&](int w) {
-    const par::Range range = par::split_range(
-        static_cast<index_t>(items.size()), workers, w);
-    for (index_t i = range.begin; i < range.end; ++i) {
-      const auto& item = items[static_cast<std::size_t>(i)];
-      try {
-        // Checked before each item: once the token stops, every remaining
-        // item in this worker's range fails with the stop code, its C
-        // untouched.
-        if (cancel != nullptr) cancel->throw_if_stopped();
-        if (packed) {
-          packed->run(alpha, item.a, beta, item.c);
-        } else if (cancel != nullptr && cancel->valid()) {
-          plan::execute_plan(*plans[static_cast<std::size_t>(i)], alpha,
-                             item.a, item.b, beta, item.c, *cancel);
-        } else {
-          plan::execute_plan(*plans[static_cast<std::size_t>(i)], alpha,
-                             item.a, item.b, beta, item.c);
-        }
-      } catch (const Error& e) {
-        std::lock_guard<std::mutex> lock(failures_mu);
-        if (failures.empty()) first_code = e.code();
-        failures.emplace_back(i, e.what());
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(failures_mu);
-        if (failures.empty()) first_code = ErrorCode::kUnknown;
-        failures.emplace_back(i, e.what());
-      }
-    }
-  });
-
-  if (!failures.empty()) {
-    std::sort(failures.begin(), failures.end());
-    robust::health().batched_item_failures.fetch_add(
-        failures.size(), std::memory_order_relaxed);
-    std::string msg = strprintf("batched_smm: %zu of %zu items failed:",
-                                failures.size(), items.size());
-    for (const auto& [idx, what] : failures)
-      msg += strprintf(" [item %ld: %s]", static_cast<long>(idx),
-                       what.c_str());
-    throw Error(first_code, msg);
+  std::string detail;
+  for (std::size_t i = 0; i < statuses.size(); ++i) {
+    if (statuses[i].ok) continue;
+    if (failed++ == 0) first_code = statuses[i].code;
+    detail += strprintf(" [item %zu: %s]", i, statuses[i].message.c_str());
   }
+  if (failed > 0)
+    throw Error(first_code,
+                strprintf("batched_smm: %zu of %zu items failed:", failed,
+                          items.size()) +
+                    detail);
 }
 
 template void batched_smm(float, const std::vector<GemmBatchItem<float>>&,
@@ -245,24 +183,12 @@ std::vector<BatchItemStatus> batched_smm_each(
       fail(i, ErrorCode::kBadShape, std::move(err));
     }
   }
-
-  // Output aliasing among the runnable set: the later item of an
-  // overlapping pair is excluded (workers write C concurrently).
-  // O(n^2) over a depth-bounded coalesce group, not a streamed batch.
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    if (!runnable[i]) continue;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (!runnable[j]) continue;
-      if (views_overlap(ConstMatrixView<T>(items[i].c),
-                        ConstMatrixView<T>(items[j].c))) {
+  for_each_alias(
+      items, [&runnable](std::size_t i) { return runnable[i] != 0; },
+      [&](std::size_t i, std::string message) {
         runnable[i] = 0;
-        fail(i, ErrorCode::kAlias,
-             strprintf("batched_smm: C of item %zu aliases C of item %zu",
-                       i, j));
-        break;
-      }
-    }
-  }
+        fail(i, ErrorCode::kAlias, std::move(message));
+      });
 
   // Input hygiene per item (DESIGN.md §11): a poisoned neighbor is
   // rejected alone instead of poisoning the group.
@@ -301,8 +227,8 @@ std::vector<BatchItemStatus> batched_smm_each(
       continue;
     }
     try {
-      // Null options = the cache's default-built plans (the legacy
-      // batched_smm keys); explicit options go through the same
+      // Null options = the cache's default-built plans (the keys
+      // batched_smm uses); explicit options go through the same
       // fingerprinted resolution smm_gemm uses.
       auto plan = options != nullptr
                       ? cached_smm_plan(cache, shape, scalar,
@@ -351,6 +277,9 @@ std::vector<BatchItemStatus> batched_smm_each(
     }
   }
 
+  // run_parallel dispatches on the shared persistent WorkerPool: batch
+  // after batch reuses the same parked workers (and a one-item batch
+  // takes the single-thread bypass, touching no pool state at all).
   const int workers =
       std::min<int>(nworkers, std::max<std::size_t>(items.size(), 1));
   par::run_parallel(workers, [&](int w) {
@@ -360,21 +289,15 @@ std::vector<BatchItemStatus> batched_smm_each(
       const auto i = static_cast<std::size_t>(ii);
       if (!runnable[i]) continue;
       const auto& item = items[i];
+      // Both paths consult the item's token at op boundaries; a token
+      // already stopped fails only its own item, C untouched.
       const CancelToken* token = tokens != nullptr ? (*tokens)[i] : nullptr;
       try {
-        // A stopped token fails only its own item, C untouched. The
-        // prepack path checks only here (PrepackedB::run has no token);
-        // coalesced items are small enough that per-item granularity is
-        // the deadline resolution anyway.
-        if (token != nullptr) token->throw_if_stopped();
         if (packed) {
-          packed->run(alpha, item.a, beta, item.c);
-        } else if (token != nullptr && token->valid()) {
-          plan::execute_plan(*plans[i], alpha, item.a, item.b, beta,
-                             item.c, *token);
+          packed->run(alpha, item.a, beta, item.c, token);
         } else {
           plan::execute_plan(*plans[i], alpha, item.a, item.b, beta,
-                             item.c);
+                             item.c, token);
         }
         statuses[i].ok = true;
       } catch (const Error& e) {

@@ -34,19 +34,22 @@ struct BatchItemStatus {
   std::string message;
 };
 
-/// C_i = alpha * A_i * B_i + beta * C_i for every item. Shapes may differ
-/// per item (each hits the cache separately). `nworkers` > 1 spreads
-/// items across threads. Items are validated up front (dimension
-/// mismatches, zero dimensions, null data, and C views aliasing across
-/// items are rejected with the item index, ErrorCode kBadShape/kAlias);
-/// runtime failures of individual items do not stop the rest of the
-/// batch — they are aggregated into one smm::Error naming every failed
-/// item.
-///
-/// `cancel` (may be null) is consulted before each item and at op
-/// boundaries inside each item: a stop request fails the not-yet-started
-/// items with kCancelled / kDeadlineExceeded, their C untouched, and the
-/// aggregate error carries the stop code.
+/// C_i = alpha * A_i * B_i + beta * C_i for every item, all or nothing
+/// on caller bugs. Three steps:
+///  1. Validation up front: dimension mismatches, zero dimensions, null
+///     data (kBadShape) and C views aliasing across items (kAlias) reject
+///     the whole batch, naming the item, before any plan lookup; a
+///     `cancel` (may be null) already stopped at entry throws its stop
+///     code.
+///  2. One batched_smm_each call with `cancel` repeated per item — so
+///     plans resolve once per distinct shape, `nworkers` > 1 spreads
+///     items across threads, the pack-once fast path runs whether or not
+///     the token is live, and the token stops each item at op boundaries
+///     (a stop observed before an item's first op leaves its C
+///     untouched).
+///  3. One aggregate smm::Error naming every failed item, carrying the
+///     code of the lowest-index failure. Runtime failures of individual
+///     items never stop the rest of the batch.
 template <typename T>
 void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
                  T beta, PlanCache& cache, int nworkers = 1,
@@ -62,14 +65,15 @@ void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
 /// statuses[i]; healthy items still run.
 ///
 /// `options` selects the plan family (null = the cache's default-built
-/// plans, the legacy batched_smm keys); `tokens`, when non-null, must be
+/// plans, the batched_smm keys); `tokens`, when non-null, must be
 /// items.size() long (null entries = not cancellable) and each token is
-/// consulted before its item starts.
+/// consulted at its item's op boundaries, on the pack-once path too.
 ///
-/// Fast path: when every runnable item shares one shape AND literally
-/// the same B view, the plan is resolved once and B is packed once into
-/// a PrepackedB handle replayed across the group (health counter
-/// batched_prepack_reuse counts the items served this way).
+/// Plans are resolved once per distinct shape. Fast path: when every
+/// runnable item shares one shape AND literally the same B view, B is
+/// packed once into a PrepackedB handle replayed across the group
+/// (health counter batched_prepack_reuse counts the items served this
+/// way).
 template <typename T>
 std::vector<BatchItemStatus> batched_smm_each(
     T alpha, const std::vector<GemmBatchItem<T>>& items, T beta,

@@ -316,10 +316,7 @@ void smm_gemm_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
     const tune::SampleToken token = tune::tuner().sample_token(sc);
     if (token.sample) {
       const auto t0 = std::chrono::steady_clock::now();
-      if (cancel != nullptr && cancel->valid())
-        plan::execute_plan(*p, alpha, a, b, beta, c, *cancel);
-      else
-        plan::execute_plan(*p, alpha, a, b, beta, c);
+      plan::execute_plan(*p, alpha, a, b, beta, c, cancel);
       // Reached only on a clean run: a cancel unwind throws past the
       // record, so a truncated call never pollutes the posterior.
       const double wall_ns =
@@ -331,10 +328,7 @@ void smm_gemm_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
       return;
     }
   }
-  if (cancel != nullptr && cancel->valid())
-    plan::execute_plan(*p, alpha, a, b, beta, c, *cancel);
-  else
-    plan::execute_plan(*p, alpha, a, b, beta, c);
+  plan::execute_plan(*p, alpha, a, b, beta, c, cancel);
 }
 
 }  // namespace

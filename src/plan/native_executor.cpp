@@ -323,8 +323,8 @@ template <typename T>
 void execute_plan_impl(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
                        ConstMatrixView<T> b, T beta, MatrixView<T> c,
                        const PrepackedB<T>* prepacked,
-                       std::vector<ThreadTiming>* timings = nullptr,
-                       const CancelToken* cancel = nullptr) {
+                       std::vector<ThreadTiming>* timings,
+                       const CancelToken* cancel) {
   validate_operands(plan, a, b, c);
   ExecContext<T> ctx(plan, alpha, a, b, beta, c, prepacked);
   par::run_parallel(
@@ -365,60 +365,27 @@ void execute_plan_impl(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
 
 template <typename T>
 void execute_plan(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
-                  ConstMatrixView<T> b, T beta, MatrixView<T> c) {
-  execute_plan_impl<T>(plan, alpha, a, b, beta, c, /*prepacked=*/nullptr);
-}
-
-template void execute_plan(const GemmPlan&, float, ConstMatrixView<float>,
-                           ConstMatrixView<float>, float,
-                           MatrixView<float>);
-template void execute_plan(const GemmPlan&, double, ConstMatrixView<double>,
-                           ConstMatrixView<double>, double,
-                           MatrixView<double>);
-
-template <typename T>
-void execute_plan(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
                   ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                  const CancelToken& cancel) {
+                  const CancelToken* cancel) {
   execute_plan_impl<T>(plan, alpha, a, b, beta, c, /*prepacked=*/nullptr,
-                       /*timings=*/nullptr, &cancel);
+                       /*timings=*/nullptr, cancel);
 }
 
 template void execute_plan(const GemmPlan&, float, ConstMatrixView<float>,
                            ConstMatrixView<float>, float, MatrixView<float>,
-                           const CancelToken&);
+                           const CancelToken*);
 template void execute_plan(const GemmPlan&, double, ConstMatrixView<double>,
                            ConstMatrixView<double>, double,
-                           MatrixView<double>, const CancelToken&);
-
-template <typename T>
-void execute_plan_timed(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
-                        ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                        std::vector<ThreadTiming>& timings) {
-  timings.assign(static_cast<std::size_t>(plan.nthreads), ThreadTiming{});
-  execute_plan_impl<T>(plan, alpha, a, b, beta, c, /*prepacked=*/nullptr,
-                       &timings);
-}
-
-template void execute_plan_timed(const GemmPlan&, float,
-                                 ConstMatrixView<float>,
-                                 ConstMatrixView<float>, float,
-                                 MatrixView<float>,
-                                 std::vector<ThreadTiming>&);
-template void execute_plan_timed(const GemmPlan&, double,
-                                 ConstMatrixView<double>,
-                                 ConstMatrixView<double>, double,
-                                 MatrixView<double>,
-                                 std::vector<ThreadTiming>&);
+                           MatrixView<double>, const CancelToken*);
 
 template <typename T>
 void execute_plan_timed(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
                         ConstMatrixView<T> b, T beta, MatrixView<T> c,
                         std::vector<ThreadTiming>& timings,
-                        const CancelToken& cancel) {
+                        const CancelToken* cancel) {
   timings.assign(static_cast<std::size_t>(plan.nthreads), ThreadTiming{});
   execute_plan_impl<T>(plan, alpha, a, b, beta, c, /*prepacked=*/nullptr,
-                       &timings, &cancel);
+                       &timings, cancel);
 }
 
 template void execute_plan_timed(const GemmPlan&, float,
@@ -426,13 +393,13 @@ template void execute_plan_timed(const GemmPlan&, float,
                                  ConstMatrixView<float>, float,
                                  MatrixView<float>,
                                  std::vector<ThreadTiming>&,
-                                 const CancelToken&);
+                                 const CancelToken*);
 template void execute_plan_timed(const GemmPlan&, double,
                                  ConstMatrixView<double>,
                                  ConstMatrixView<double>, double,
                                  MatrixView<double>,
                                  std::vector<ThreadTiming>&,
-                                 const CancelToken&);
+                                 const CancelToken*);
 
 // ---- PrepackedB ------------------------------------------------------------
 
@@ -598,7 +565,7 @@ void PrepackedB<T>::degrade_to_unmaterialized() {
 
 template <typename T>
 void PrepackedB<T>::run(T alpha, ConstMatrixView<T> a, T beta,
-                        MatrixView<T> c) const {
+                        MatrixView<T> c, const CancelToken* cancel) const {
   if (materialized_ &&
       integrity::mode() != integrity::AbftMode::kOff) {
     // Serialize validate + (possible) repack + execute on this handle: a
@@ -610,10 +577,12 @@ void PrepackedB<T>::run(T alpha, ConstMatrixView<T> a, T beta,
         robust::maybe_corrupt(robust::FaultSite::kPrepackedStoreFlip,
                               storage_[i].data(), plan_->buffers[i].elems);
     validate_storage_locked();
-    execute_plan_impl<T>(*plan_, alpha, a, b_, beta, c, this);
+    execute_plan_impl<T>(*plan_, alpha, a, b_, beta, c, this,
+                         /*timings=*/nullptr, cancel);
     return;
   }
-  execute_plan_impl<T>(*plan_, alpha, a, b_, beta, c, this);
+  execute_plan_impl<T>(*plan_, alpha, a, b_, beta, c, this,
+                       /*timings=*/nullptr, cancel);
 }
 
 template class PrepackedB<float>;

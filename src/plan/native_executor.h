@@ -25,48 +25,39 @@ namespace smm::plan {
 /// Execute `plan` (built for exactly these shapes/layouts). Spawns
 /// plan.nthreads bodies on the persistent worker pool when the plan is
 /// parallel. Throws smm::Error on shape mismatch.
-template <typename T>
-void execute_plan(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
-                  ConstMatrixView<T> b, T beta, MatrixView<T> c);
-
-/// Cancellable execution (DESIGN.md §11): every thread consults `cancel`
-/// at op boundaries — the cancelled flag each op, the deadline clock on a
-/// stride — and unwinds with kCancelled / kDeadlineExceeded. A token
-/// observed before the first op leaves C untouched; a mid-plan stop may
-/// leave C partially updated (serving callers that need pristine-C
-/// semantics wrap the call in robust::GuardedExecutor, whose snapshot
-/// restore already provides them). On parallel plans the failure hook
-/// poisons the plan barriers, so peers blocked in a barrier unwind
-/// instead of waiting for the cancelled body.
+///
+/// Cancellation (DESIGN.md §11): `cancel` may be null, and a null or
+/// default (invalid) token is inert, so callers pass whatever token they
+/// hold without checking it. A live token is consulted by every thread
+/// at op boundaries — the cancelled flag each op, the deadline clock on
+/// a stride — and the call unwinds with kCancelled / kDeadlineExceeded.
+/// A token observed before the first op leaves C untouched; a mid-plan
+/// stop may leave C partially updated (serving callers that need
+/// pristine-C semantics wrap the call in robust::GuardedExecutor, whose
+/// snapshot restore already provides them). On parallel plans the
+/// failure hook poisons the plan barriers, so peers blocked in a barrier
+/// unwind instead of waiting for the cancelled body.
 template <typename T>
 void execute_plan(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
                   ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                  const CancelToken& cancel);
+                  const CancelToken* cancel = nullptr);
 
 /// execute_plan with a measured per-thread wall-clock breakdown in the
 /// Table II categories (pack / kernel / barrier / other). `timings` is
 /// resized to plan.nthreads and overwritten. Each op is bracketed by two
 /// clock reads, so per-call overhead is higher than execute_plan — this
 /// is the diagnosis path (table2_breakdown, ablate_parallel_v2), not the
-/// production one.
-template <typename T>
-void execute_plan_timed(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
-                        ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                        std::vector<ThreadTiming>& timings);
-
-/// Timed + cancellable: both the per-op breakdown and the op-boundary
-/// cancellation checks of the overloads above, for diagnosing serving
-/// calls that carry deadline tokens. Note the autotuner does NOT sample
-/// through this path — per-op instrumentation inflates small-shape wall
-/// times and biases plans with fewer, larger ops (smm.cpp); tuning
-/// samples bracket the plain executor instead. On a cancel unwind
-/// `timings` holds the partial breakdown, which callers must discard —
-/// a cancelled call is not a cost observation.
+/// production one. Note the autotuner does NOT sample through this path
+/// — per-op instrumentation inflates small-shape wall times and biases
+/// plans with fewer, larger ops (smm.cpp); tuning samples bracket the
+/// plain executor instead. `cancel` behaves as in execute_plan; on a
+/// cancel unwind `timings` holds the partial breakdown, which callers
+/// must discard — a cancelled call is not a cost observation.
 template <typename T>
 void execute_plan_timed(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
                         ConstMatrixView<T> b, T beta, MatrixView<T> c,
                         std::vector<ThreadTiming>& timings,
-                        const CancelToken& cancel);
+                        const CancelToken* cancel = nullptr);
 
 /// B packed once, replayed many times — the batch/inference idiom (and
 /// IAAT's amortization argument): when one B multiplies a stream of As,
@@ -103,7 +94,10 @@ class PrepackedB {
   PrepackedB(std::shared_ptr<const GemmPlan> plan, ConstMatrixView<T> b);
 
   /// C = alpha * A * B + beta * C, skipping the materialized B packs.
-  void run(T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c) const;
+  /// `cancel` (may be null) stops the run at op boundaries exactly as in
+  /// execute_plan.
+  void run(T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c,
+           const CancelToken* cancel = nullptr) const;
 
   /// True when at least one plan buffer is served from the handle (the
   /// fast case). False falls back to full per-call execution.

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
+#include <vector>
 
 #include "src/common/cancel.h"
 #include "src/core/batched.h"
@@ -99,7 +102,7 @@ TEST(Batched, UniformShapesCorrect) {
   batched_smm(2.0f, items, 1.0f, cache, /*nworkers=*/1);
   for (auto& p : probs) EXPECT_TRUE(p.check(k));
   EXPECT_EQ(cache.misses(), 1u);  // one shape, one plan
-  EXPECT_EQ(cache.hits(), batch - 1);
+  EXPECT_EQ(cache.hits(), 0u);    // resolved once per shape, not per item
 }
 
 TEST(Batched, MixedShapesAndWorkers) {
@@ -171,6 +174,184 @@ TEST(Batched, SharedBPacksOnceAcrossItems) {
             reuse_before + kBatch);
 }
 
+/// The SharedBPacksOnceAcrossItems batch: kBatch items of one shape that
+/// all present literally the same B view (the pack-once precondition).
+struct SharedBBatch {
+  static constexpr index_t m = 32, n = 30, k = 32;
+  static constexpr std::size_t kBatch = 8;
+  std::vector<test::GemmProblem<double>> probs;
+  std::vector<Matrix<double>> c_before;  // each C's seed values
+  std::vector<GemmBatchItem<double>> items;
+
+  SharedBBatch() {
+    probs.reserve(kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i)
+      probs.emplace_back(m, n, k, 500 + static_cast<unsigned>(i));
+    for (std::size_t i = 1; i < kBatch; ++i)
+      probs[i].b = probs[0].b.clone();
+    for (auto& p : probs) {
+      c_before.push_back(p.c.clone());
+      p.reference(1.0, 0.0);
+      items.push_back({p.a.cview(), probs[0].b.cview(), p.c.view()});
+    }
+  }
+  [[nodiscard]] bool untouched() const {
+    for (std::size_t i = 0; i < kBatch; ++i)
+      if (max_abs_diff(probs[i].c.cview(), c_before[i].cview()) != 0.0)
+        return false;
+    return true;
+  }
+};
+
+std::size_t prepack_reuse() {
+  return robust::health().snapshot().batched_prepack_reuse;
+}
+
+TEST(Batched, SharedBPacksOnceWithLiveToken) {
+  // A live token no longer forces the per-item path: the packed replay
+  // takes the token too, so cancellation stays at op granularity.
+  PlanCache cache(reference_smm());
+  SharedBBatch batch;
+  const CancelSource src(std::chrono::steady_clock::now() +
+                         std::chrono::seconds(60));
+  const CancelToken token = src.token();
+  const std::size_t reuse_before = prepack_reuse();
+  batched_smm(1.0, batch.items, 0.0, cache, /*nworkers=*/1, &token);
+  for (auto& p : batch.probs) EXPECT_TRUE(p.check(SharedBBatch::k));
+  EXPECT_EQ(prepack_reuse(), reuse_before + SharedBBatch::kBatch);
+}
+
+TEST(Batched, ExpiredTokenStopsPackedPathBeforeFirstOp) {
+  // No explicit per-item pre-check remains: the packed replay's first
+  // op-boundary check must reject a lapsed deadline with C untouched.
+  PlanCache cache(reference_smm());
+  SharedBBatch batch;
+  const CancelSource src(std::chrono::steady_clock::now() -
+                         std::chrono::milliseconds(1));
+  const CancelToken token = src.token();
+  const std::vector<const CancelToken*> tokens(SharedBBatch::kBatch,
+                                               &token);
+  const std::size_t reuse_before = prepack_reuse();
+  const auto statuses = batched_smm_each(1.0, batch.items, 0.0, cache,
+                                         /*nworkers=*/1,
+                                         /*options=*/nullptr, &tokens);
+  // The items were served by the packed handle, and every one stopped.
+  EXPECT_EQ(prepack_reuse(), reuse_before + SharedBBatch::kBatch);
+  for (const auto& s : statuses) {
+    EXPECT_FALSE(s.ok);
+    EXPECT_EQ(s.code, ErrorCode::kDeadlineExceeded) << s.message;
+  }
+  EXPECT_TRUE(batch.untouched());
+  try {
+    batched_smm(1.0, batch.items, 0.0, cache, /*nworkers=*/1, &token);
+    FAIL() << "expected kDeadlineExceeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+  }
+  EXPECT_TRUE(batch.untouched());
+}
+
+/// One C sub-view of the shared output buffer, as a flat element range
+/// [offset, offset + (cols - 1) * ld + rows).
+struct CSpan {
+  index_t offset, rows, cols, ld;
+  [[nodiscard]] index_t end() const { return offset + (cols - 1) * ld + rows; }
+};
+
+/// The alias rule, brute force: item i fails when its span overlaps the
+/// span of an earlier item that did not fail itself.
+std::vector<bool> reference_alias_failures(const std::vector<CSpan>& spans) {
+  std::vector<bool> failed(spans.size(), false);
+  for (std::size_t i = 0; i < spans.size(); ++i)
+    for (std::size_t j = 0; j < i && !failed[i]; ++j)
+      failed[i] = !failed[j] && spans[i].offset < spans[j].end() &&
+                  spans[j].offset < spans[i].end();
+  return failed;
+}
+
+/// Runs `spans` as C views of one buffer through both batched drivers
+/// and compares the outcome with reference_alias_failures.
+void expect_alias_rule(const std::vector<CSpan>& spans, PlanCache& cache) {
+  constexpr index_t kK = 2;
+  Matrix<double> a(16, kK), b(kK, 16);
+  Rng rng(spans.size());
+  a.fill_random(rng);
+  b.fill_random(rng);
+  std::vector<double> buffer(1024, 0.0);
+  std::vector<GemmBatchItem<double>> items;
+  for (const auto& s : spans)
+    items.push_back({a.cview().block(0, 0, s.rows, kK),
+                     b.cview().block(0, 0, kK, s.cols),
+                     MatrixView<double>(buffer.data() + s.offset, s.rows,
+                                        s.cols, s.ld)});
+  const std::vector<bool> expected = reference_alias_failures(spans);
+  const auto statuses = batched_smm_each(1.0, items, 0.0, cache,
+                                         /*nworkers=*/2);
+  bool any_alias = false;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    any_alias = any_alias || expected[i];
+    if (!expected[i]) {
+      EXPECT_TRUE(statuses[i].ok) << "item " << i << ": "
+                                  << statuses[i].message;
+      continue;
+    }
+    ASSERT_FALSE(statuses[i].ok) << "item " << i;
+    EXPECT_EQ(statuses[i].code, ErrorCode::kAlias);
+    // The named culprit is an earlier surviving item that overlaps.
+    const auto at = statuses[i].message.rfind("item ");
+    ASSERT_NE(at, std::string::npos) << statuses[i].message;
+    const std::size_t culprit = std::stoul(statuses[i].message.substr(at + 5));
+    ASSERT_LT(culprit, i) << statuses[i].message;
+    EXPECT_FALSE(expected[culprit]) << statuses[i].message;
+    EXPECT_TRUE(spans[i].offset < spans[culprit].end() &&
+                spans[culprit].offset < spans[i].end())
+        << statuses[i].message;
+  }
+  try {
+    batched_smm(1.0, items, 0.0, cache, /*nworkers=*/2);
+    EXPECT_FALSE(any_alias) << "aliased batch was not rejected";
+  } catch (const Error& e) {
+    EXPECT_TRUE(any_alias) << e.what();
+    EXPECT_EQ(e.code(), ErrorCode::kAlias) << e.what();
+  }
+}
+
+TEST(Batched, AliasRuleMatchesBruteForce) {
+  PlanCache cache(reference_smm());
+  // Chain: 0 overlaps 1 and 1 overlaps 2, but 0 and 2 are disjoint —
+  // only item 1 fails, because item 2's only overlap is with a loser.
+  expect_alias_rule({{0, 4, 2, 4}, {6, 4, 2, 4}, {12, 4, 2, 4}}, cache);
+  // Nested: a view inside another, in both index orders.
+  expect_alias_rule({{0, 8, 4, 8}, {9, 2, 2, 8}}, cache);
+  expect_alias_rule({{9, 2, 2, 8}, {0, 8, 4, 8}}, cache);
+  // Touching but disjoint: one ends exactly where the next begins, in
+  // descending address order.
+  expect_alias_rule({{64, 4, 4, 4}, {48, 4, 4, 4}, {32, 4, 4, 4}}, cache);
+  // Interleaved columns share no element but their storage ranges
+  // overlap: the rule is range-based, so the later item fails.
+  expect_alias_rule({{0, 2, 4, 4}, {2, 2, 4, 4}}, cache);
+
+  Rng rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(2 + rng.next_index(14));
+    std::vector<CSpan> spans;
+    for (std::size_t i = 0; i < n; ++i) {
+      CSpan s{};
+      s.rows = 1 + rng.next_index(4);
+      s.cols = 1 + rng.next_index(4);
+      s.ld = s.rows + rng.next_index(3);
+      // A 256-element window keeps overlaps common but not universal.
+      s.offset = rng.next_index(256 - ((s.cols - 1) * s.ld + s.rows));
+      spans.push_back(s);
+    }
+    expect_alias_rule(spans, cache);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first failing trial: " << trial;
+      break;
+    }
+  }
+}
+
 TEST(Batched, EachIsolatesNeighborFailures) {
   // batched_smm_each is the coalescer's engine: one member's bad shape
   // or cancellation must land in its own status slot while the healthy
@@ -214,8 +395,8 @@ TEST(Batched, EachIsolatesNeighborFailures) {
   EXPECT_TRUE(probs[0].check(k));
   EXPECT_TRUE(probs[2].check(k));
   EXPECT_EQ(max_abs_diff(probs[1].c.cview(), c1_before.cview()), 0.0);
-  // The three runnable members (the cancelled one is excluded at the
-  // token pre-check, after the uniform scan) still shared one packed B.
+  // The three runnable members still shared one packed B (the cancelled
+  // one stopped at the packed replay's first op boundary).
   EXPECT_EQ(robust::health().snapshot().batched_prepack_reuse,
             reuse_before + 3);
 }

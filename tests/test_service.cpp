@@ -208,6 +208,34 @@ TEST_F(ServiceTest, SubmittedWorkComputesCorrectResult) {
   svc.shutdown();
 }
 
+TEST_F(ServiceTest, SubmitBatchPacksSharedBOnce) {
+  // Every submit_batch request carries a live token; the batch must
+  // still take the pack-once path (all items share one shape and
+  // literally the same B view).
+  SmmService svc;
+  constexpr std::size_t kBatch = 8;
+  std::vector<test::GemmProblem<double>> probs;
+  probs.reserve(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i)
+    probs.emplace_back(32, 30, 32, 700 + static_cast<unsigned>(i));
+  for (std::size_t i = 1; i < kBatch; ++i) probs[i].b = probs[0].b.clone();
+  std::vector<service::BatchItem<double>> items;
+  for (auto& p : probs) {
+    p.reference(1.0, 0.0);
+    items.push_back({p.a.cview(), probs[0].b.cview(), p.c.view()});
+  }
+  const std::size_t reuse_before =
+      robust::health().snapshot().batched_prepack_reuse;
+  Ticket t = svc.submit_batch(1.0, items, 0.0, Priority::kNormal,
+                              /*deadline_ms=*/60000);
+  const Result& r = t.wait();
+  ASSERT_TRUE(r.ok) << r.message;
+  for (auto& p : probs) EXPECT_TRUE(p.check(32));
+  EXPECT_EQ(robust::health().snapshot().batched_prepack_reuse,
+            reuse_before + kBatch);
+  svc.shutdown();
+}
+
 // ---- timed ticket waits (DESIGN.md §16) ------------------------------------
 
 TEST_F(ServiceTest, WaitForTimesOutOnInFlightWorkThenSeesCompletion) {

@@ -270,8 +270,9 @@ TEST_F(TuneTest, TimedExecutorHonorsCancelAndFillsTimings) {
   p.reference(1.0f, 0.0f);
   std::vector<plan::ThreadTiming> timings;
   CancelSource src;
+  const CancelToken token = src.token();
   plan::execute_plan_timed(*plan, 1.0f, p.a.cview(), p.b.cview(), 0.0f,
-                           p.c.view(), timings, src.token());
+                           p.c.view(), timings, &token);
   EXPECT_TRUE(p.check(32));
   ASSERT_EQ(timings.size(), static_cast<std::size_t>(plan->nthreads));
   EXPECT_GT(timings[0].total_ns, 0.0);
@@ -280,7 +281,7 @@ TEST_F(TuneTest, TimedExecutorHonorsCancelAndFillsTimings) {
   src.request_cancel();
   EXPECT_THROW(plan::execute_plan_timed(*plan, 1.0f, p.a.cview(),
                                         p.b.cview(), 0.0f, p.c.view(),
-                                        timings, src.token()),
+                                        timings, &token),
                Error);
   EXPECT_EQ(max_abs_diff(p.c.cview(), c_before.cview()), 0.0);
 }
