@@ -27,7 +27,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/rng.h"
+#include "bench/soak.h"
+#include "src/common/str.h"
 #include "src/core/batched.h"
 #include "src/core/plan_cache.h"
 #include "src/core/smm.h"
@@ -42,6 +43,7 @@
 namespace {
 
 using namespace smm;
+namespace soak = bench::soak;
 using Clock = std::chrono::steady_clock;
 
 struct Shared {
@@ -54,11 +56,24 @@ struct Shared {
   std::atomic<std::size_t> guarded_degraded{0};
 };
 
-Matrix<float> random_matrix(index_t rows, index_t cols, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix<float> m(rows, cols);
-  m.fill_random(rng);
-  return m;
+using soak::random_matrix;
+
+/// A fail-stop lane: fault-injected failures surface as smm::Error or
+/// bad_alloc (expected); any other exception is a crash.
+template <typename Op>
+void fail_stop_lane(Shared& sh, Op&& op) {
+  while (!sh.stop.load()) {
+    try {
+      op();
+    } catch (const Error&) {
+      sh.expected_errors.fetch_add(1);
+    } catch (const std::bad_alloc&) {
+      sh.expected_errors.fetch_add(1);
+    } catch (...) {
+      sh.unexpected.fetch_add(1);
+    }
+    sh.ops.fetch_add(1);
+  }
 }
 
 }  // namespace
@@ -76,24 +91,13 @@ int main(int argc, char** argv) {
   const auto health0 = robust::health().snapshot();
 
   Shared sh;
-  std::atomic<bool> done{false};
 
   // Global deadline: generous slack over the nominal soak (hang phases
   // each cost up to timeout + grace; joins add a few more). If this
   // monitor fires, something waited forever — the exact failure mode the
   // watchdog exists to eliminate.
-  const int deadline_ms = seconds * 1000 + 60000;
-  std::thread monitor([&] {
-    for (int waited = 0; waited < deadline_ms && !done.load();
-         waited += 100)
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (!done.load()) {
-      std::fprintf(stderr,
-                   "chaos_soak: GLOBAL DEADLINE (%d ms) EXCEEDED — hang\n",
-                   deadline_ms);
-      std::_Exit(2);
-    }
-  });
+  const soak::DeadlineMonitor monitor(std::chrono::seconds(seconds + 60),
+                                      "chaos soak");
 
   std::vector<std::thread> traffic;
 
@@ -139,18 +143,9 @@ int main(int argc, char** argv) {
     Matrix<float> c(128, 128);
     core::SmmOptions opts;
     opts.pack_a = opts.pack_b = core::SmmOptions::Packing::kAlways;
-    while (!sh.stop.load()) {
-      try {
-        core::smm_gemm(1.0f, a.cview(), b.cview(), 0.0f, c.view(), 4, opts);
-      } catch (const Error&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (const std::bad_alloc&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    fail_stop_lane(sh, [&] {
+      core::smm_gemm(1.0f, a.cview(), b.cview(), 0.0f, c.view(), 4, opts);
+    });
   });
 
   // Batched traffic over the shared process-wide cache.
@@ -162,22 +157,13 @@ int main(int argc, char** argv) {
       bs.push_back(random_matrix(32, 32, 200u + i));
       cs.emplace_back(32, 32);
     }
-    while (!sh.stop.load()) {
-      try {
-        std::vector<core::GemmBatchItem<float>> items;
-        items.reserve(kItems);
-        for (int i = 0; i < kItems; ++i)
-          items.push_back({as[i].cview(), bs[i].cview(), cs[i].view()});
-        core::batched_smm(1.0f, items, 0.0f, core::default_plan_cache(), 2);
-      } catch (const Error&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (const std::bad_alloc&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    fail_stop_lane(sh, [&] {
+      std::vector<core::GemmBatchItem<float>> items;
+      items.reserve(kItems);
+      for (int i = 0; i < kItems; ++i)
+        items.push_back({as[i].cview(), bs[i].cview(), cs[i].view()});
+      core::batched_smm(1.0f, items, 0.0f, core::default_plan_cache(), 2);
+    });
   });
 
   // Prepack traffic: handle construction under fire plus replay — the
@@ -188,20 +174,11 @@ int main(int argc, char** argv) {
     Matrix<float> c(24, 16);
     core::SmmOptions opts;
     opts.pack_b = core::SmmOptions::Packing::kAlways;
-    while (!sh.stop.load()) {
-      try {
-        const auto handle =
-            core::smm_prepack_b<float>(b.cview(), /*m=*/24, 1, opts);
-        handle.run(1.0f, a.cview(), 0.0f, c.view());
-      } catch (const Error&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (const std::bad_alloc&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    fail_stop_lane(sh, [&] {
+      const auto handle =
+          core::smm_prepack_b<float>(b.cview(), /*m=*/24, 1, opts);
+      handle.run(1.0f, a.cview(), 0.0f, c.view());
+    });
   });
 
   // Cache-churn traffic: a tiny private cache cycling more shapes than
@@ -212,19 +189,10 @@ int main(int argc, char** argv) {
     const GemmShape shapes[] = {{8, 8, 8},    {16, 16, 16}, {24, 24, 24},
                                 {32, 32, 32}, {40, 40, 40}, {48, 48, 48}};
     std::size_t i = 0;
-    while (!sh.stop.load()) {
-      try {
-        (void)churn.get(shapes[i++ % (sizeof(shapes) / sizeof(shapes[0]))],
-                        plan::ScalarType::kF32, 1);
-      } catch (const Error&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (const std::bad_alloc&) {
-        sh.expected_errors.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    fail_stop_lane(sh, [&] {
+      (void)churn.get(shapes[i++ % (sizeof(shapes) / sizeof(shapes[0]))],
+                      plan::ScalarType::kF32, 1);
+    });
   });
 
   // The fault scheduler: cycle every site for the whole soak, a burst of
@@ -274,11 +242,11 @@ int main(int argc, char** argv) {
   std::printf("  guarded FAILED       : %zu\n", sh.guarded_failed.load());
   std::printf("  unexpected exceptions: %zu\n", sh.unexpected.load());
 
-  struct Gate {
+  struct FailureClass {
     const char* name;
     std::size_t delta;
   };
-  const Gate gates[] = {
+  const FailureClass classes[] = {
       {"pool_watchdog_timeouts", d(health1.pool_watchdog_timeouts,
                                    health0.pool_watchdog_timeouts)},
       {"pool_quarantines",
@@ -293,19 +261,13 @@ int main(int argc, char** argv) {
       {"prepack_fallbacks",
        d(health1.prepack_fallbacks, health0.prepack_fallbacks)},
   };
-  bool gates_ok = true;
-  for (const Gate& g : gates) {
+  soak::Gates gates;
+  for (const FailureClass& g : classes) {
     std::printf("  %-27s: %zu\n", g.name, g.delta);
-    if (g.delta == 0) {
-      std::fprintf(stderr, "chaos_soak: failure class '%s' never fired\n",
-                   g.name);
-      gates_ok = false;
-    }
+    gates.check(g.delta == 0,
+                strprintf("failure class '%s' never fired", g.name));
   }
   std::printf("%s\n", robust::health().snapshot().to_string().c_str());
-
-  done.store(true);
-  monitor.join();
 
   // A clean post-soak call must compute correctly (bit-checked against
   // the naive oracle by the test suite; here: it must not throw).
@@ -316,11 +278,8 @@ int main(int argc, char** argv) {
     core::smm_gemm(1.0f, a.cview(), b.cview(), 0.0f, c.view(), 4);
   }
 
-  if (sh.unexpected.load() != 0 || sh.guarded_failed.load() != 0 ||
-      !gates_ok) {
-    std::fprintf(stderr, "chaos_soak: FAILED\n");
-    return 1;
-  }
-  std::printf("chaos_soak: OK\n");
-  return 0;
+  gates.check(sh.unexpected.load() != 0, "unexpected exceptions");
+  gates.check(sh.guarded_failed.load() != 0,
+              "a guarded request fully failed");
+  return gates.verdict("chaos_soak");
 }

@@ -21,7 +21,8 @@
 //
 //   corruption_soak [--seconds 30] [--phase-ms 300]
 //
-// Exit 0 on a clean soak, 1 on any violated invariant.
+// Exit 0 on a clean soak, 1 on any violated invariant, 2 on the global
+// deadline.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/soak.h"
 #include "src/common/rng.h"
 #include "src/core/plan_cache.h"
 #include "src/core/smm.h"
@@ -46,6 +48,7 @@
 namespace {
 
 using namespace smm;
+namespace soak = bench::soak;
 using Clock = std::chrono::steady_clock;
 
 // -1 = calm (no site armed). Lanes without their own ABFT only run when
@@ -68,12 +71,24 @@ struct Shared {
   std::atomic<std::size_t> corrected_serves{0};
 };
 
-Matrix<float> random_matrix(index_t rows, index_t cols,
-                            std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix<float> m(rows, cols);
-  m.fill_random(rng);
-  return m;
+using soak::random_matrix;
+
+/// Runs `op` until the soak stops; every exception is unexpected. A
+/// `storage_defended` lane pauses while an armed site is one it cannot see.
+template <typename Op>
+void run_lane(Shared& sh, bool storage_defended, Op&& op) {
+  while (!sh.stop.load()) {
+    if (storage_defended && !unguarded_lane_active()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    try {
+      op();
+    } catch (...) {
+      sh.unexpected.fetch_add(1);
+    }
+    sh.ops.fetch_add(1);
+  }
 }
 
 /// One lane's fixed problem plus its naive oracle and check tolerance.
@@ -100,6 +115,11 @@ int main(int argc, char** argv) {
   const int phase_ms = std::max(
       50, std::stoi(bench::arg_value(argc, argv, "--phase-ms", "300")));
 
+  // Zero-hang gate, as in chaos_soak: a lane or the scheduler that waits
+  // forever fails the run instead of holding it.
+  const soak::DeadlineMonitor monitor(std::chrono::seconds(seconds + 60),
+                                      "corruption soak");
+
   integrity::set_mode_override(integrity::AbftMode::kDetect);
   const auto health0 = robust::health().snapshot();
   Shared sh;
@@ -115,21 +135,16 @@ int main(int argc, char** argv) {
     robust::GuardedExecutor guard(core::reference_smm(), opts);
     Lane lane(64, 48, 64, 0xC0DE);
     Matrix<float> c(64, 48);
-    while (!sh.stop.load()) {
-      try {
-        const robust::RunReport r = guard.run(
-            1.0f, lane.a.cview(), lane.b.cview(), 0.0f, c.view(), 2);
-        if (r.outcome == robust::Outcome::kFailed)
-          sh.guarded_failed.fetch_add(1);
-        else if (!lane.check(c))
-          sh.silent_corruptions.fetch_add(1);
-        if (r.outcome == robust::Outcome::kCorrected)
-          sh.corrected_serves.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    run_lane(sh, /*storage_defended=*/false, [&] {
+      const robust::RunReport r = guard.run(1.0f, lane.a.cview(),
+                                            lane.b.cview(), 0.0f, c.view(), 2);
+      if (r.outcome == robust::Outcome::kFailed)
+        sh.guarded_failed.fetch_add(1);
+      else if (!lane.check(c))
+        sh.silent_corruptions.fetch_add(1);
+      if (r.outcome == robust::Outcome::kCorrected)
+        sh.corrected_serves.fetch_add(1);
+    });
   });
 
   // Detect-mode guarded lane: rejection + recompute must be just as
@@ -140,19 +155,14 @@ int main(int argc, char** argv) {
     robust::GuardedExecutor guard(core::reference_smm(), opts);
     Lane lane(48, 48, 32, 0xDE7EC7);
     Matrix<float> c(48, 48);
-    while (!sh.stop.load()) {
-      try {
-        const robust::RunReport r = guard.run(
-            1.0f, lane.a.cview(), lane.b.cview(), 0.0f, c.view(), 1);
-        if (r.outcome == robust::Outcome::kFailed)
-          sh.guarded_failed.fetch_add(1);
-        else if (!lane.check(c))
-          sh.silent_corruptions.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    run_lane(sh, /*storage_defended=*/false, [&] {
+      const robust::RunReport r = guard.run(1.0f, lane.a.cview(),
+                                            lane.b.cview(), 0.0f, c.view(), 1);
+      if (r.outcome == robust::Outcome::kFailed)
+        sh.guarded_failed.fetch_add(1);
+      else if (!lane.check(c))
+        sh.silent_corruptions.fetch_add(1);
+    });
   });
 
   // Prepack replay lane: one long-lived handle whose sealed storage is
@@ -165,19 +175,10 @@ int main(int argc, char** argv) {
     Matrix<float> c(32, 32);
     const auto handle =
         core::smm_prepack_b<float>(lane.b.cview(), /*m=*/32, 1, opts);
-    while (!sh.stop.load()) {
-      if (!unguarded_lane_active()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      try {
-        handle.run(1.0f, lane.a.cview(), 0.0f, c.view());
-        if (!lane.check(c)) sh.silent_corruptions.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    run_lane(sh, /*storage_defended=*/true, [&] {
+      handle.run(1.0f, lane.a.cview(), 0.0f, c.view());
+      if (!lane.check(c)) sh.silent_corruptions.fetch_add(1);
+    });
   });
 
   // Plan-cache churn lane: a private cache under kPlanCacheFlip. Rotted
@@ -187,22 +188,13 @@ int main(int argc, char** argv) {
     core::PlanCache cache(core::reference_smm(), /*capacity=*/4);
     Lane lane(24, 24, 24, 0xCACE);
     Matrix<float> c(24, 24);
-    while (!sh.stop.load()) {
-      if (!unguarded_lane_active()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      try {
-        const auto plan =
-            cache.get(GemmShape{24, 24, 24}, plan::ScalarType::kF32, 1);
-        plan::execute_plan(*plan, 1.0f, lane.a.cview(), lane.b.cview(),
-                           0.0f, c.view());
-        if (!lane.check(c)) sh.silent_corruptions.fetch_add(1);
-      } catch (...) {
-        sh.unexpected.fetch_add(1);
-      }
-      sh.ops.fetch_add(1);
-    }
+    run_lane(sh, /*storage_defended=*/true, [&] {
+      const auto plan =
+          cache.get(GemmShape{24, 24, 24}, plan::ScalarType::kF32, 1);
+      plan::execute_plan(*plan, 1.0f, lane.a.cview(), lane.b.cview(), 0.0f,
+                         c.view());
+      if (!lane.check(c)) sh.silent_corruptions.fetch_add(1);
+    });
   });
 
   // The corruption scheduler: cycle every flip site with calm phases in
@@ -293,32 +285,21 @@ int main(int argc, char** argv) {
     std::printf("  fired %-22s: %llu\n", robust::to_string(kFlipSites[i]),
                 static_cast<unsigned long long>(fired_total[i]));
 
-  bool ok = true;
-  const auto gate = [&ok](bool pass, const char* what) {
-    if (!pass) {
-      std::fprintf(stderr, "corruption_soak: GATE FAILED: %s\n", what);
-      ok = false;
-    }
-  };
-  gate(sh.silent_corruptions.load() == 0,
-       "a corrupted result escaped to a caller");
-  gate(sh.guarded_failed.load() == 0, "a guarded request fully failed");
-  gate(sh.unexpected.load() == 0, "unexpected exception");
-  gate(detected > 0, "no corruption was ever detected");
-  gate(corrected > 0,
-       "no single-element damage was repaired in place (correction)");
-  gate(quarantines > 0, "no sealed-state mismatch was quarantined");
-  gate(repacks > 0, "prepacked storage rot never triggered a repack");
-  gate(seal_rebuilds > 0, "plan-cache rot never triggered a rebuild");
-  gate(detected == corrected + recomputed,
-       "accounting: detected != corrected + recomputed");
+  soak::Gates gates;
+  gates.check(sh.silent_corruptions.load() != 0,
+              "a corrupted result escaped to a caller");
+  gates.check(sh.guarded_failed.load() != 0, "a guarded request fully failed");
+  gates.check(sh.unexpected.load() != 0, "unexpected exception");
+  gates.check(detected == 0, "no corruption was ever detected");
+  gates.check(corrected == 0,
+              "no single-element damage was repaired in place (correction)");
+  gates.check(quarantines == 0, "no sealed-state mismatch was quarantined");
+  gates.check(repacks == 0, "prepacked storage rot never triggered a repack");
+  gates.check(seal_rebuilds == 0,
+              "plan-cache rot never triggered a rebuild");
+  gates.check(detected != corrected + recomputed,
+              "accounting: detected != corrected + recomputed");
   for (std::size_t i = 0; i < kNumSites; ++i)
-    gate(fired_total[i] > 0, "a flip site never fired");
-
-  if (!ok) {
-    std::fprintf(stderr, "corruption_soak: FAILED\n");
-    return 1;
-  }
-  std::printf("corruption_soak: OK\n");
-  return 0;
+    gates.check(fired_total[i] == 0, "a flip site never fired");
+  return gates.verdict("corruption_soak");
 }

@@ -47,10 +47,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <random>
 #include <string>
@@ -58,6 +55,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/soak.h"
 #include "src/common/rng.h"
 #include "src/common/str.h"
 #include "src/failover/failover.h"
@@ -67,12 +65,11 @@
 namespace {
 
 using namespace smm;
+namespace soak = bench::soak;
 using Clock = std::chrono::steady_clock;
 using service::Priority;
-using service::Result;
 using service::ServiceOptions;
 using service::SmmService;
-using service::Ticket;
 
 // ---- traffic phases --------------------------------------------------------
 
@@ -90,86 +87,14 @@ enum Phase : int {
 std::atomic<int> g_phase{kWarm};
 
 struct Totals {
-  std::atomic<std::size_t> submitted{0};
-  std::atomic<std::size_t> classified{0};
-  std::atomic<std::size_t> ok{0};
-  std::atomic<std::size_t> refused{0};
-  std::atomic<std::size_t> stopped{0};
-  std::atomic<std::size_t> unexpected{0};
-  std::atomic<std::size_t> late{0};
+  soak::Totals all;
   std::atomic<std::size_t> ok_by_phase[kNumPhases] = {};
 };
 
-struct Pending {
-  Ticket ticket;
-  Clock::time_point submitted;
-  long deadline_ms = 0;
-  int phase = kWarm;
-};
-
-/// Wait a ticket and classify its terminal state. `waited_ms` is
-/// measured at classification time — an upper bound on terminal
-/// latency, kept tight by the producers' prompt poll sweeps.
-void classify(const Pending& item, Totals& totals, long slack_ms) {
-  const Result& r = item.ticket.wait();
-  const auto waited_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                            item.submitted)
-          .count();
-  totals.classified.fetch_add(1);
-  if (r.ok) {
-    totals.ok.fetch_add(1);
+void count_terminal(Totals& totals, const soak::Pending& item,
+                    soak::Terminal terminal) {
+  if (terminal == soak::Terminal::kOk)
     totals.ok_by_phase[item.phase].fetch_add(1);
-  } else if (r.code == ErrorCode::kOverloaded ||
-             r.code == ErrorCode::kShuttingDown) {
-    totals.refused.fetch_add(1);
-  } else if (r.code == ErrorCode::kCancelled ||
-             r.code == ErrorCode::kDeadlineExceeded) {
-    totals.stopped.fetch_add(1);
-  } else {
-    totals.unexpected.fetch_add(1);
-    std::fprintf(stderr, "unexpected terminal state: %s\n",
-                 r.message.c_str());
-  }
-  if (r.code != ErrorCode::kOverloaded &&
-      r.code != ErrorCode::kShuttingDown &&
-      waited_ms > 2 * item.deadline_ms + slack_ms) {
-    totals.late.fetch_add(1);
-    std::fprintf(stderr, "late terminal: %lld ms (deadline %ld ms)\n",
-                 static_cast<long long>(waited_ms), item.deadline_ms);
-  }
-}
-
-// ---- Zipfian shape pool ----------------------------------------------------
-
-/// Small f32 cubes in the dispatch-sensitive regime; the Zipf ranking
-/// makes a couple of them hot, the rest a long tail.
-constexpr index_t kPoolDims[] = {24, 32, 40, 48, 64};
-constexpr std::size_t kPoolSize = sizeof(kPoolDims) / sizeof(kPoolDims[0]);
-
-struct ShapeSet {
-  std::vector<Matrix<float>> as;
-  std::vector<Matrix<float>> bs;
-  ShapeSet() {
-    Rng rng(4242);
-    for (const index_t d : kPoolDims) {
-      as.emplace_back(d, d);
-      bs.emplace_back(d, d);
-      as.back().fill_random(rng);
-      bs.back().fill_random(rng);
-    }
-  }
-};
-
-std::vector<double> zipf_cdf(double s) {
-  std::vector<double> cdf(kPoolSize);
-  double total = 0.0;
-  for (std::size_t i = 0; i < kPoolSize; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf[i] = total;
-  }
-  for (auto& v : cdf) v /= total;
-  return cdf;
 }
 
 // ---- hedge bursts ----------------------------------------------------------
@@ -223,25 +148,26 @@ void hedge_burst(SmmService& service, const HomedShapes& shapes,
   ah.fill_random(rng);
   bh.fill_random(rng);
   std::vector<Matrix<float>> cbs, chs;
-  std::vector<Pending> pending;
+  std::vector<soak::Pending> pending;
   const int phase = g_phase.load(std::memory_order_relaxed);
   for (int i = 0; i < kBlockers; ++i) cbs.emplace_back(kBlockerDim, kBlockerDim);
   for (int i = 0; i < kHighs; ++i) chs.emplace_back(kHighDim, kHighDim);
   for (int i = 0; i < kBlockers; ++i) {
-    totals.submitted.fetch_add(1);
+    totals.all.submitted.fetch_add(1);
     pending.push_back({service.submit(1.0f, ab.cview(), bb.cview(), 0.0f,
                                       cbs[static_cast<std::size_t>(i)].view(),
                                       Priority::kHigh),
                        Clock::now(), 0, phase});
   }
   for (int i = 0; i < kHighs; ++i) {
-    totals.submitted.fetch_add(1);
+    totals.all.submitted.fetch_add(1);
     pending.push_back({service.submit(1.0f, ah.cview(), bh.cview(), 0.0f,
                                       chs[static_cast<std::size_t>(i)].view(),
                                       Priority::kHigh, /*deadline_ms=*/500),
                        Clock::now(), 500, phase});
   }
-  for (const Pending& p : pending) classify(p, totals, slack_ms);
+  for (const soak::Pending& p : pending)
+    count_terminal(totals, p, soak::settle(p, totals.all, slack_ms));
 }
 
 // ---- fault-schedule soak ---------------------------------------------------
@@ -281,124 +207,53 @@ int run_soak(int argc, char** argv) {
   options.failover.hedge_ms = 1;
   SmmService service(options);
 
-  ShapeSet shapes;
-  const std::vector<double> cdf = zipf_cdf(zipf_s);
+  // Small f32 cubes in the dispatch-sensitive regime; the Zipf ranking
+  // makes a couple of them hot, the rest a long tail.
+  const soak::ShapePool pool({24, 32, 40, 48, 64}, 4242, zipf_s);
   const std::vector<HomedShapes> homed = find_homed_shapes(service, shards);
 
   // Measure synchronous round-trip capacity of one lane over the Zipf
   // mix (median-of-three batches, same idiom as overload_soak), then
   // offer load_frac x shards x that: moderate load with real headroom
   // on the survivors when a shard is quarantined.
-  {
-    Matrix<float> c(kPoolDims[0], kPoolDims[0]);
-    for (int i = 0; i < 30; ++i)
-      service
-          .submit(1.0f, shapes.as[0].cview(), shapes.bs[0].cview(), 0.0f,
-                  c.view())
-          .wait();
-  }
-  double units[3];
-  {
-    std::mt19937 rng(7);
-    std::uniform_real_distribution<double> uni(0.0, 1.0);
-    std::vector<Matrix<float>> cs;
-    for (const index_t d : kPoolDims) cs.emplace_back(d, d);
-    constexpr int kCal = 200;
-    for (double& unit : units) {
-      const auto t0 = Clock::now();
-      for (int i = 0; i < kCal; ++i) {
-        const double u = uni(rng);
-        std::size_t s = 0;
-        while (s + 1 < kPoolSize && u > cdf[s]) ++s;
-        service
-            .submit(1.0f, shapes.as[s].cview(), shapes.bs[s].cview(), 0.0f,
-                    cs[s].view())
-            .wait();
-      }
-      unit = std::chrono::duration<double>(Clock::now() - t0).count() / kCal;
-    }
-  }
-  std::sort(std::begin(units), std::end(units));
-  const double capacity = 1.0 / units[1];
+  std::vector<Matrix<float>> cs = pool.outputs();
+  for (int i = 0; i < 30; ++i)
+    service.submit(1.0f, pool.a(0), pool.b(0), 0.0f, cs[0].view()).wait();
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  const double unit_s = soak::sync_unit_s(3, 200, [&] {
+    const std::size_t s = pool.pick(uni(rng));
+    service.submit(1.0f, pool.a(s), pool.b(s), 0.0f, cs[s].view()).wait();
+  });
+  const double capacity = 1.0 / unit_s;
   const double offered = load_frac * capacity * shards;
   std::printf("calibration: %.1f us/request, offering %.0f req/s "
               "(%.2fx of one lane x %d shards)\n",
-              units[1] * 1e6, offered, load_frac, shards);
+              unit_s * 1e6, offered, load_frac, shards);
 
   // Zero-deadlock monitor: the soak, fault schedule, and drain must all
   // finish well before this or the process dies with exit 2.
-  std::atomic<bool> finished{false};
-  std::thread monitor([&] {
-    const auto deadline =
-        Clock::now() + std::chrono::seconds(3 * seconds + 60);
-    while (Clock::now() < deadline) {
-      if (finished.load()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    std::fprintf(stderr, "GLOBAL DEADLINE: soak did not finish\n");
-    std::_Exit(2);
-  });
+  const soak::DeadlineMonitor monitor(std::chrono::seconds(3 * seconds + 60),
+                                      "soak");
 
   Totals totals;
-  constexpr int kProducers = 2;
   std::atomic<bool> stop_traffic{false};
-  std::vector<std::thread> producers;
-  const auto period = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(kProducers / offered));
-
-  for (int w = 0; w < kProducers; ++w) {
-    producers.emplace_back([&, w] {
-      // Per-shape C rings: slot reuse waits on the ticket that last
-      // wrote the slot, bounding outstanding work without two in-flight
-      // requests ever sharing an output.
-      constexpr int kRing = 32;
-      std::vector<std::vector<Matrix<float>>> cs(kPoolSize);
-      std::vector<std::vector<Ticket>> rings(kPoolSize);
-      std::vector<std::size_t> nshape(kPoolSize, 0);
-      for (std::size_t s = 0; s < kPoolSize; ++s) {
-        rings[s].resize(kRing);
-        for (int i = 0; i < kRing; ++i)
-          cs[s].emplace_back(kPoolDims[s], kPoolDims[s]);
-      }
-      std::deque<Pending> pending;
-      std::mt19937 rng(1000u + static_cast<unsigned>(w));
-      std::uniform_real_distribution<double> uni(0.0, 1.0);
-      std::uint64_t n = 0;
-      auto next = Clock::now();
-      while (!stop_traffic.load(std::memory_order_relaxed)) {
-        const double u = uni(rng);
-        std::size_t s = 0;
-        while (s + 1 < kPoolSize && u > cdf[s]) ++s;
-        const std::size_t slot = nshape[s] % kRing;
-        if (rings[s][slot].valid()) rings[s][slot].wait();
-        // Priority mix: mostly normal, some low (brownout shed fodder),
-        // some high (hedge candidates under a wide deadline budget).
-        const Priority priority = (n % 8 == 0)   ? Priority::kLow
-                                  : (n % 8 == 1) ? Priority::kHigh
-                                                 : Priority::kNormal;
-        const auto t0 = Clock::now();
-        const int phase = g_phase.load(std::memory_order_relaxed);
-        totals.submitted.fetch_add(1);
-        Ticket t = service.submit(1.0f, shapes.as[s].cview(),
-                                  shapes.bs[s].cview(), 0.0f,
-                                  cs[s][slot].view(), priority, deadline_ms);
-        rings[s][slot] = t;
-        ++nshape[s];
-        pending.push_back({t, t0, deadline_ms, phase});
-        while (!pending.empty() && pending.front().ticket.done()) {
-          classify(pending.front(), totals, slack_ms);
-          pending.pop_front();
-        }
-        ++n;
-        next += period;
-        if (Clock::now() < next) std::this_thread::sleep_until(next);
-      }
-      while (!pending.empty()) {
-        classify(pending.front(), totals, slack_ms);
-        pending.pop_front();
-      }
-    });
-  }
+  soak::Producers producers(
+      service, pool, offered, deadline_ms, slack_ms, totals.all,
+      {.stop = [&] { return stop_traffic.load(std::memory_order_relaxed); },
+       // Priority mix: mostly normal, some low (brownout shed fodder),
+       // some high (hedge candidates under a wide deadline budget).
+       .priority =
+           [](std::uint64_t n) {
+             return (n % 8 == 0)   ? Priority::kLow
+                    : (n % 8 == 1) ? Priority::kHigh
+                                   : Priority::kNormal;
+           },
+       .phase = [] { return g_phase.load(std::memory_order_relaxed); },
+       .on_terminal =
+           [&](const soak::Pending& item, soak::Terminal terminal) {
+             count_terminal(totals, item, terminal);
+           }});
 
   // ---- the fault schedule, run from this thread -----------------------
   // Timeline (T = --seconds): 0.5 s warm, ~0.35 T steady (with one hedge
@@ -471,12 +326,10 @@ int run_soak(int argc, char** argv) {
               round, did_brownout ? "exercised" : "MISSED");
 
   stop_traffic.store(true);
-  for (auto& t : producers) t.join();
+  producers.join();
   service.drain();
   const auto stats = service.stats();
   service.shutdown();
-  finished.store(true);
-  monitor.join();
   phase_secs[kDrain] +=
       std::chrono::duration<double>(Clock::now() - phase_started).count();
 
@@ -491,15 +344,16 @@ int run_soak(int argc, char** argv) {
                 phase_secs[kFault]
           : 0.0;
   const std::size_t lost =
-      totals.submitted.load() - totals.classified.load();
+      totals.all.submitted.load() - totals.all.classified();
   const std::size_t terminals = stats.completed + stats.rejected +
                                 stats.evicted + stats.cancellations +
                                 stats.deadline_misses;
 
   std::printf("ok %zu refused %zu stopped %zu unexpected %zu late %zu "
               "lost %zu\n",
-              totals.ok.load(), totals.refused.load(), totals.stopped.load(),
-              totals.unexpected.load(), totals.late.load(), lost);
+              totals.all.ok.load(), totals.all.refused.load(),
+              totals.all.stopped.load(), totals.all.unexpected.load(),
+              totals.all.late.load(), lost);
   std::printf("goodput: steady %.0f req/s (%.1f s), fault %.0f req/s "
               "(%.1f s), ratio %.3f (gate %.2f); brownout window %.1f s\n",
               goodput_steady, phase_secs[kSteady], goodput_fault,
@@ -532,8 +386,9 @@ int run_soak(int argc, char** argv) {
                                            : 0.0);
     json << strprintf("  \"ok\": %zu, \"refused\": %zu, \"stopped\": %zu, "
                       "\"late\": %zu, \"lost\": %zu,\n",
-                      totals.ok.load(), totals.refused.load(),
-                      totals.stopped.load(), totals.late.load(), lost);
+                      totals.all.ok.load(), totals.all.refused.load(),
+                      totals.all.stopped.load(), totals.all.late.load(),
+                      lost);
     json << strprintf("  \"rerouted\": %zu, \"hedged\": %zu, "
                       "\"hedge_wins\": %zu, \"shard_quarantines\": %zu, "
                       "\"shard_rebuilds\": %zu, \"brownouts\": %zu\n",
@@ -543,73 +398,54 @@ int run_soak(int argc, char** argv) {
     json << "}\n";
   }
 
-  bool failed = false;
-  const auto gate = [&](bool bad, const char* what) {
-    if (!bad) return;
-    std::fprintf(stderr, "GATE FAILED: %s\n", what);
-    failed = true;
-  };
-  gate(lost != 0, "lost tickets (submitted without a classified terminal)");
-  gate(totals.unexpected.load() != 0, "unexpected terminal states");
-  gate(totals.late.load() != 0, "terminal past 2x deadline + slack");
-  gate(stats.queued != 0 || stats.in_flight != 0,
-       "work stranded after drain");
-  gate(terminals != stats.submitted,
-       "terminal accounting identity violated");
-  gate(goodput_fault < goodput_frac * goodput_steady,
-       "fault-phase goodput below threshold");
-  gate(!did_brownout, "brownout window never ran");
-  gate(stats.rerouted == 0, "rerouted counter stayed zero");
-  gate(stats.hedged == 0, "hedged counter stayed zero");
-  gate(stats.hedge_wins == 0, "hedge_wins counter stayed zero");
-  gate(stats.shard_quarantines == 0,
-       "shard_quarantines counter stayed zero");
-  gate(stats.shard_rebuilds == 0, "shard_rebuilds counter stayed zero");
-  gate(stats.brownouts == 0, "brownouts counter stayed zero");
-  std::printf("failover_soak: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  soak::Gates gates;
+  gates.check(lost != 0,
+              "lost tickets (submitted without a classified terminal)");
+  gates.check(totals.all.unexpected.load() != 0,
+              "unexpected terminal states");
+  gates.check(totals.all.late.load() != 0,
+              "terminal past 2x deadline + slack");
+  gates.check(stats.queued != 0 || stats.in_flight != 0,
+              "work stranded after drain");
+  gates.check(terminals != stats.submitted,
+              "terminal accounting identity violated");
+  gates.check(goodput_fault < goodput_frac * goodput_steady,
+              "fault-phase goodput below threshold");
+  gates.check(!did_brownout, "brownout window never ran");
+  gates.check(stats.rerouted == 0, "rerouted counter stayed zero");
+  gates.check(stats.hedged == 0, "hedged counter stayed zero");
+  gates.check(stats.hedge_wins == 0, "hedge_wins counter stayed zero");
+  gates.check(stats.shard_quarantines == 0,
+              "shard_quarantines counter stayed zero");
+  gates.check(stats.shard_rebuilds == 0,
+              "shard_rebuilds counter stayed zero");
+  gates.check(stats.brownouts == 0, "brownouts counter stayed zero");
+  return gates.verdict("failover_soak");
 }
 
 // ---- perf smoke (--perf-check) ---------------------------------------------
-
-constexpr index_t kPerfDim = 64;
 
 constexpr long kPerfDeadlineMs = 2000;
 
 /// Synchronous goodput of one shards=1 service. `hedge_shaped`: kHigh
 /// with a deadline (arm A); otherwise kNormal without one (arm B).
 double perf_trial(bool hedge_shaped, int requests) {
-  ServiceOptions options;
-  options.shards = 1;
-  options.lanes = 1;
-  options.threads_per_request = 2;
-  options.queue_depth = 32;
-  SmmService service(options);
+  SmmService service(soak::perf_service_options());
   const Priority priority = hedge_shaped ? Priority::kHigh : Priority::kNormal;
   const long deadline_ms = hedge_shaped ? kPerfDeadlineMs : 0;
-  Rng rng(42);
-  Matrix<double> a(kPerfDim, kPerfDim), b(kPerfDim, kPerfDim),
-      c(kPerfDim, kPerfDim);
-  a.fill_random(rng);
-  b.fill_random(rng);
-  for (int i = 0; i < 50; ++i)
+  soak::Cube cube;
+  const auto call = [&] {
     service
-        .submit(1.0, a.cview(), b.cview(), 0.0, c.view(), priority,
-                deadline_ms)
+        .submit(1.0, cube.a.cview(), cube.b.cview(), 0.0, cube.c.view(),
+                priority, deadline_ms)
         .wait();
-  const auto t0 = Clock::now();
-  for (int i = 0; i < requests; ++i)
-    service
-        .submit(1.0, a.cview(), b.cview(), 0.0, c.view(), priority,
-                deadline_ms)
-        .wait();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  for (int i = 0; i < 50; ++i) call();
+  const double goodput = soak::goodput_per_s(requests, call);
   const bool hedged = service.stats().hedged != 0;
   service.shutdown();
   // A hedge on one domain is a correctness bug, not a slow trial.
-  if (hedged) return 0.0;
-  return static_cast<double>(requests) / elapsed;
+  return hedged ? 0.0 : goodput;
 }
 
 int run_perf_check(int argc, char** argv) {
@@ -622,23 +458,10 @@ int run_perf_check(int argc, char** argv) {
   const std::string json_path =
       bench::arg_value(argc, argv, "--json", "BENCH_failover.json");
 
-  // Interleaved best-of-N: a throughput ratio on a shared host is
-  // exposed to frequency and load drift; interleaving decorrelates it,
-  // best-of picks each config's undisturbed run.
-  double best_high = 0.0, best_normal = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const double high = perf_trial(/*hedge_shaped=*/true, requests);
-    const double normal = perf_trial(/*hedge_shaped=*/false, requests);
-    std::printf("perf rep %d: kHigh+deadline %.0f req/s, kNormal %.0f "
-                "req/s\n",
-                r, high, normal);
-    best_high = std::max(best_high, high);
-    best_normal = std::max(best_normal, normal);
-  }
-  const double ratio = best_normal > 0.0 ? best_high / best_normal : 0.0;
-  std::printf("perf-check: kHigh+deadline %.0f req/s, kNormal %.0f req/s, "
-              "ratio %.3f (gate %.2f)\n",
-              best_high, best_normal, ratio, ratio_gate);
+  const soak::BestOf best = soak::interleaved_best_of(
+      reps, [&] { return perf_trial(/*hedge_shaped=*/true, requests); },
+      [&] { return perf_trial(/*hedge_shaped=*/false, requests); },
+      "kHigh+deadline", "kNormal", ratio_gate);
   {
     std::ofstream json(json_path);
     json << "{\n  \"bench\": \"failover_perf_check\",\n";
@@ -648,17 +471,16 @@ int run_perf_check(int argc, char** argv) {
     json << strprintf("  \"goodput_high_deadline_per_s\": %.1f, "
                       "\"goodput_normal_per_s\": %.1f, \"ratio\": %.3f, "
                       "\"ratio_gate\": %.2f\n",
-                      best_high, best_normal, ratio, ratio_gate);
+                      best.a, best.b, best.ratio, ratio_gate);
     json << "}\n";
   }
-  const bool failed = ratio < ratio_gate;
-  if (failed)
-    std::fprintf(stderr, "GATE FAILED: shards=1 goodput of kHigh requests "
-                         "with a deadline below %.2fx of kNormal ones (or "
-                         "a one-domain service hedged)\n",
-                 ratio_gate);
-  std::printf("failover_soak --perf-check: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  soak::Gates gates;
+  gates.check(best.ratio < ratio_gate,
+              strprintf("shards=1 goodput of kHigh requests with a deadline "
+                        "below %.2fx of kNormal ones (or a one-domain "
+                        "service hedged)",
+                        ratio_gate));
+  return gates.verdict("failover_soak --perf-check");
 }
 
 }  // namespace

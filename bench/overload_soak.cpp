@@ -47,10 +47,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <mutex>
@@ -60,6 +58,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/soak.h"
 #include "src/common/rng.h"
 #include "src/common/str.h"
 #include "src/core/smm.h"
@@ -67,37 +66,22 @@
 #include "src/robust/fault_injection.h"
 #include "src/robust/health.h"
 #include "src/service/smm_service.h"
-#include "src/shard/shard.h"
 
 namespace {
 
 using namespace smm;
+namespace soak = bench::soak;
 using Clock = std::chrono::steady_clock;
 using service::Priority;
-using service::Result;
 using service::ServiceOptions;
 using service::SmmService;
 using service::Ticket;
 
-constexpr index_t kDim = 64;  // one legacy request = 64^3 double GEMM
-
-struct Totals {
-  std::atomic<std::size_t> ok{0};
-  std::atomic<std::size_t> refused{0};
-  std::atomic<std::size_t> stopped{0};
-  std::atomic<std::size_t> infra{0};       // kWorkerPanic in fault window
-  std::atomic<std::size_t> unexpected{0};
-  std::atomic<std::size_t> late{0};        // terminal past the latency cap
-  std::atomic<std::size_t> reject_samples{0};
-  std::atomic<long long> reject_us_sum{0};
-  std::atomic<long long> reject_us_max{0};
-  std::atomic<bool> fault_window{false};
-};
-
-struct Pending {
-  Ticket ticket;
-  Clock::time_point submitted;
-  long deadline_ms = 0;
+/// Submit latencies of requests refused at the door.
+struct RejectSamples {
+  std::atomic<std::size_t> count{0};
+  std::atomic<long long> us_sum{0};
+  std::atomic<long long> us_max{0};
 };
 
 /// One producer lane-pair: a submitter paced at its share of the offered
@@ -105,14 +89,15 @@ struct Pending {
 /// its terminal state.
 struct Producer {
   std::mutex mu;
-  std::deque<Pending> pending;
+  std::deque<soak::Pending> pending;
   std::condition_variable cv;
   bool done_submitting = false;
 };
 
-void collect(Producer& p, Totals& totals, long latency_slack_ms) {
+void collect(Producer& p, soak::Totals& totals, long latency_slack_ms,
+             const std::atomic<bool>& fault_window) {
   for (;;) {
-    Pending item;
+    soak::Pending item;
     {
       std::unique_lock<std::mutex> lock(p.mu);
       p.cv.wait(lock,
@@ -121,36 +106,7 @@ void collect(Producer& p, Totals& totals, long latency_slack_ms) {
       item = p.pending.front();
       p.pending.pop_front();
     }
-    const Result& r = item.ticket.wait();
-    const auto waited_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now() - item.submitted)
-            .count();
-    if (r.ok) {
-      totals.ok.fetch_add(1);
-    } else if (r.code == ErrorCode::kOverloaded ||
-               r.code == ErrorCode::kShuttingDown) {
-      totals.refused.fetch_add(1);
-    } else if (r.code == ErrorCode::kCancelled ||
-               r.code == ErrorCode::kDeadlineExceeded) {
-      totals.stopped.fetch_add(1);
-    } else if (r.code == ErrorCode::kWorkerPanic &&
-               totals.fault_window.load(std::memory_order_relaxed)) {
-      totals.infra.fetch_add(1);
-    } else {
-      totals.unexpected.fetch_add(1);
-      std::fprintf(stderr, "unexpected terminal state: %s\n",
-                   r.message.c_str());
-    }
-    // Refusals are terminal at submit; the latency cap applies to
-    // admitted requests only.
-    if (r.code != ErrorCode::kOverloaded &&
-        r.code != ErrorCode::kShuttingDown &&
-        waited_ms > 2 * item.deadline_ms + latency_slack_ms) {
-      totals.late.fetch_add(1);
-      std::fprintf(stderr, "late terminal: %lld ms (deadline %ld ms)\n",
-                   static_cast<long long>(waited_ms), item.deadline_ms);
-    }
+    soak::settle(item, totals, latency_slack_ms, &fault_window);
   }
 }
 
@@ -187,48 +143,27 @@ int run_legacy(int argc, char** argv) {
   options.breaker.open_for = std::chrono::milliseconds(50);
   SmmService service(options);
 
-  Rng rng(42);
-  Matrix<double> a(kDim, kDim), b(kDim, kDim);
-  a.fill_random(rng);
-  b.fill_random(rng);
-
   // Measure single-lane capacity with a synchronous submit/wait loop
   // (warm cache, same binary, same sanitizers as the soak itself).
-  Matrix<double> c0(kDim, kDim);
-  for (int i = 0; i < 10; ++i)
-    service.submit(1.0, a.cview(), b.cview(), 0.0, c0.view()).wait();
-  // Median of three batches: a single batch is exposed to frequency and
-  // cache jitter large enough (~±30%) to flip the goodput gate.
-  constexpr int kCalRequests = 100;
-  double units[3];
-  for (double& unit : units) {
-    const auto cal0 = Clock::now();
-    for (int i = 0; i < kCalRequests; ++i)
-      service.submit(1.0, a.cview(), b.cview(), 0.0, c0.view()).wait();
-    unit = std::chrono::duration<double>(Clock::now() - cal0).count() /
-           kCalRequests;
-  }
-  std::sort(std::begin(units), std::end(units));
-  const double unit_s = units[1];
+  soak::Cube cube;
+  const auto round_trip = [&] {
+    service.submit(1.0, cube.a.cview(), cube.b.cview(), 0.0, cube.c.view())
+        .wait();
+  };
+  for (int i = 0; i < 10; ++i) round_trip();
+  const double unit_s = soak::sync_unit_s(3, 100, round_trip);
   const double capacity = 1.0 / unit_s;
   std::printf("calibration: %.1f us/request, capacity %.0f req/s\n",
               unit_s * 1e6, capacity);
 
   // Zero-deadlock gate: the whole soak (including drain) must finish well
   // before this global deadline or the monitor kills the process.
-  std::atomic<bool> finished{false};
-  std::thread monitor([&] {
-    const auto deadline =
-        Clock::now() + std::chrono::seconds(3 * seconds + 60);
-    while (Clock::now() < deadline) {
-      if (finished.load()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    std::fprintf(stderr, "GLOBAL DEADLINE: soak did not finish\n");
-    std::_Exit(2);
-  });
+  const soak::DeadlineMonitor monitor(std::chrono::seconds(3 * seconds + 60),
+                                      "soak");
 
-  Totals totals;
+  soak::Totals totals;
+  RejectSamples rejects;
+  std::atomic<bool> fault_window{false};
   constexpr int kProducers = 2;
   Producer producers[kProducers];
   std::vector<std::thread> threads;
@@ -238,14 +173,16 @@ int run_legacy(int argc, char** argv) {
 
   for (int w = 0; w < kProducers; ++w) {
     Producer& p = producers[w];
-    threads.emplace_back([&, w] { collect(p, totals, slack_ms); });
-    threads.emplace_back([&, w] {
+    threads.emplace_back(
+        [&] { collect(p, totals, slack_ms, fault_window); });
+    threads.emplace_back([&] {
       // Each submitter owns a ring of C buffers; slot reuse waits on the
       // ticket that last wrote it, which also bounds outstanding work.
       constexpr int kRing = 64;
       std::vector<Matrix<double>> cs;
       Ticket ring[kRing];
-      for (int i = 0; i < kRing; ++i) cs.emplace_back(kDim, kDim);
+      for (int i = 0; i < kRing; ++i)
+        cs.emplace_back(soak::kCubeDim, soak::kCubeDim);
       std::uint64_t n = 0;
       auto next = Clock::now();
       while (Clock::now() < t_end) {
@@ -259,7 +196,7 @@ int run_legacy(int argc, char** argv) {
         // queue it expires while queued (the deadline-miss leg).
         const long dl = (n % 64 == 63) ? 1 : deadline_ms;
         const auto t0 = Clock::now();
-        Ticket t = service.submit(1.0, a.cview(), b.cview(), 0.0,
+        Ticket t = service.submit(1.0, cube.a.cview(), cube.b.cview(), 0.0,
                                   cs[slot].view(), priority, dl);
         const auto submit_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -267,19 +204,18 @@ int run_legacy(int argc, char** argv) {
                 .count();
         if (t.done() && !t.wait().ok &&
             t.wait().code == ErrorCode::kOverloaded) {
-          totals.reject_samples.fetch_add(1);
-          totals.reject_us_sum.fetch_add(submit_us);
-          long long seen = totals.reject_us_max.load();
+          rejects.count.fetch_add(1);
+          rejects.us_sum.fetch_add(submit_us);
+          long long seen = rejects.us_max.load();
           while (submit_us > seen &&
-                 !totals.reject_us_max.compare_exchange_weak(seen,
-                                                             submit_us)) {
+                 !rejects.us_max.compare_exchange_weak(seen, submit_us)) {
           }
         }
         if (n % 128 == 5) t.cancel();  // the cancellation leg
         ring[slot] = t;
         {
           std::lock_guard<std::mutex> lock(p.mu);
-          p.pending.push_back({t, t0, dl});
+          p.pending.push_back({t, t0, dl, 0});
         }
         p.cv.notify_one();
         ++n;
@@ -299,7 +235,7 @@ int run_legacy(int argc, char** argv) {
   // Mid-soak fault window: repeated worker throws trip the breaker; the
   // disarm lets the half-open probe recover it.
   std::this_thread::sleep_for(std::chrono::seconds(seconds / 2));
-  totals.fault_window.store(true);
+  fault_window.store(true);
   // Unbounded fires for a fixed 300 ms: every pop fails, so the shard's
   // breaker trips and STAYS open (a single success would re-close it
   // instantly) and its ledger quarantines the shard, evicting the
@@ -313,7 +249,7 @@ int run_legacy(int argc, char** argv) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   robust::FaultInjector::instance().disarm_all();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  totals.fault_window.store(false);
+  fault_window.store(false);
 
   for (auto& t : threads) t.join();
   // The induced outage (300 ms of forced failures + 200 ms recovery) is
@@ -322,15 +258,13 @@ int run_legacy(int argc, char** argv) {
   service.drain();
   const auto stats = service.stats();
   service.shutdown();
-  finished.store(true);
-  monitor.join();
 
   const double goodput = static_cast<double>(totals.ok.load()) / elapsed;
   const double reject_us_mean =
-      totals.reject_samples.load() == 0
+      rejects.count.load() == 0
           ? 0.0
-          : static_cast<double>(totals.reject_us_sum.load()) /
-                static_cast<double>(totals.reject_samples.load());
+          : static_cast<double>(rejects.us_sum.load()) /
+                static_cast<double>(rejects.count.load());
   const auto health = robust::health().snapshot();
 
   std::printf(
@@ -340,8 +274,7 @@ int run_legacy(int argc, char** argv) {
   std::printf("goodput %.0f req/s (capacity %.0f, frac %.2f)\n", goodput,
               capacity, goodput / capacity);
   std::printf("reject latency: mean %.1f us, max %lld us (%zu samples)\n",
-              reject_us_mean, totals.reject_us_max.load(),
-              totals.reject_samples.load());
+              reject_us_mean, rejects.us_max.load(), rejects.count.load());
   std::printf(
       "counters: shed %zu evicted %zu rejected %zu deadline_misses %zu "
       "cancellations %zu breaker_trips %zu breaker_rejections %zu\n",
@@ -349,52 +282,25 @@ int run_legacy(int argc, char** argv) {
       stats.cancellations, health.service_breaker_trips,
       stats.breaker_rejections);
 
-  bool failed = false;
-  const auto gate = [&](bool bad, const char* what) {
-    if (!bad) return;
-    std::fprintf(stderr, "GATE FAILED: %s\n", what);
-    failed = true;
-  };
-  gate(totals.unexpected.load() != 0, "unexpected exceptions");
-  gate(totals.late.load() != 0, "admitted request terminal past 2x deadline");
-  gate(goodput < goodput_frac * capacity, "goodput below threshold");
-  gate(totals.reject_samples.load() == 0, "no O(us) rejections sampled");
-  gate(reject_us_mean > static_cast<double>(reject_us_cap),
-       "rejection latency above cap");
-  gate(stats.shed == 0, "shed counter stayed zero");
-  gate(stats.rejected == 0, "rejected counter stayed zero");
-  gate(stats.deadline_misses == 0, "deadline_misses counter stayed zero");
-  gate(stats.cancellations == 0, "cancellations counter stayed zero");
-  gate(health.service_breaker_trips == 0, "breaker never tripped");
-  gate(stats.breaker_rejections == 0, "breaker never rejected");
-  std::printf("overload_soak: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  soak::Gates gates;
+  gates.check(totals.unexpected.load() != 0, "unexpected exceptions");
+  gates.check(totals.late.load() != 0,
+              "admitted request terminal past 2x deadline");
+  gates.check(goodput < goodput_frac * capacity, "goodput below threshold");
+  gates.check(rejects.count.load() == 0, "no O(us) rejections sampled");
+  gates.check(reject_us_mean > static_cast<double>(reject_us_cap),
+              "rejection latency above cap");
+  gates.check(stats.shed == 0, "shed counter stayed zero");
+  gates.check(stats.rejected == 0, "rejected counter stayed zero");
+  gates.check(stats.deadline_misses == 0,
+              "deadline_misses counter stayed zero");
+  gates.check(stats.cancellations == 0, "cancellations counter stayed zero");
+  gates.check(health.service_breaker_trips == 0, "breaker never tripped");
+  gates.check(stats.breaker_rejections == 0, "breaker never rejected");
+  return gates.verdict("overload_soak");
 }
 
 // ---- shard/coalesce A-B bench ----------------------------------------------
-
-/// The small-shape pool the Zipf distribution ranks over: f32 cubes in
-/// the dispatch-dominated regime (Table II — per-call overhead rivals or
-/// exceeds the arithmetic below ~32^3).
-constexpr index_t kPoolDims[] = {8, 12, 16, 24, 32};
-constexpr std::size_t kPoolSize = sizeof(kPoolDims) / sizeof(kPoolDims[0]);
-
-struct ShapeSet {
-  // One shared A and B per shape: every request for a shape presents
-  // literally the same B view, so coalesced groups hit the pack-once
-  // fast path exactly as a DNN inference batch would.
-  std::vector<Matrix<float>> as;
-  std::vector<Matrix<float>> bs;
-  ShapeSet() {
-    Rng rng(4242);
-    for (const index_t d : kPoolDims) {
-      as.emplace_back(d, d);
-      bs.emplace_back(d, d);
-      as.back().fill_random(rng);
-      bs.back().fill_random(rng);
-    }
-  }
-};
 
 struct TrialConfig {
   int shards = 4;
@@ -409,7 +315,7 @@ struct TrialConfig {
 };
 
 struct TrialResult {
-  Totals totals;
+  soak::Totals totals;
   SmmService::Stats stats;
   double goodput = 0.0;
 };
@@ -425,130 +331,23 @@ ServiceOptions trial_options(const TrialConfig& cfg) {
   return options;
 }
 
-/// Zipf CDF over shape ranks: weight(rank i, 1-based) = 1 / i^s.
-std::vector<double> zipf_cdf(double s) {
-  std::vector<double> cdf(kPoolSize);
-  double total = 0.0;
-  for (std::size_t i = 0; i < kPoolSize; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf[i] = total;
-  }
-  for (auto& v : cdf) v /= total;
-  return cdf;
-}
-
-/// Wait a ticket and classify its terminal state into the totals.
-/// `waited_ms` is measured at classification time, an upper bound on the
-/// per-request terminal latency (done tickets are classified promptly by
-/// the producer's poll sweep, so the bound stays tight).
-void classify(const Pending& item, Totals& totals, long slack_ms) {
-  const Result& r = item.ticket.wait();
-  const auto waited_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                            item.submitted)
-          .count();
-  if (r.ok) {
-    totals.ok.fetch_add(1);
-  } else if (r.code == ErrorCode::kOverloaded ||
-             r.code == ErrorCode::kShuttingDown) {
-    totals.refused.fetch_add(1);
-  } else if (r.code == ErrorCode::kCancelled ||
-             r.code == ErrorCode::kDeadlineExceeded) {
-    totals.stopped.fetch_add(1);
-  } else {
-    totals.unexpected.fetch_add(1);
-    std::fprintf(stderr, "unexpected terminal state: %s\n",
-                 r.message.c_str());
-  }
-  if (r.code != ErrorCode::kOverloaded &&
-      r.code != ErrorCode::kShuttingDown &&
-      waited_ms > 2 * item.deadline_ms + slack_ms) {
-    totals.late.fetch_add(1);
-    std::fprintf(stderr, "late terminal: %lld ms (deadline %ld ms)\n",
-                 static_cast<long long>(waited_ms), item.deadline_ms);
-  }
-}
-
-void run_trial(const TrialConfig& cfg, ShapeSet& shapes,
+void run_trial(const TrialConfig& cfg, const soak::ShapePool& pool,
                TrialResult& out) {
   SmmService service(trial_options(cfg));
-  const std::vector<double> cdf = zipf_cdf(cfg.zipf_s);
 
   // Warm every shape's plan (and the coalescer's packed-B path) through
   // the service before the timed window.
-  for (std::size_t s = 0; s < kPoolSize; ++s) {
-    Matrix<float> c(kPoolDims[s], kPoolDims[s]);
+  for (std::size_t s = 0; s < pool.size(); ++s) {
+    Matrix<float> c(pool.dim(s), pool.dim(s));
     for (int i = 0; i < 3; ++i)
-      service
-          .submit(1.0f, shapes.as[s].cview(), shapes.bs[s].cview(), 0.0f,
-                  c.view())
-          .wait();
+      service.submit(1.0f, pool.a(s), pool.b(s), 0.0f, c.view()).wait();
   }
 
-  // Producers classify their own tickets with a nonblocking poll sweep
-  // each iteration instead of handing them to a blocking collector
-  // thread: a per-ticket futex ping-pong would dominate the request cost
-  // on a saturated machine and mask the dispatch overhead this bench
-  // exists to measure.
-  constexpr int kProducers = 2;
-  std::vector<std::thread> threads;
   const auto t_end = Clock::now() + std::chrono::seconds(cfg.seconds);
-  const auto period = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(kProducers / cfg.offered));
-
-  for (int w = 0; w < kProducers; ++w) {
-    threads.emplace_back([&, w] {
-      // Per-shape C rings: slot reuse waits on the ticket that last
-      // wrote the slot, bounding outstanding work without ever letting
-      // two in-flight requests share an output (which the coalescer's
-      // conflict sweep would refuse to group anyway).
-      constexpr int kRing = 32;
-      std::vector<std::vector<Matrix<float>>> cs(kPoolSize);
-      std::vector<std::vector<Ticket>> rings(kPoolSize);
-      std::vector<std::size_t> nshape(kPoolSize, 0);
-      for (std::size_t s = 0; s < kPoolSize; ++s) {
-        rings[s].resize(kRing);
-        for (int i = 0; i < kRing; ++i)
-          cs[s].emplace_back(kPoolDims[s], kPoolDims[s]);
-      }
-      std::deque<Pending> pending;
-      std::mt19937 rng(1000u + static_cast<unsigned>(w));
-      std::uniform_real_distribution<double> uni(0.0, 1.0);
-      auto next = Clock::now();
-      while (Clock::now() < t_end) {
-        const double u = uni(rng);
-        std::size_t s = 0;
-        while (s + 1 < kPoolSize && u > cdf[s]) ++s;
-        const std::size_t slot = nshape[s] % kRing;
-        if (rings[s][slot].valid()) rings[s][slot].wait();
-        const auto t0 = Clock::now();
-        Ticket t = service.submit(1.0f, shapes.as[s].cview(),
-                                  shapes.bs[s].cview(), 0.0f,
-                                  cs[s][slot].view(), Priority::kNormal,
-                                  cfg.deadline_ms);
-        rings[s][slot] = t;
-        ++nshape[s];
-        pending.push_back({t, t0, cfg.deadline_ms});
-        while (!pending.empty() && pending.front().ticket.done()) {
-          classify(pending.front(), out.totals, cfg.slack_ms);
-          pending.pop_front();
-        }
-        next += period;
-        // Pacing: only sleep when ahead of schedule — sleep_until on a
-        // past deadline still costs a syscall, which at these request
-        // rates would itself become the bottleneck.
-        if (Clock::now() < next) std::this_thread::sleep_until(next);
-      }
-      // Drain in submit order: the front is the oldest outstanding
-      // ticket, so each wait() below measures a latency close to the
-      // actual terminal time.
-      while (!pending.empty()) {
-        classify(pending.front(), out.totals, cfg.slack_ms);
-        pending.pop_front();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  soak::Producers(service, pool, cfg.offered, cfg.deadline_ms, cfg.slack_ms,
+                  out.totals,
+                  {.stop = [t_end] { return Clock::now() >= t_end; }})
+      .join();
   service.drain();
   out.stats = service.stats();
   service.shutdown();
@@ -617,7 +416,10 @@ int run_shard_bench(int argc, char** argv) {
   const std::string json_path =
       bench::arg_value(argc, argv, "--json", "BENCH_shard.json");
 
-  ShapeSet shapes;
+  // The small-shape pool the Zipf distribution ranks over: f32 cubes in
+  // the dispatch-dominated regime (Table II — per-call overhead rivals or
+  // exceeds the arithmetic below ~32^3).
+  const soak::ShapePool pool({8, 12, 16, 24, 32}, 4242, cfg.zipf_s);
 
   // Calibrate uncoalesced capacity: synchronous Zipf-mix submit/wait
   // round-trips against a trial-A-configured service.
@@ -627,29 +429,15 @@ int run_shard_bench(int argc, char** argv) {
     cal.coalesce_depth = 1;
     cal.coalesce_window_us = 0;
     SmmService service(trial_options(cal));
-    const std::vector<double> cdf = zipf_cdf(cfg.zipf_s);
     std::mt19937 rng(7);
     std::uniform_real_distribution<double> uni(0.0, 1.0);
-    std::vector<Matrix<float>> cs;
-    for (const index_t d : kPoolDims) cs.emplace_back(d, d);
+    std::vector<Matrix<float>> cs = pool.outputs();
     for (int i = 0; i < 50; ++i)  // warm
-      service
-          .submit(1.0f, shapes.as[0].cview(), shapes.bs[0].cview(), 0.0f,
-                  cs[0].view())
-          .wait();
-    constexpr int kCal = 400;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kCal; ++i) {
-      const double u = uni(rng);
-      std::size_t s = 0;
-      while (s + 1 < kPoolSize && u > cdf[s]) ++s;
-      service
-          .submit(1.0f, shapes.as[s].cview(), shapes.bs[s].cview(), 0.0f,
-                  cs[s].view())
-          .wait();
-    }
-    const double unit_s =
-        std::chrono::duration<double>(Clock::now() - t0).count() / kCal;
+      service.submit(1.0f, pool.a(0), pool.b(0), 0.0f, cs[0].view()).wait();
+    const double unit_s = soak::sync_unit_s(1, 400, [&] {
+      const std::size_t s = pool.pick(uni(rng));
+      service.submit(1.0f, pool.a(s), pool.b(s), 0.0f, cs[s].view()).wait();
+    });
     capacity = 1.0 / unit_s;
     service.shutdown();
     std::printf(
@@ -659,17 +447,8 @@ int run_shard_bench(int argc, char** argv) {
   cfg.offered = overload * capacity;
 
   // Zero-deadlock monitor across both trials.
-  std::atomic<bool> finished{false};
-  std::thread monitor([&] {
-    const auto deadline =
-        Clock::now() + std::chrono::seconds(6 * cfg.seconds + 120);
-    while (Clock::now() < deadline) {
-      if (finished.load()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    std::fprintf(stderr, "GLOBAL DEADLINE: shard bench did not finish\n");
-    std::_Exit(2);
-  });
+  const soak::DeadlineMonitor monitor(
+      std::chrono::seconds(6 * cfg.seconds + 120), "shard bench");
 
   // Interleaved A/B pairs, best-of-2 per config: the gain is a ratio of
   // two 6-second throughput measurements on a shared host, and a single
@@ -687,13 +466,13 @@ int run_shard_bench(int argc, char** argv) {
   constexpr int kTrialReps = 2;
   TrialResult ra[kTrialReps], rb[kTrialReps];
   for (int r = 0; r < kTrialReps; ++r) {
-    run_trial(cfg_a, shapes, ra[r]);
+    run_trial(cfg_a, pool, ra[r]);
     std::printf("trial A#%d (uncoalesced): ok %zu refused %zu stopped %zu "
                 "late %zu goodput %.0f req/s steals %zu\n",
                 r, ra[r].totals.ok.load(), ra[r].totals.refused.load(),
                 ra[r].totals.stopped.load(), ra[r].totals.late.load(),
                 ra[r].goodput, ra[r].stats.steals);
-    run_trial(cfg_b, shapes, rb[r]);
+    run_trial(cfg_b, pool, rb[r]);
     std::printf("trial B#%d (coalesced d=%zu w=%ldus): ok %zu refused %zu "
                 "stopped %zu late %zu goodput %.0f req/s groups %zu "
                 "items %zu steals %zu\n",
@@ -705,9 +484,6 @@ int run_shard_bench(int argc, char** argv) {
   }
   const TrialResult& a = ra[ra[1].goodput > ra[0].goodput ? 1 : 0];
   const TrialResult& b = rb[rb[1].goodput > rb[0].goodput ? 1 : 0];
-
-  finished.store(true);
-  monitor.join();
 
   // Warm single-request core latencies (BENCH_dispatch comparison rows).
   const index_t warm_dims[] = {8, 16, 32, 64};
@@ -761,28 +537,22 @@ int run_shard_bench(int argc, char** argv) {
   std::printf("coalesced gain: %.2fx (gate %.2fx); BENCH written to %s\n",
               measured_gain, gain, json_path.c_str());
 
-  bool failed = false;
-  const auto gate = [&](bool bad, const char* what) {
-    if (!bad) return;
-    std::fprintf(stderr, "GATE FAILED: %s\n", what);
-    failed = true;
-  };
+  soak::Gates gates;
   for (int r = 0; r < kTrialReps; ++r) {
-    gate(ra[r].totals.unexpected.load() != 0,
-         "trial A unexpected exceptions");
-    gate(rb[r].totals.unexpected.load() != 0,
-         "trial B unexpected exceptions");
-    gate(ra[r].totals.late.load() != 0,
+    gates.check(ra[r].totals.unexpected.load() != 0,
+                "trial A unexpected exceptions");
+    gates.check(rb[r].totals.unexpected.load() != 0,
+                "trial B unexpected exceptions");
+    gates.check(ra[r].totals.late.load() != 0,
          "trial A terminal past 2x deadline (PR 5 guarantee)");
-    gate(rb[r].totals.late.load() != 0,
+    gates.check(rb[r].totals.late.load() != 0,
          "trial B terminal past 2x deadline (PR 5 guarantee)");
-    gate(rb[r].stats.coalesced_groups == 0,
-         "trial B never coalesced a group");
+    gates.check(rb[r].stats.coalesced_groups == 0,
+                "trial B never coalesced a group");
   }
-  gate(measured_gain < gain,
-       "coalesced goodput below gain gate at equal offered load");
-  std::printf("shard_bench: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  gates.check(measured_gain < gain,
+              "coalesced goodput below gain gate at equal offered load");
+  return gates.verdict("shard_bench");
 }
 
 }  // namespace

@@ -61,10 +61,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <mutex>
@@ -74,7 +72,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/rng.h"
+#include "bench/soak.h"
 #include "src/common/str.h"
 #include "src/matrix/matrix.h"
 #include "src/resilient/resilient.h"
@@ -85,6 +83,7 @@
 namespace {
 
 using namespace smm;
+namespace soak = bench::soak;
 using Clock = std::chrono::steady_clock;
 using service::Priority;
 using service::Result;
@@ -132,25 +131,6 @@ struct ModeResult {
   std::size_t arrivals = 0, shed = 0, calls = 0, attempts = 0;
   std::size_t ok = 0, ok_late = 0, failed = 0, unexpected = 0, overlong = 0;
   std::size_t lost = 0;
-};
-
-// ---- shape pool ------------------------------------------------------------
-
-constexpr index_t kPoolDims[] = {24, 32, 40, 48, 64};
-constexpr std::size_t kPoolSize = sizeof(kPoolDims) / sizeof(kPoolDims[0]);
-
-struct ShapeSet {
-  std::vector<Matrix<float>> as;
-  std::vector<Matrix<float>> bs;
-  ShapeSet() {
-    Rng rng(2424);
-    for (const index_t d : kPoolDims) {
-      as.emplace_back(d, d);
-      bs.emplace_back(d, d);
-      as.back().fill_random(rng);
-      bs.back().fill_random(rng);
-    }
-  }
 };
 
 // ---- open-loop arrival buffer ----------------------------------------------
@@ -278,8 +258,8 @@ struct SoakConfig {
   double phase_secs[kNumPhases] = {};
 };
 
-ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
-                    const ShapeSet& shapes, const std::vector<double>& cdf) {
+/// The storm topology, shared by the capacity probe and both mode runs.
+ServiceOptions storm_options(const SoakConfig& cfg) {
   ServiceOptions options;
   options.shards = 2;
   options.lanes = 1;
@@ -287,7 +267,12 @@ ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
   options.queue_depth = cfg.queue_depth;
   options.coalesce_depth = 1;  // coalescing would mask the capacity dip
   options.coalesce_window_us = 0;
-  SmmService service(options);
+  return options;
+}
+
+ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
+                    const soak::ShapePool& pool) {
+  SmmService service(storm_options(cfg));
 
   resilient::RetryBudget budget(8.0);
   resilient::ResilientOptions ropts;
@@ -315,8 +300,7 @@ ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
   for (int w = 0; w < cfg.callers; ++w) {
     callers.emplace_back([&, w] {
       (void)w;
-      std::vector<Matrix<float>> cs;
-      for (const index_t d : kPoolDims) cs.emplace_back(d, d);
+      std::vector<Matrix<float>> cs = pool.outputs();
       Arrival item;
       while (buffer.pop(item)) {
         totals.calls.fetch_add(1);
@@ -324,13 +308,11 @@ ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
         CallOutcome out;
         if (budgeted) {
           out.result = client.execute(
-              1.0f, shapes.as[item.shape].cview(),
-              shapes.bs[item.shape].cview(), 0.0f, cs[item.shape].view(),
-              Priority::kNormal, cfg.deadline_ms);
+              1.0f, pool.a(item.shape), pool.b(item.shape), 0.0f,
+              cs[item.shape].view(), Priority::kNormal, cfg.deadline_ms);
           out.attempts = 1;  // retries are accounted from client.stats()
         } else {
-          out = naive_call(service, shapes.as[item.shape].cview(),
-                           shapes.bs[item.shape].cview(),
+          out = naive_call(service, pool.a(item.shape), pool.b(item.shape),
                            cs[item.shape].view(), cfg.deadline_ms,
                            cfg.naive_attempts);
           totals.attempts.fetch_add(out.attempts);
@@ -388,9 +370,7 @@ ModeResult run_mode(bool budgeted, const SoakConfig& cfg,
       last = now;
       while (owed >= 1.0) {
         owed -= 1.0;
-        const double u = uni(rng);
-        std::size_t s = 0;
-        while (s + 1 < kPoolSize && u > cdf[s]) ++s;
+        const std::size_t s = pool.pick(uni(rng));
         totals.arrivals.fetch_add(1);
         totals.arrivals_by_phase[p].fetch_add(1);
         if (!buffer.push({now, p, s})) totals.shed.fetch_add(1);
@@ -549,16 +529,7 @@ int run_soak(int argc, char** argv) {
   const std::string json_path =
       bench::arg_value(argc, argv, "--json", "BENCH_retry.json");
 
-  ShapeSet shapes;
-  std::vector<double> cdf(kPoolSize);
-  {
-    double total = 0.0;
-    for (std::size_t i = 0; i < kPoolSize; ++i) {
-      total += 1.0 / std::pow(static_cast<double>(i + 1), 1.3);
-      cdf[i] = total;
-    }
-    for (auto& v : cdf) v /= total;
-  }
+  const soak::ShapePool pool({24, 32, 40, 48, 64}, 2424, 1.3);
 
   // Probe CONCURRENT capacity with the same topology and caller count
   // the soak uses (a synchronous per-request calibration overestimates
@@ -568,14 +539,7 @@ int run_soak(int argc, char** argv) {
   // precondition).
   double capacity_per_s = 0.0;
   {
-    ServiceOptions copt;
-    copt.shards = 2;
-    copt.lanes = 1;
-    copt.threads_per_request = 1;
-    copt.queue_depth = cfg.queue_depth;
-    copt.coalesce_depth = 1;
-    copt.coalesce_window_us = 0;
-    SmmService cal(copt);
+    SmmService cal(storm_options(cfg));
     std::atomic<std::size_t> done{0};
     std::atomic<bool> stop{false};
     std::vector<std::thread> workers;
@@ -583,14 +547,10 @@ int run_soak(int argc, char** argv) {
       workers.emplace_back([&, w] {
         std::mt19937 rng(100u + static_cast<unsigned>(w));
         std::uniform_real_distribution<double> uni(0.0, 1.0);
-        std::vector<Matrix<float>> cs;
-        for (const index_t d : kPoolDims) cs.emplace_back(d, d);
+        std::vector<Matrix<float>> cs = pool.outputs();
         while (!stop.load(std::memory_order_relaxed)) {
-          const double u = uni(rng);
-          std::size_t s = 0;
-          while (s + 1 < kPoolSize && u > cdf[s]) ++s;
-          if (cal.submit(1.0f, shapes.as[s].cview(), shapes.bs[s].cview(),
-                         0.0f, cs[s].view())
+          const std::size_t s = pool.pick(uni(rng));
+          if (cal.submit(1.0f, pool.a(s), pool.b(s), 0.0f, cs[s].view())
                   .wait()
                   .ok)
             done.fetch_add(1, std::memory_order_relaxed);
@@ -626,33 +586,21 @@ int run_soak(int argc, char** argv) {
 
   // Zero-deadlock monitor: both mode runs plus drains must finish well
   // inside this bound or the process dies with exit 2.
-  std::atomic<bool> finished{false};
-  std::thread monitor([&] {
-    const auto deadline =
-        Clock::now() +
-        std::chrono::seconds(6 * cfg.seconds + 120 +
-                             2 * cfg.naive_attempts *
-                                 (cfg.deadline_ms / 1000 + 1));
-    while (Clock::now() < deadline) {
-      if (finished.load()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    std::fprintf(stderr, "GLOBAL DEADLINE: soak did not finish\n");
-    std::_Exit(2);
-  });
+  const soak::DeadlineMonitor monitor(
+      std::chrono::seconds(6 * cfg.seconds + 120 +
+                           2 * cfg.naive_attempts *
+                               (cfg.deadline_ms / 1000 + 1)),
+      "soak");
 
-  const ModeResult naive = run_mode(/*budgeted=*/false, cfg, shapes, cdf);
+  const ModeResult naive = run_mode(/*budgeted=*/false, cfg, pool);
 
   robust::health().reset();
-  const ModeResult budgeted = run_mode(/*budgeted=*/true, cfg, shapes, cdf);
+  const ModeResult budgeted = run_mode(/*budgeted=*/true, cfg, pool);
   const auto h = robust::health().snapshot();
   std::printf("§16 counters: retry_attempts %zu retry_successes %zu "
               "retry_budget_exhausted %zu limiter_dips %zu\n",
               h.retry_attempts, h.retry_successes,
               h.retry_budget_exhausted, h.limiter_dips);
-
-  finished.store(true);
-  monitor.join();
 
   {
     std::ofstream json(json_path);
@@ -682,68 +630,51 @@ int run_soak(int argc, char** argv) {
     json << "}\n";
   }
 
-  bool failed = false;
-  const auto gate = [&](bool bad, const char* what) {
-    if (!bad) return;
-    std::fprintf(stderr, "GATE FAILED: %s\n", what);
-    failed = true;
-  };
-  gate(budgeted.ratio < cfg.goodput_frac,
-       "budgeted goodput did not recover past the fault");
-  gate(naive.ratio >= cfg.goodput_frac,
-       "naive goodput recovered — the harness demonstrated nothing");
-  gate(budgeted.amplification > 1.0 + cfg.budget_frac + 0.05,
-       "budgeted retries amplified past the budget bound");
-  gate(naive.amplification < 1.5, "naive retry storm never formed");
-  gate(budgeted.lost != 0 || naive.lost != 0,
-       "lost calls (arrival neither executed nor shed)");
-  gate(budgeted.unexpected != 0 || naive.unexpected != 0,
-       "unexpected terminal codes");
-  gate(budgeted.overlong != 0,
-       "a budgeted call ran past deadline + slack");
-  gate(h.retry_attempts == 0, "retry_attempts counter stayed zero");
-  gate(h.retry_successes < min_rescues,
-       "retry_successes counter below the rescue floor");
-  gate(h.retry_budget_exhausted == 0,
-       "retry_budget_exhausted counter stayed zero");
-  gate(h.limiter_dips == 0, "limiter_dips counter stayed zero");
-  gate(h.retry_successes > h.retry_attempts,
-       "retry_successes exceeded retry_attempts");
-  std::printf("retry_storm_soak: %s\n", failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  soak::Gates gates;
+  gates.check(budgeted.ratio < cfg.goodput_frac,
+              "budgeted goodput did not recover past the fault");
+  gates.check(naive.ratio >= cfg.goodput_frac,
+              "naive goodput recovered — the harness demonstrated nothing");
+  gates.check(budgeted.amplification > 1.0 + cfg.budget_frac + 0.05,
+              "budgeted retries amplified past the budget bound");
+  gates.check(naive.amplification < 1.5, "naive retry storm never formed");
+  gates.check(budgeted.lost != 0 || naive.lost != 0,
+              "lost calls (arrival neither executed nor shed)");
+  gates.check(budgeted.unexpected != 0 || naive.unexpected != 0,
+              "unexpected terminal codes");
+  gates.check(budgeted.overlong != 0,
+              "a budgeted call ran past deadline + slack");
+  gates.check(h.retry_attempts == 0, "retry_attempts counter stayed zero");
+  gates.check(h.retry_successes < min_rescues,
+              "retry_successes counter below the rescue floor");
+  gates.check(h.retry_budget_exhausted == 0,
+              "retry_budget_exhausted counter stayed zero");
+  gates.check(h.limiter_dips == 0, "limiter_dips counter stayed zero");
+  gates.check(h.retry_successes > h.retry_attempts,
+              "retry_successes exceeded retry_attempts");
+  return gates.verdict("retry_storm_soak");
 }
 
 // ---- perf smoke (--perf-check) ---------------------------------------------
 
-constexpr index_t kPerfDim = 64;
-
 double perf_trial(bool resilient_path, int requests) {
-  ServiceOptions options;
-  options.shards = 1;
-  options.lanes = 1;
-  options.threads_per_request = 2;
-  options.queue_depth = 32;
-  SmmService service(options);
+  SmmService service(soak::perf_service_options());
   resilient::RetryBudget budget(8.0);
   resilient::ResilientClient client(service, {}, &budget);
-  Rng rng(42);
-  Matrix<double> a(kPerfDim, kPerfDim), b(kPerfDim, kPerfDim),
-      c(kPerfDim, kPerfDim);
-  a.fill_random(rng);
-  b.fill_random(rng);
-  for (int i = 0; i < 50; ++i)
-    service.submit(1.0, a.cview(), b.cview(), 0.0, c.view()).wait();
-  const auto t0 = Clock::now();
-  for (int i = 0; i < requests; ++i) {
+  soak::Cube cube;
+  const auto raw = [&] {
+    service.submit(1.0, cube.a.cview(), cube.b.cview(), 0.0, cube.c.view())
+        .wait();
+  };
+  for (int i = 0; i < 50; ++i) raw();
+  const double goodput = soak::goodput_per_s(requests, [&] {
     if (resilient_path)
-      client.execute(1.0, a.cview(), b.cview(), 0.0, c.view());
+      client.execute(1.0, cube.a.cview(), cube.b.cview(), 0.0, cube.c.view());
     else
-      service.submit(1.0, a.cview(), b.cview(), 0.0, c.view()).wait();
-  }
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+      raw();
+  });
   service.shutdown();
-  return static_cast<double>(requests) / elapsed;
+  return goodput;
 }
 
 int run_perf_check(int argc, char** argv) {
@@ -756,21 +687,10 @@ int run_perf_check(int argc, char** argv) {
   const std::string json_path =
       bench::arg_value(argc, argv, "--json", "BENCH_retry.json");
 
-  // Interleaved best-of-N: decorrelates host frequency/load drift; the
-  // best rep is each path's undisturbed run.
-  double best_res = 0.0, best_raw = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const double res = perf_trial(/*resilient_path=*/true, requests);
-    const double raw = perf_trial(/*resilient_path=*/false, requests);
-    std::printf("perf rep %d: resilient %.0f req/s, raw %.0f req/s\n", r,
-                res, raw);
-    best_res = std::max(best_res, res);
-    best_raw = std::max(best_raw, raw);
-  }
-  const double ratio = best_raw > 0.0 ? best_res / best_raw : 0.0;
-  std::printf("perf-check: resilient %.0f req/s, raw %.0f req/s, ratio "
-              "%.3f (gate %.2f)\n",
-              best_res, best_raw, ratio, ratio_gate);
+  const soak::BestOf best = soak::interleaved_best_of(
+      reps, [&] { return perf_trial(/*resilient_path=*/true, requests); },
+      [&] { return perf_trial(/*resilient_path=*/false, requests); },
+      "resilient", "raw", ratio_gate);
   {
     std::ofstream json(json_path);
     json << "{\n  \"bench\": \"retry_perf_check\",\n";
@@ -779,17 +699,15 @@ int run_perf_check(int argc, char** argv) {
     json << strprintf("  \"goodput_resilient_per_s\": %.1f, "
                       "\"goodput_raw_per_s\": %.1f, \"ratio\": %.3f, "
                       "\"ratio_gate\": %.2f\n",
-                      best_res, best_raw, ratio, ratio_gate);
+                      best.a, best.b, best.ratio, ratio_gate);
     json << "}\n";
   }
-  const bool failed = ratio < ratio_gate;
-  if (failed)
-    std::fprintf(stderr, "GATE FAILED: fault-free ResilientClient "
-                         "goodput below %.2fx of raw submit\n",
-                 ratio_gate);
-  std::printf("retry_storm_soak --perf-check: %s\n",
-              failed ? "FAIL" : "PASS");
-  return failed ? 1 : 0;
+  soak::Gates gates;
+  gates.check(best.ratio < ratio_gate,
+              strprintf("fault-free ResilientClient goodput below %.2fx of "
+                        "raw submit",
+                        ratio_gate));
+  return gates.verdict("retry_storm_soak --perf-check");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/core/kernel_select.h"
 #include "src/core/plan_builder.h"
 #include "src/sim/machine.h"
 
@@ -16,8 +17,7 @@ namespace smm::core {
 /// The search space. Defaults cover the register-feasible main tiles and
 /// the cache-plausible blockings; all candidates are validated plans.
 struct TuneSpace {
-  std::vector<std::pair<index_t, index_t>> tiles{
-      {16, 4}, {12, 4}, {8, 8}, {8, 4}, {4, 4}};
+  std::vector<std::pair<index_t, index_t>> tiles = smm_main_tiles();
   std::vector<index_t> kc_values{128, 256, 512};
   /// Packing-B choices to try (A follows the footprint heuristic).
   std::vector<bool> pack_b_choices{false, true};

@@ -104,7 +104,7 @@ void for_each_alias(const std::vector<GemmBatchItem<T>>& items,
 template <typename T>
 void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
                  T beta, PlanCache& cache, int nworkers,
-                 const CancelToken* cancel) {
+                 const CancelToken* cancel, const SmmOptions* options) {
   SMM_EXPECT(nworkers >= 1, "batched_smm needs at least one worker");
   // Up-front validation: bad items are caller bugs and reject the whole
   // batch before any plan lookup or any work starts.
@@ -127,8 +127,7 @@ void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
   // the casualties, carrying the code of the lowest-index failure.
   const std::vector<const CancelToken*> tokens(items.size(), cancel);
   const auto statuses = batched_smm_each(alpha, items, beta, cache,
-                                         nworkers, /*options=*/nullptr,
-                                         &tokens);
+                                         nworkers, options, &tokens);
   std::size_t failed = 0;
   ErrorCode first_code = ErrorCode::kUnknown;
   std::string detail;
@@ -145,9 +144,11 @@ void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
 }
 
 template void batched_smm(float, const std::vector<GemmBatchItem<float>>&,
-                          float, PlanCache&, int, const CancelToken*);
+                          float, PlanCache&, int, const CancelToken*,
+                          const SmmOptions*);
 template void batched_smm(double, const std::vector<GemmBatchItem<double>>&,
-                          double, PlanCache&, int, const CancelToken*);
+                          double, PlanCache&, int, const CancelToken*,
+                          const SmmOptions*);
 
 template <typename T>
 std::vector<BatchItemStatus> batched_smm_each(

@@ -41,7 +41,10 @@ struct BatchItemStatus {
 ///     the whole batch, naming the item, before any plan lookup; a
 ///     `cancel` (may be null) already stopped at entry throws its stop
 ///     code.
-///  2. One batched_smm_each call with `cancel` repeated per item — so
+///  2. One batched_smm_each call with `cancel` repeated per item and
+///     `options` passed through (null = the cache's default-built plans;
+///     non-null resolves plans as smm_gemm does and, with check_finite,
+///     rejects a poisoned item with kNonFinite) — so
 ///     plans resolve once per distinct shape, `nworkers` > 1 spreads
 ///     items across threads, the pack-once fast path runs whether or not
 ///     the token is live, and the token stops each item at op boundaries
@@ -53,7 +56,8 @@ struct BatchItemStatus {
 template <typename T>
 void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
                  T beta, PlanCache& cache, int nworkers = 1,
-                 const CancelToken* cancel = nullptr);
+                 const CancelToken* cancel = nullptr,
+                 const SmmOptions* options = nullptr);
 
 /// Per-item variant for coalesced dispatch (DESIGN.md §13): never throws
 /// for item-level trouble — every item gets its own BatchItemStatus, so

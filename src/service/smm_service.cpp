@@ -1426,9 +1426,10 @@ Ticket SmmService::submit_batch(T alpha, std::vector<BatchItem<T>> items,
     request.state->cancel = CancelSource(request.deadline);
   }
   const int threads = options_.threads_per_request;
-  request.run = [alpha, beta, batch, threads](const CancelToken& token,
-                                              core::PlanCache& cache) {
-    core::batched_smm(alpha, *batch, beta, cache, threads, &token);
+  const core::SmmOptions gemm = options_.gemm;
+  request.run = [alpha, beta, batch, threads, gemm](
+                    const CancelToken& token, core::PlanCache& cache) {
+    core::batched_smm(alpha, *batch, beta, cache, threads, &token, &gemm);
   };
   return admit(std::move(request));
 }

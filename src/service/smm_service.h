@@ -287,7 +287,8 @@ class SmmService {
                 long deadline_ms = 0);
 
   /// Submit a whole batch as one request (runs through batched_smm with
-  /// the request's token; one ticket covers all items). Batch
+  /// the request's token and `gemm` options, as submit does; one ticket
+  /// covers all items). Batch
   /// submissions route by a combined hash of their item shapes and are
   /// never coalesced with other requests.
   template <typename T>

@@ -704,6 +704,27 @@ TEST_F(ServiceTest, ServiceScreensNonFiniteWhenConfigured) {
   svc.shutdown();
 }
 
+TEST_F(ServiceTest, SubmitBatchScreensNonFiniteWhenConfigured) {
+  // submit_batch runs under ServiceOptions::gemm just as submit does: a
+  // NaN in a batch item is rejected before any of its C is written.
+  ServiceOptions options;
+  options.shards = 1;
+  options.gemm.check_finite = true;
+  SmmService svc(options);
+  test::GemmProblem<double> p(16, 16, 16, 75);
+  p.a.view()(2, 3) = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t before =
+      robust::health().snapshot().nonfinite_rejections;
+  std::vector<service::BatchItem<double>> items{
+      {p.a.cview(), p.b.cview(), p.c.view()}};
+  const Result r = svc.submit_batch(1.0, items, 0.0).wait();
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.code, ErrorCode::kNonFinite) << r.message;
+  EXPECT_EQ(max_abs_diff(p.c.cview(), p.c_expected.cview()), 0.0);
+  EXPECT_EQ(robust::health().snapshot().nonfinite_rejections, before + 1);
+  svc.shutdown();
+}
+
 // ---- coherent health snapshot ----------------------------------------------
 
 TEST_F(ServiceTest, SnapshotNeverTearsAcrossTransaction) {
