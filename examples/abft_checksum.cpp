@@ -1,8 +1,8 @@
 // Algorithm-Based Fault Tolerance (the paper's third motivating
 // workload), now built on smm::robust instead of hand-rolled checks.
 //
-// Part 1 uses the library checksum directly: robust::verify_gemm_checksum
-// encodes the same W = [ones; ramp] row checksums the original example
+// Part 1 uses the library checksum directly: robust::verify_and_repair in
+// detect mode checks the row and column checksums the original example
 // hand-rolled, detecting and localizing an injected soft error.
 //
 // Part 2 is the production shape of the idea: the GuardedExecutor runs
@@ -32,20 +32,26 @@ int main() {
   // --- Part 1: the checksum as a standalone detector -------------------
   Matrix<float> c(m, n);
   core::smm_gemm(1.0f, a.cview(), b.cview(), 0.0f, c.view());
-  auto report = robust::verify_gemm_checksum<float>(
-      1.0f, a.cview(), b.cview(), 0.0f, nullptr, m, c.cview());
+  const auto verify = [&] {
+    return robust::verify_and_repair<float>(
+        1.0f, a.cview(), b.cview(), 0.0f, nullptr, nullptr, m, c.view(),
+        integrity::AbftMode::kDetect);
+  };
+  auto report = verify();
   std::printf("clean result : residual %.3e (tol %.3e) -> %s\n",
               report.residual, report.tolerance,
               report.ok ? "clean" : "FAULT");
   const bool clean_ok = report.ok;
 
   c(37, 41) += 0.5f;  // a simulated soft error in the result
-  report = robust::verify_gemm_checksum<float>(
-      1.0f, a.cview(), b.cview(), 0.0f, nullptr, m, c.cview());
+  report = verify();
   std::printf("after bitflip: residual %.3e -> %s (column %ld)\n",
               report.residual, report.ok ? "clean?!" : "FAULT DETECTED",
-              static_cast<long>(report.worst_col));
-  const bool detected = !report.ok && report.worst_col == 41;
+              static_cast<long>(report.bad_col));
+  const bool detected = !report.ok && report.bad_col == 41;
+  // verify_and_repair counted that detection; start the health line
+  // below from zero so it describes the guarded run alone.
+  robust::health().reset();
 
   // --- Part 2: the guarded executor absorbing an injected fault --------
   robust::GuardedExecutor guard;  // reference SMM + ABFT verification
@@ -66,8 +72,8 @@ int main() {
   const bool recovered = run.ok() && run.retries >= 1;
 
   std::printf(
-      "ABFT cost: two checksum rows per verification — negligible next to "
-      "the m x n x k product, but only if small-M GEMM is fast (the "
-      "paper's point).\n");
+      "ABFT cost: one row and one column checksum per verification — "
+      "negligible next to the m x n x k product, but only if small-M GEMM "
+      "is fast (the paper's point).\n");
   return clean_ok && detected && recovered ? 0 : 1;
 }

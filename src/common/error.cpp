@@ -1,5 +1,6 @@
 #include "src/common/error.h"
 
+#include <new>
 #include <sstream>
 
 namespace smm {
@@ -50,6 +51,13 @@ const char* to_string(ErrorCode code) {
       return "retry-budget-exhausted";
   }
   return "?";
+}
+
+ErrorCode error_code_of(const std::exception& e) {
+  if (const auto* err = dynamic_cast<const Error*>(&e)) return err->code();
+  if (dynamic_cast<const std::bad_alloc*>(&e) != nullptr)
+    return ErrorCode::kAlloc;
+  return ErrorCode::kUnknown;
 }
 
 namespace detail {

@@ -65,6 +65,12 @@ class Error : public std::runtime_error {
   ErrorCode code_;
 };
 
+/// The ErrorCode a caught exception stands for: an Error's own code,
+/// kAlloc for std::bad_alloc, kUnknown for anything else. One mapping
+/// for every catch site, so memory pressure is retried alike solo,
+/// batched and coalesced.
+[[nodiscard]] ErrorCode error_code_of(const std::exception& e);
+
 namespace detail {
 [[noreturn]] void raise_error(const char* cond, const char* file, int line,
                               const std::string& msg);

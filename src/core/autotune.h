@@ -6,6 +6,7 @@
 // else is identical, which is the point of the plan/price split.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "src/core/kernel_select.h"
@@ -33,6 +34,17 @@ struct TuneResult {
     return best_cycles > 0.0 ? default_cycles / best_cycles : 1.0;
   }
 };
+
+/// The spec of one alternate-tile candidate: the reference blocking
+/// (kSmmMc, kSmmNc) with the given tile, kc and packing, edge-packing B
+/// exactly when B is not packed, and the static parallel choice for
+/// `nthreads`. Empty when that choice is a cooperative multi-thread plan
+/// without K parts and without packed B: such plans need shared packed
+/// buffers, so the candidate is skipped rather than built. autotune and
+/// the online tuner both draw their tile candidates from here.
+std::optional<BuildSpec> tile_candidate(GemmShape shape, int nthreads,
+                                        index_t mr, index_t nr, index_t kc,
+                                        bool pack_a, bool pack_b);
 
 /// Exhaustively price the space for one (shape, scalar, nthreads) and
 /// return the best spec. Deterministic; cost is |space| plan builds +

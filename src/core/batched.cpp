@@ -237,12 +237,9 @@ std::vector<BatchItemStatus> batched_smm_each(
                       : cache.get(shape, scalar, /*nthreads=*/1);
       plans[i] = plan;
       resolved.push_back({shape, std::move(plan)});
-    } catch (const Error& e) {
-      runnable[i] = 0;
-      fail(i, e.code(), e.what());
     } catch (const std::exception& e) {
       runnable[i] = 0;
-      fail(i, ErrorCode::kUnknown, e.what());
+      fail(i, error_code_of(e), e.what());
     }
   }
 
@@ -301,10 +298,8 @@ std::vector<BatchItemStatus> batched_smm_each(
                              item.c, token);
         }
         statuses[i].ok = true;
-      } catch (const Error& e) {
-        fail(i, e.code(), e.what());
       } catch (const std::exception& e) {
-        fail(i, ErrorCode::kUnknown, e.what());
+        fail(i, error_code_of(e), e.what());
       }
     }
   });

@@ -8,6 +8,12 @@
 
 namespace smm::core {
 
+/// Blocking of the reference SMM: mc/nc divisible by every main tile,
+/// kc large enough that SMM-sized K never splits.
+inline constexpr index_t kSmmMc = 240;
+inline constexpr index_t kSmmKc = 512;
+inline constexpr index_t kSmmNc = 480;
+
 struct BuildSpec {
   index_t mr = 16;
   index_t nr = 4;

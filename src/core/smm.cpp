@@ -21,12 +21,6 @@ namespace smm::core {
 
 namespace {
 
-// Blocking of the reference SMM: mc/nc divisible by every main tile,
-// kc large enough that SMM-sized K never splits.
-constexpr index_t kMc = 240;
-constexpr index_t kKc = 512;
-constexpr index_t kNc = 480;
-
 /// A block bigger than this (bytes) no longer fits comfortably next to the
 /// other operands in the 2 MB shared L2 — only then is packing A worth it.
 constexpr index_t kPackAThresholdBytes = 1024 * 1024;
@@ -90,9 +84,9 @@ BuildSpec default_build_spec(GemmShape shape, plan::ScalarType scalar,
     spec.mr = 16;
     spec.nr = 4;
   }
-  spec.mc = kMc;
-  spec.kc = kKc;
-  spec.nc = kNc;
+  spec.mc = kSmmMc;
+  spec.kc = kSmmKc;
+  spec.nc = kSmmNc;
 
   int max_threads = nthreads;
   if (options.thread_cap > 0)

@@ -68,14 +68,15 @@ struct FailoverOptions {
   /// (kRebuilding) readmits traffic. Env: SMMKIT_SHARD_QUARANTINE (ms).
   long quarantine_ms = 25;
   /// Fixed hedge delay in ms; 0 = derive it from the observed completion
-  /// latency percentile below. Env: SMMKIT_HEDGE_MS.
+  /// latency percentile kHedgePercentile. Env: SMMKIT_HEDGE_MS.
   long hedge_ms = 0;
-  /// A kHigh request is hedge-eligible when its deadline budget exceeds
-  /// this multiple of its predicted cost.
-  double hedge_budget_factor = 2.0;
-  /// Completion-latency percentile used for the auto hedge delay.
-  double hedge_percentile = 0.95;
 };
+
+/// A kHigh request is hedge-eligible when its deadline budget exceeds
+/// this multiple of its predicted cost.
+inline constexpr double kHedgeBudgetFactor = 2.0;
+/// Completion-latency percentile used for the auto hedge delay.
+inline constexpr double kHedgePercentile = 0.95;
 
 /// FailoverOptions with the SMMKIT_* environment overrides applied on
 /// top of `base` (unparsable or negative values are ignored).

@@ -163,17 +163,6 @@ void set_panel_a(KernelOperands<T>& ops, const T* a, index_t ps,
   ops.a_kstride = ps;
 }
 
-/// B sliver inside a panel-major matrix storing B^T (BLASFEO "nt" kernels):
-/// B(k, j) = Bt(j, k); `b` points at Bt element (j0, 0), j0 % ps == 0.
-template <typename T>
-void set_panel_bt(KernelOperands<T>& ops, const T* b, index_t ps,
-                  index_t total_cols_bt) {
-  ops.b = b;
-  ops.b_ps = ps;
-  ops.b_pstride = ps * total_cols_bt;
-  ops.b_kstride = ps;
-}
-
 // ---- Kernels -------------------------------------------------------------
 
 /// Fully general scalar micro-kernel: any tile, any addressing, masked C

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/types.h"
-
 namespace smm::kern {
 
 /// Micro-operation kinds. Mapped to issue-port classes by the pipeline
@@ -64,12 +62,6 @@ struct KernelSchedule {
   std::vector<Uop> epilogue;
   /// Useful FMA uops per body (for efficiency accounting).
   int fma_per_body = 0;
-
-  [[nodiscard]] index_t total_uops(index_t bodies) const {
-    return static_cast<index_t>(prologue.size()) +
-           bodies * static_cast<index_t>(body.size()) +
-           static_cast<index_t>(epilogue.size());
-  }
 };
 
 /// Instruction-layout families observed across the four libraries.

@@ -12,12 +12,6 @@ ExecScratch& ExecScratch::local() {
   return arena;
 }
 
-void ExecScratch::release() {
-  SMM_EXPECT(!busy_, "ExecScratch::release while leased");
-  slab_.reset_unchecked(0);
-  capacity_ = 0;
-}
-
 void ExecScratch::reserve_and_zero(std::size_t bytes) {
   // Memory-pressure injection: the slab refuses to serve this lease.
   // Consulted on every reserve (not just growth) so chaos tests can hit

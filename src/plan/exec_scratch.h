@@ -45,9 +45,6 @@ class ExecScratch {
   /// Leases served (arena path only, not fallback).
   [[nodiscard]] std::size_t lease_count() const { return leases_; }
 
-  /// Drop the slab (tests / memory-pressure hooks). Illegal while leased.
-  void release();
-
   /// Carves `sizes` (element counts of T, each slice cache-aligned and
   /// zero-filled) out of the arena for the lifetime of the lease. A size
   /// of 0 yields a null slice. `ptr(i)` addresses slice i.

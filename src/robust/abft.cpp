@@ -12,93 +12,6 @@
 
 namespace smm::robust {
 
-namespace {
-
-// Checksum weights from the ABFT example: w0 detects (all-ones), w1
-// localizes (ramp). Evaluated on the fly — never materialized.
-inline double weight(int row, index_t i, index_t m) {
-  return row == 0 ? 1.0
-                  : static_cast<double>(i + 1) / static_cast<double>(m);
-}
-
-}  // namespace
-
-template <typename T>
-ChecksumReport verify_gemm_checksum(T alpha, ConstMatrixView<T> a,
-                                    ConstMatrixView<T> b, T beta,
-                                    const T* c_before, index_t c_before_ld,
-                                    ConstMatrixView<T> c_after,
-                                    double tolerance_scale) {
-  const index_t m = c_after.rows();
-  const index_t n = c_after.cols();
-  const index_t k = a.cols();
-  SMM_EXPECT_CODE(a.rows() == m && b.rows() == k && b.cols() == n,
-                  ErrorCode::kBadShape, "checksum: operand shape mismatch");
-  SMM_EXPECT_CODE(beta == T(0) || c_before != nullptr,
-                  ErrorCode::kPrecondition,
-                  "checksum: beta != 0 needs the pre-update C");
-
-  ChecksumReport report;
-  double magnitude = 1.0;  // scale of the checksum values themselves
-  for (int r = 0; r < 2; ++r) {
-    // wa = w_r * A (1 x k), in double.
-    std::vector<double> wa(static_cast<std::size_t>(std::max<index_t>(k, 1)),
-                           0.0);
-    for (index_t i = 0; i < m; ++i) {
-      const double w = weight(r, i, m);
-      for (index_t kk = 0; kk < k; ++kk)
-        wa[static_cast<std::size_t>(kk)] +=
-            w * static_cast<double>(a(i, kk));
-    }
-    for (index_t j = 0; j < n; ++j) {
-      double expect = 0.0;
-      for (index_t kk = 0; kk < k; ++kk)
-        expect += wa[static_cast<std::size_t>(kk)] *
-                  static_cast<double>(b(kk, j));
-      expect *= static_cast<double>(alpha);
-      if (beta != T(0)) {
-        double wc0 = 0.0;
-        for (index_t i = 0; i < m; ++i)
-          wc0 += weight(r, i, m) *
-                 static_cast<double>(c_before[i + j * c_before_ld]);
-        expect += static_cast<double>(beta) * wc0;
-      }
-      double actual = 0.0;
-      for (index_t i = 0; i < m; ++i)
-        actual += weight(r, i, m) * static_cast<double>(c_after(i, j));
-      // Only the *expected* value feeds the tolerance: `actual` comes
-      // from the result under test, and a corrupted result must not be
-      // allowed to widen its own acceptance band.
-      magnitude = std::max(magnitude, std::abs(expect));
-      const double d = std::abs(actual - expect);
-      // NaN-safe max: a NaN difference is the worst possible residual
-      // and must stick — plain `!(d <= residual)` would let every later
-      // column overwrite it, hiding the fault behind a clean column.
-      if (std::isnan(report.residual)) continue;
-      if (std::isnan(d) || d > report.residual) {
-        report.residual = d;
-        report.worst_col = j;
-      }
-    }
-  }
-  // The checksum sums m rows of a k-deep GEMM: bound rounding by the
-  // combined accumulation depth, scaled to the checksum magnitude.
-  report.tolerance =
-      gemm_tolerance<T>(k + m) * tolerance_scale * magnitude;
-  report.ok = ChecksumReport::passes(report.residual, report.tolerance);
-  return report;
-}
-
-template ChecksumReport verify_gemm_checksum(float, ConstMatrixView<float>,
-                                             ConstMatrixView<float>, float,
-                                             const float*, index_t,
-                                             ConstMatrixView<float>, double);
-template ChecksumReport verify_gemm_checksum(double, ConstMatrixView<double>,
-                                             ConstMatrixView<double>, double,
-                                             const double*, index_t,
-                                             ConstMatrixView<double>,
-                                             double);
-
 // ---- Row+column verification with localization and repair (§12) ------------
 
 const char* to_string(Repair repair) {
@@ -177,7 +90,8 @@ Damage classify(MatrixView<T> c, const std::vector<double>& exp_col,
       arow[static_cast<std::size_t>(i)] += v;
     }
     const double d = std::abs(acol - exp_col[static_cast<std::size_t>(j)]);
-    if (!ChecksumReport::passes(d, tol)) damage.cols.push_back(j);
+    // `!(d <= tol)` so a NaN residual counts as damage.
+    if (!(d <= tol)) damage.cols.push_back(j);
     // NaN-safe worst tracking: a NaN residual sticks.
     if (!std::isnan(worst_col) && (std::isnan(d) || d > worst_col)) {
       worst_col = d;
@@ -187,7 +101,7 @@ Damage classify(MatrixView<T> c, const std::vector<double>& exp_col,
   for (index_t i = 0; i < m; ++i) {
     const double d = std::abs(arow[static_cast<std::size_t>(i)] -
                               exp_row[static_cast<std::size_t>(i)]);
-    if (!ChecksumReport::passes(d, tol)) damage.rows.push_back(i);
+    if (!(d <= tol)) damage.rows.push_back(i);
     if (!std::isnan(worst_row) && (std::isnan(d) || d > worst_row)) {
       worst_row = d;
       damage.bad_row = i;

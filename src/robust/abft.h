@@ -1,20 +1,16 @@
-// Algorithm-Based Fault Tolerance checks, promoted from
-// examples/abft_checksum.cpp into a library feature. Row-checksum
-// verification of C = alpha*A*B + beta*C0 through the invariant
+// Algorithm-Based Fault Tolerance checks (DESIGN.md §12), promoted from
+// examples/abft_checksum.cpp into a library feature. C = alpha*A*B +
+// beta*C0 is verified through the checksum invariants
 //
-//   W * C  ==  alpha * (W * A) * B + beta * (W * C0)
+//   1^T * C  ==  alpha * (1^T * A) * B + beta * (1^T * C0)   (per column)
+//   C * 1    ==  alpha * A * (B * 1) + beta * (C0 * 1)       (per row)
 //
-// with W the 2 x m weight matrix [ones; ramp] from the example (ones
-// detects, the ramp localizes the column). The check costs two
-// skinny GEMVs per operand — O(mn + mk + kn) — negligible next to the
+// Each costs two skinny GEMVs — O(mn + mk + kn) — negligible next to the
 // m*n*k product exactly when small-M GEMM is fast, which is the paper's
-// ABFT motivation.
-// Detect-and-correct extension (DESIGN.md §12): the same invariant
-// evaluated per column (row checksums: sum_i C(i,j)) *and* per row
-// (column checksums: sum_j C(i,j)) localizes damage to exact (row,
-// column) coordinates. A single flipped element is repaired in place by
-// an O(k) recompute of that element; damage confined to a few rows or
-// columns is repaired by an O(panel * k) localized recompute; only
+// ABFT motivation. Together they localize damage to exact (row, column)
+// coordinates. A single flipped element is repaired in place by an O(k)
+// recompute of that element; damage confined to a few rows or columns
+// is repaired by an O(panel * k) localized recompute; only
 // unlocalizable damage is left to the caller's full-recompute chain.
 #pragma once
 
@@ -25,29 +21,6 @@
 #include "src/robust/integrity.h"
 
 namespace smm::robust {
-
-/// Result of one row-checksum verification.
-struct ChecksumReport {
-  double residual = 0.0;   ///< max |W*C - expected| over both weight rows
-  double tolerance = 0.0;  ///< the bound the residual was tested against
-  index_t worst_col = -1;  ///< column of the worst residual (localization)
-  bool ok = false;
-
-  /// NaN-safe: a NaN residual is a detected fault, not a pass.
-  [[nodiscard]] static bool passes(double residual, double tolerance) {
-    return residual <= tolerance;  // false for NaN
-  }
-};
-
-/// Verify c_after == alpha*a*b + beta*c_before by row checksums.
-/// `tolerance_scale` multiplies the k-dependent GEMM rounding bound;
-/// the default absorbs the extra m-row summation of the checksum.
-template <typename T>
-ChecksumReport verify_gemm_checksum(T alpha, ConstMatrixView<T> a,
-                                    ConstMatrixView<T> b, T beta,
-                                    const T* c_before, index_t c_before_ld,
-                                    ConstMatrixView<T> c_after,
-                                    double tolerance_scale = 64.0);
 
 /// Row and column sums of a C snapshot — the beta != 0 contribution to
 /// both verification invariants. GuardedExecutor computes this *once*

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "src/common/str.h"
@@ -170,16 +169,8 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
     ++report.attempts;
     try {
       plan::execute_plan(p, alpha, a, b, beta, c);
-    } catch (const Error& e) {
-      record_error(e.code(), e.what());
-      restore_c();
-      return false;
-    } catch (const std::bad_alloc&) {
-      record_error(ErrorCode::kAlloc, "scratch allocation failed");
-      restore_c();
-      return false;
     } catch (const std::exception& e) {
-      record_error(ErrorCode::kUnknown, e.what());
+      record_error(error_code_of(e), e.what());
       restore_c();
       return false;
     }
@@ -210,10 +201,8 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
   std::shared_ptr<const plan::GemmPlan> cached;
   try {
     cached = cache_.get(shape, scalar, threads);
-  } catch (const Error& e) {
-    record_error(e.code(), e.what());
   } catch (const std::exception& e) {
-    record_error(ErrorCode::kUnknown, e.what());
+    record_error(error_code_of(e), e.what());
   }
   if (cached) {
     for (int t = 0; t < 1 + std::max(0, options_.retries); ++t) {
@@ -252,10 +241,8 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
         finish(Outcome::kDegraded, "rebuilt-plan", &h.rebuild_fallbacks);
         return report;
       }
-    } catch (const Error& e) {
-      record_error(e.code(), e.what());
     } catch (const std::exception& e) {
-      record_error(ErrorCode::kUnknown, e.what());
+      record_error(error_code_of(e), e.what());
     }
   }
 

@@ -9,7 +9,6 @@
 #include "src/common/env.h"
 #include "src/common/str.h"
 #include "src/core/batched.h"
-#include "src/core/parallel_cost.h"
 #include "src/matrix/matrix.h"
 #include "src/model/parallel_runtime.h"
 #include "src/robust/health.h"
@@ -137,9 +136,8 @@ SmmService::SmmService(ServiceOptions options)
              "service needs at least one thread per request");
   SMM_EXPECT(options_.shed_low_watermark <= options_.shed_high_watermark,
              "shed watermarks must be ordered low <= high");
-  const model::ParallelCostModel model =
-      options_.calibrated_cost ? core::calibrated_cost_model()
-                               : model::reference_cost_model();
+  // Admissions are priced with the deterministic reference constants.
+  const model::ParallelCostModel model = model::reference_cost_model();
   flop_ns_ = model.flop_ns;
   dispatch_ns_ = model.dispatch_ns;
 
@@ -202,14 +200,6 @@ int SmmService::route_shard(index_t m, index_t n, index_t k,
   return shard::route(shard::shape_class_hash({m, n, k, scalar_id}),
                       static_cost_ns(m, n, k),
                       static_cast<int>(shards_.size()));
-}
-
-double SmmService::queue_fill() const {
-  const double capacity = static_cast<double>(options_.queue_depth) *
-                          static_cast<double>(shards_.size());
-  if (capacity <= 0.0) return 0.0;
-  const auto queued = total_queued_.load(std::memory_order_relaxed);
-  return static_cast<double>(queued) / capacity;
 }
 
 core::PlanCache& SmmService::shard_cache(Shard& shard) const {
@@ -752,7 +742,7 @@ void SmmService::register_hedge(Request backup_template,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             backup_template.deadline - now)
             .count();
-    delay_ns = latency_.quantile(options_.failover.hedge_percentile,
+    delay_ns = latency_.quantile(failover::kHedgePercentile,
                                  2.0 * backup_template.est_cost_ns);
     delay_ns = std::clamp(delay_ns, 2.0e4, std::max(2.0e4, 0.5 * budget_ns));
   }
@@ -839,8 +829,8 @@ void SmmService::execute(Request& request, Shard& shard) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count()));
-    } catch (const Error& e) {
-      ErrorCode code = e.code();
+    } catch (const std::exception& e) {
+      ErrorCode code = error_code_of(e);
       // A stop inside a parallel plan poisons the peers' barriers, so
       // the aggregate can surface as kWorkerPanic/kPoolTimeout; the
       // token knows the real reason.
@@ -851,11 +841,6 @@ void SmmService::execute(Request& request, Shard& shard) {
                                         : ErrorCode::kDeadlineExceeded;
       }
       result = {false, code, e.what()};
-    } catch (const std::bad_alloc&) {
-      result = {false, ErrorCode::kAlloc,
-                "smm service: allocation failed"};
-    } catch (const std::exception& e) {
-      result = {false, ErrorCode::kUnknown, e.what()};
     }
   }
 
@@ -912,13 +897,9 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     statuses = core::batched_smm_each(
         lead->alpha, items, lead->beta, svc.shard_cache(shard),
         svc.options_.threads_per_request, &svc.options_.gemm, &tokens);
-  } catch (const Error& e) {
-    statuses.assign(group.size(),
-                    core::BatchItemStatus{false, e.code(), e.what()});
   } catch (const std::exception& e) {
-    statuses.assign(
-        group.size(),
-        core::BatchItemStatus{false, ErrorCode::kUnknown, e.what()});
+    statuses.assign(group.size(),
+                    core::BatchItemStatus{false, error_code_of(e), e.what()});
   }
 
   // Success accounting is batched: one counter bump and one breaker
@@ -1333,7 +1314,7 @@ Ticket SmmService::submit(T alpha, ConstMatrixView<T> a,
     request.c_range = storage_range(ConstMatrixView<T>(c));
   }
   // Hedged execution (DESIGN.md §15): a kHigh request whose deadline
-  // budget exceeds hedge_budget_factor × its predicted cost can afford
+  // budget exceeds kHedgeBudgetFactor × its predicted cost can afford
   // to run twice — a backup fires on a different shard after the hedge
   // delay, first terminal wins. ALL THREE operands are snapshotted here
   // into service-owned storage: the winner claims and completes while
@@ -1350,7 +1331,7 @@ Ticket SmmService::submit(T alpha, ConstMatrixView<T> a,
   if (shards_.size() > 1 && priority == Priority::kHigh && ms > 0 &&
       c.rows() > 0 && c.cols() > 0 && a.cols() > 0 &&
       static_cast<double>(ms) * 1e6 >
-          options_.failover.hedge_budget_factor * request.est_cost_ns) {
+          failover::kHedgeBudgetFactor * request.est_cost_ns) {
     auto a0 = std::make_shared<Matrix<T>>(a.rows(), a.cols(), a.layout());
     for (index_t j = 0; j < a.cols(); ++j)
       for (index_t i = 0; i < a.rows(); ++i) (*a0)(i, j) = a(i, j);
@@ -1400,22 +1381,27 @@ Ticket SmmService::submit_batch(T alpha, std::vector<BatchItem<T>> items,
       std::make_shared<std::vector<core::GemmBatchItem<T>>>();
   batch->reserve(items.size());
   const int scalar_id = sizeof(T) == 4 ? 0 : 1;
-  // Batch submissions route by a combined hash of their item shapes:
-  // identical batches stay shard-local; they never coalesce with other
-  // requests (the batch is already amortized).
+  // Batch submissions route by a combined hash of their item shapes and
+  // their static cost (as route_shard does, so tuning never re-homes a
+  // batch): identical batches stay shard-local; they never coalesce with
+  // other requests (the batch is already amortized). Admission prices
+  // the batch at the tuned estimate.
   std::uint64_t h = 1469598103934665603ull;
   double est = 0.0;
+  double static_est = 0.0;
   for (const auto& item : items) {
-    h ^= shard::shape_class_hash(
-        {item.c.rows(), item.c.cols(), item.a.cols(), scalar_id});
+    const index_t m = item.c.rows(), n = item.c.cols(), k = item.a.cols();
+    h ^= shard::shape_class_hash({m, n, k, scalar_id});
     h *= 1099511628211ull;
     batch->push_back({item.a, item.b, item.c});
-    est += estimate_cost_ns(item.c.rows(), item.c.cols(), item.a.cols());
+    est += estimate_cost_ns(m, n, k);
+    static_est += static_cost_ns(m, n, k);
   }
   Request request;
   request.priority = priority;
   request.est_cost_ns = est;
-  request.home = shard::route(h, est, static_cast<int>(shards_.size()));
+  request.home =
+      shard::route(h, static_est, static_cast<int>(shards_.size()));
   request.state = std::make_shared<detail::RequestState>();
   const long ms =
       deadline_ms > 0 ? deadline_ms : options_.default_deadline_ms;

@@ -126,9 +126,6 @@ struct ServiceOptions {
   /// deadline-bounded: it never holds a member near its deadline.
   /// Env: SMMKIT_COALESCE_WINDOW_US.
   long coalesce_window_us = 0;
-  /// Price admissions with the host-calibrated cost model instead of the
-  /// deterministic reference constants (tests keep the default).
-  bool calibrated_cost = false;
   /// Options for the underlying smm_gemm calls (check_finite lives
   /// here: a serving front-end typically turns it on).
   core::SmmOptions gemm;
@@ -342,11 +339,6 @@ class SmmService {
   [[nodiscard]] bool in_brownout() const {
     return brownout_.load(std::memory_order_relaxed);
   }
-  /// Fraction of the service's aggregate queue capacity currently
-  /// occupied: queued / (queue_depth × shards). A caller-side limiter
-  /// (smm::resilient, DESIGN.md §16) reads this as a congestion signal —
-  /// it is a relaxed snapshot, cheap enough for every submit decision.
-  [[nodiscard]] double queue_fill() const;
   /// Options with the auto knobs (shards, lanes) resolved.
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 

@@ -4,8 +4,8 @@
 // intrinsics: Vec<float> models one ARMv8 "Vn.4S" register (4 floats),
 // Vec<double> models "Vn.2D" (2 doubles). The operations mirror the
 // instructions the paper's assembly uses — full-width load/store (ldr/str
-// q-form), broadcast (dup), and lane-broadcast fused multiply-add
-// (fmla vD.4s, vA.4s, vB.s[lane]).
+// q-form), broadcast (dup), and fused multiply-add by a broadcast scalar
+// (the by-lane form fmla vD.4s, vA.4s, vB.s[lane]).
 //
 // Implementation uses GCC/Clang vector extensions so -O2 lowers each op to
 // one SSE/NEON instruction on the host while the code stays ISA-portable.
@@ -99,27 +99,6 @@ struct Vec {
   /// Full-width store (`str q, [x]`).
   void store(T* p) const { std::memcpy(p, &v, sizeof(Raw)); }
 
-  /// Load `count` (< lanes) scalars, zero the rest. Models the masked /
-  /// element-wise loads an edge kernel must fall back to.
-  static Vec load_partial(const T* p, index_t count) {
-    Vec out;
-    for (index_t i = 0; i < count && i < lanes; ++i) out.v[i] = p[i];
-    return out;
-  }
-
-  /// Store only the first `count` lanes.
-  void store_partial(T* p, index_t count) const {
-    for (index_t i = 0; i < count && i < lanes; ++i) p[i] = v[i];
-  }
-
-  /// Gather `count` scalars with stride (edge-case access without packing —
-  /// the discontiguous pattern of paper Fig. 8).
-  static Vec load_strided(const T* p, index_t stride, index_t count) {
-    Vec out;
-    for (index_t i = 0; i < count && i < lanes; ++i) out.v[i] = p[i * stride];
-    return out;
-  }
-
   [[nodiscard]] T lane(index_t i) const { return v[i]; }
 
   Vec operator+(Vec o) const { return Vec(v + o.v); }
@@ -133,32 +112,10 @@ inline void fma(Vec<T>& d, Vec<T> a, Vec<T> b) {
   d.v += a.v * b.v;
 }
 
-/// d += a * b[lane]  (`fmla vd.4s, va.4s, vb.s[lane]`) — the core
-/// rank-1-update instruction of every GEMM micro-kernel in the paper.
-template <typename T, int kLane>
-inline void fma_lane(Vec<T>& d, Vec<T> a, Vec<T> b) {
-  static_assert(kLane >= 0 && kLane < kLanes<T>);
-  d.v += a.v * b.v[kLane];
-}
-
-/// Runtime-lane variant for generic (non-unrolled) kernels.
-template <typename T>
-inline void fma_lane_rt(Vec<T>& d, Vec<T> a, Vec<T> b, index_t lane) {
-  d.v += a.v * Vec<T>::broadcast(b.v[lane]).v;
-}
-
 /// d += a * s with a scalar s already in a register.
 template <typename T>
 inline void fma_scalar(Vec<T>& d, Vec<T> a, T s) {
   d.v += a.v * Vec<T>::broadcast(s).v;
-}
-
-/// Horizontal sum of all lanes (`faddp` reductions in dot-style kernels).
-template <typename T>
-inline T hsum(Vec<T> a) {
-  T total = T(0);
-  for (index_t i = 0; i < Vec<T>::lanes; ++i) total += a.v[i];
-  return total;
 }
 
 using Vec4f = Vec<float>;

@@ -22,7 +22,6 @@
 #include "src/libs/openblas_like/gemm_openblas_like.h"
 #include "src/matrix/compare.h"
 #include "src/matrix/matrix.h"
-#include "src/matrix/panel_matrix.h"
 #include "src/model/equations.h"
 #include "src/model/kernel_space.h"
 #include "src/model/peak.h"

@@ -144,8 +144,6 @@ WorkerPool::~WorkerPool() {
   if (watchdog_.joinable()) watchdog_.join();
 }
 
-bool WorkerPool::on_pool_thread() { return tls_in_pool_region; }
-
 void WorkerPool::set_watchdog_timeout_ms(long ms) {
   timeout_ms_.store(ms < 0 ? 0 : ms, std::memory_order_relaxed);
 }

@@ -141,11 +141,6 @@ class WorkerPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// True on a thread currently executing a pool-region body (used by
-  /// run_parallel to route nested regions to the spawn path; taking the
-  /// non-recursive region lock from such a thread would be UB).
-  [[nodiscard]] static bool on_pool_thread();
-
   /// Per-region watchdog deadline in milliseconds; 0 disables the
   /// watchdog. Defaults to SMMKIT_POOL_TIMEOUT_MS (or 30000 — generous:
   /// a false positive poisons a healthy slow region). Tests shrink it.

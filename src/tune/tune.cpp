@@ -7,7 +7,6 @@
 #include "src/common/env.h"
 #include "src/core/autotune.h"
 #include "src/core/parallel_cost.h"
-#include "src/core/parallel_select.h"
 #include "src/core/smm.h"
 #include "src/robust/health.h"
 #include "src/tune/tune_table.h"
@@ -235,22 +234,10 @@ void Tuner::begin_explore_locked(const ShapeClass& sc, ClassState& st) {
   //    both packing modes).
   for (const auto& [mr, nr] : space.tiles) {
     for (const bool pack_b : space.pack_b_choices) {
-      core::BuildSpec alt;
-      alt.mr = mr;
-      alt.nr = nr;
-      alt.kc = base.kc;
-      alt.mc = 240;
-      alt.nc = 480;
-      alt.pack_a = base.pack_a;
-      alt.pack_b = pack_b;
-      alt.edge_pack_b = !pack_b;
-      const core::ParallelChoice pc = core::choose_parallel(
-          class_shape(sc), std::max(1, sc.nthreads), mr, nr, alt.mc,
-          alt.nc);
-      alt.nthreads = pc.nthreads;
-      alt.ways = pc.ways;
-      alt.k_parts = pc.k_parts;
-      push(alt);
+      if (const auto alt = core::tile_candidate(class_shape(sc), sc.nthreads,
+                                                mr, nr, base.kc,
+                                                base.pack_a, pack_b))
+        push(*alt);
     }
   }
 
@@ -365,9 +352,8 @@ void Tuner::record(const ShapeClass& sc, SampleToken token, double wall_ns,
         const double predicted = predict_ns(sc, st.installed);
         const bool diverged =
             predicted > 0.0 &&
-            std::abs(st.ewma_ns - predicted) >
-                options_.hysteresis * predicted;
-        const bool hot = options_.explore_hot && !st.explored_once &&
+            std::abs(st.ewma_ns - predicted) > kHysteresis * predicted;
+        const bool hot = !st.explored_once &&
                          st.samples >= options_.hot_samples;
         if (diverged || hot) begin_explore_locked(sc, st);
         break;
@@ -402,7 +388,7 @@ void Tuner::record(const ShapeClass& sc, SampleToken token, double wall_ns,
         // committed winner; re-open the class. The hysteresis band keeps
         // ordinary variance from flapping plans.
         if (st.committed_ns > 0.0 &&
-            st.ewma_ns > (1.0 + options_.hysteresis) * st.committed_ns)
+            st.ewma_ns > (1.0 + kHysteresis) * st.committed_ns)
           begin_explore_locked(sc, st);
         break;
       }

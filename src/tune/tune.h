@@ -144,16 +144,17 @@ struct ClassSnapshot {
 
 class Tuner {
  public:
+  /// Re-plan trigger: |observed - predicted| / predicted beyond this
+  /// enters exploration; a committed class whose EWMA drifts past
+  /// (1 + kHysteresis) x committed cost re-opens it. The band is wide
+  /// on purpose — re-planning has a cost, flapping has a bigger one.
+  static constexpr double kHysteresis = 0.35;
+
   struct Options {
     /// Steady-state sampling period: one timed call in `sample_period`
     /// (exploration trials force-sample their class). <= 1 samples every
     /// call.
     int sample_period = 64;
-    /// Re-plan trigger: |observed - predicted| / predicted beyond this
-    /// enters exploration; a committed class whose EWMA drifts past
-    /// (1 + hysteresis) x committed cost re-opens it. The band is wide
-    /// on purpose — re-planning has a cost, flapping has a bigger one.
-    double hysteresis = 0.35;
     /// Samples before the divergence trigger may fire (variance needs a
     /// floor under it).
     int min_samples = 6;
@@ -166,7 +167,6 @@ class Tuner {
     /// Also explore a class that stays hot (>= hot_samples timed
     /// samples) even when prediction tracks observation — divergence
     /// finds mispredicted classes, this finds mispriced ones.
-    bool explore_hot = true;
     std::uint64_t hot_samples = 24;
     /// EWMA weight of one new sample.
     double ewma_alpha = 0.25;

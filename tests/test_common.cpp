@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <set>
+#include <stdexcept>
 
 #include <cstdlib>
 
@@ -113,6 +115,17 @@ TEST(ErrorMacro, ThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("should fail"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
+}
+
+TEST(ErrorCodeOf, MapsEveryCaughtExceptionKind) {
+  const Error alias(ErrorCode::kAlias, "overlap");
+  EXPECT_EQ(error_code_of(alias), ErrorCode::kAlias);
+  // Memory pressure is an allocation failure wherever it is caught, so
+  // the retry policy treats solo, batched and coalesced runs alike.
+  const std::bad_alloc oom;
+  EXPECT_EQ(error_code_of(oom), ErrorCode::kAlloc);
+  const std::runtime_error other("boom");
+  EXPECT_EQ(error_code_of(other), ErrorCode::kUnknown);
 }
 
 // ---- environment knobs (common/env.h) --------------------------------------

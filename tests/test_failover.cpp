@@ -491,11 +491,13 @@ TEST_F(FailoverTest, HedgedBackupWinsWhilePrimaryIsStuck) {
   const int home = 0;
   // A blocker batch that provably routes to `home`: replicate
   // submit_batch's combined-hash routing (FNV fold of the item shape
-  // classes, cost-bucketed by the summed estimate) and pick a k for
-  // which it lands there. The batch must park the home lane so the
-  // hedged primary below stays queued past the 1 ms hedge delay.
+  // classes, cost-bucketed by the summed static estimate — what
+  // estimate_cost_ns returns with the tuner off) and pick a k for which
+  // it lands there. The batch must park the home lane so the hedged
+  // primary below stays queued past the 1 ms hedge delay.
   constexpr int kBlockerItems = 60;
   index_t kb = 0;
+  tune::set_mode_override(tune::Mode::kOff);
   for (index_t k = 80; k < 300; ++k) {
     std::uint64_t h = 1469598103934665603ull;
     double est = 0.0;
@@ -509,6 +511,7 @@ TEST_F(FailoverTest, HedgedBackupWinsWhilePrimaryIsStuck) {
       break;
     }
   }
+  tune::set_mode_override(tune::Mode::kAuto);
   ASSERT_GT(kb, 0) << "no blocker batch shape routes to shard " << home;
   test::GemmProblem<double> big(96, 96, kb, 95);
   std::vector<service::BatchItem<double>> blocker_items;

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/matrix/compare.h"
 #include "src/matrix/matrix.h"
-#include "src/matrix/panel_matrix.h"
 #include "src/matrix/view.h"
 
 namespace smm {
@@ -64,44 +62,6 @@ TEST(Matrix, CloneIsDeep) {
   Matrix<float> n = m.clone();
   n(0, 0) = 42.0f;
   EXPECT_EQ(m(0, 0), 0.0f);
-}
-
-TEST(PanelMatrix, OffsetFormula) {
-  PanelMatrix<float> p(10, 3, 4);
-  // Panel 0 holds rows 0..3, panel 1 rows 4..7, panel 2 rows 8..9 (padded).
-  EXPECT_EQ(p.num_panels(), 3);
-  EXPECT_EQ(p.offset(0, 0), 0);
-  EXPECT_EQ(p.offset(3, 0), 3);
-  EXPECT_EQ(p.offset(0, 1), 4);   // next column within panel 0
-  EXPECT_EQ(p.offset(4, 0), 12);  // panel 1 starts after ps*cols
-  EXPECT_EQ(p.offset(9, 2), 2 * 12 + 2 * 4 + 1);
-}
-
-TEST(PanelMatrix, RoundTrip) {
-  Rng rng(3);
-  Matrix<float> src(11, 7);
-  src.fill_random(rng);
-  PanelMatrix<float> panel = to_panel_major(src.cview(), 4);
-  Matrix<float> back(11, 7);
-  from_panel_major(panel, back.view());
-  EXPECT_EQ(max_abs_diff(src.cview(), back.cview()), 0.0);
-}
-
-TEST(PanelMatrix, PaddingRowsAreZero) {
-  Matrix<float> src(5, 2);
-  src.fill(1.0f);
-  PanelMatrix<float> panel = to_panel_major(src.cview(), 4);
-  // Rows 5..7 are padding.
-  for (index_t j = 0; j < 2; ++j) {
-    for (index_t i = 5; i < 8; ++i) {
-      EXPECT_EQ(panel.data()[panel.offset(i, j)], 0.0f);
-    }
-  }
-}
-
-TEST(PanelMatrix, PanelPtr) {
-  PanelMatrix<double> p(8, 5, 4);
-  EXPECT_EQ(p.panel_ptr(1), p.data() + 4 * 5);
 }
 
 TEST(Compare, MaxAbsDiff) {

@@ -4,7 +4,6 @@
 
 #include "src/common/rng.h"
 #include "src/matrix/matrix.h"
-#include "src/pack/edge_pack.h"
 #include "src/pack/pack.h"
 
 namespace smm::pack {
@@ -106,40 +105,6 @@ TEST(PackChunked, BadCoverageThrows) {
   std::vector<float> dst(20);
   EXPECT_THROW(pack_a_chunked(a.cview(), {8, 4}, dst.data()), Error);
   EXPECT_THROW(pack_a_chunked(a.cview(), {8, 1}, dst.data()), Error);
-}
-
-TEST(EdgePack, BEdgeColumns) {
-  Rng rng(2);
-  Matrix<float> b(6, 10);
-  b.fill_random(rng);
-  std::vector<float> dst(static_cast<std::size_t>(6 * 4), -1.0f);
-  pack_b_edge_columns(b.cview(), /*edge_cols=*/2, /*nr=*/4, dst.data());
-  for (index_t k = 0; k < 6; ++k) {
-    EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + 0)], b(k, 8));
-    EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + 1)], b(k, 9));
-    EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + 2)], 0.0f);
-    EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + 3)], 0.0f);
-  }
-}
-
-TEST(EdgePack, AEdgeRows) {
-  Rng rng(3);
-  Matrix<float> a(10, 3);
-  a.fill_random(rng);
-  std::vector<float> dst(static_cast<std::size_t>(4 * 3), -1.0f);
-  pack_a_edge_rows(a.cview(), /*edge_rows=*/3, /*mr=*/4, dst.data());
-  for (index_t k = 0; k < 3; ++k) {
-    for (index_t i = 0; i < 3; ++i)
-      EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + i)], a(7 + i, k));
-    EXPECT_EQ(dst[static_cast<std::size_t>(k * 4 + 3)], 0.0f);
-  }
-}
-
-TEST(EdgePack, BadEdgeThrows) {
-  Matrix<float> b(4, 4);
-  std::vector<float> dst(16);
-  EXPECT_THROW(pack_b_edge_columns(b.cview(), 0, 4, dst.data()), Error);
-  EXPECT_THROW(pack_b_edge_columns(b.cview(), 5, 4, dst.data()), Error);
 }
 
 TEST(PackTraffic, CountsReadAndWrite) {

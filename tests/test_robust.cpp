@@ -128,15 +128,18 @@ TEST_F(RobustTest, ChecksumAcceptsCleanRejectsCorrupt) {
   test::GemmProblem<float> prob(kM, kN, kK, 77);
   prob.reference(1.5f, 0.0f);
   Matrix<float> c = prob.c_expected.clone();
-  const auto clean = robust::verify_gemm_checksum<float>(
-      1.5f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, kM, c.cview());
+  const auto verify = [&] {
+    return robust::verify_and_repair<float>(
+        1.5f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, nullptr, kM,
+        c.view(), integrity::AbftMode::kDetect);
+  };
+  const auto clean = verify();
   EXPECT_TRUE(clean.ok) << "residual " << clean.residual << " > tol "
                         << clean.tolerance;
   c(11, 17) += 1.0f;  // simulated soft error
-  const auto bad = robust::verify_gemm_checksum<float>(
-      1.5f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, kM, c.cview());
+  const auto bad = verify();
   EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.worst_col, 17);  // ramp row localizes the column
+  EXPECT_EQ(bad.bad_col, 17);  // the row checksum localizes the column
 }
 
 TEST_F(RobustTest, PackBitFlipDetectedAndRetried) {
@@ -592,7 +595,7 @@ TEST_F(RobustTest, BarrierElidedParallelPlanRecovers) {
 TEST_F(RobustTest, CorruptedPrepackIsCaughtByChecksumVerification) {
   // A bit flip during PrepackedB materialization poisons every replay —
   // the worst case for the amortized path. ABFT is the detection story:
-  // the same row-checksum verify the guard runs rejects the replayed C.
+  // the same checksum verify the guard runs rejects the replayed C.
   core::SmmOptions opts;
   opts.pack_b = core::SmmOptions::Packing::kAlways;
   test::GemmProblem<float> prob(24, 16, 12, 0x5EED);
@@ -606,18 +609,20 @@ TEST_F(RobustTest, CorruptedPrepackIsCaughtByChecksumVerification) {
         core::smm_prepack_b<float>(prob.b.cview(), /*m=*/24, 1, opts);
     ASSERT_TRUE(handle.materialized());
     handle.run(1.0f, prob.a.cview(), 0.0f, prob.c.view());
-    const robust::ChecksumReport cr = robust::verify_gemm_checksum<float>(
-        1.0f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, 24,
-        prob.c.cview(), /*tolerance_scale=*/64.0);
+    const robust::IntegrityReport cr = robust::verify_and_repair<float>(
+        1.0f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, nullptr, 24,
+        prob.c.view(), integrity::AbftMode::kDetect,
+        /*tolerance_scale=*/64.0);
     EXPECT_FALSE(cr.ok) << "corrupted prepack passed verification";
   }
   // A clean handle over the same B verifies.
   const auto handle =
       core::smm_prepack_b<float>(prob.b.cview(), /*m=*/24, 1, opts);
   handle.run(1.0f, prob.a.cview(), 0.0f, prob.c.view());
-  const robust::ChecksumReport cr = robust::verify_gemm_checksum<float>(
-      1.0f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, 24,
-      prob.c.cview(), /*tolerance_scale=*/64.0);
+  const robust::IntegrityReport cr = robust::verify_and_repair<float>(
+      1.0f, prob.a.cview(), prob.b.cview(), 0.0f, nullptr, nullptr, 24,
+      prob.c.view(), integrity::AbftMode::kDetect,
+      /*tolerance_scale=*/64.0);
   EXPECT_TRUE(cr.ok);
   prob.reference(1.0f, 0.0f);
   EXPECT_TRUE(prob.check(12));

@@ -20,6 +20,7 @@
 #include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
+#include "src/tune/tune.h"
 #include "tests/test_helpers.h"
 
 namespace smm {
@@ -101,6 +102,50 @@ TEST(ShardService, SameShapeRoutesToSameShard) {
   for (const auto r : s.routed_per_shard) sum += r;
   EXPECT_EQ(sum, s.routed);
   svc.shutdown();
+}
+
+TEST(ShardService, BatchHomeSurvivesTunedCost) {
+  // shard::route's stability contract: a batch's home shard must not
+  // move once the tuner revises its items' cost, or identical batches
+  // stop being shard-local. Feed the tuner samples at 50x the static
+  // estimate for each item class and resubmit the same batch.
+  tune::set_mode_override(tune::Mode::kObserve);
+  ServiceOptions options;
+  options.shards = 8;
+  options.lanes = 1;
+  SmmService svc(options);
+  const int threads = svc.options().threads_per_request;
+  const auto home_of = [&svc](test::GemmProblem<double>& p,
+                              std::vector<Matrix<double>>& cs) {
+    std::vector<service::BatchItem<double>> items;
+    for (auto& c : cs) items.push_back({p.a.cview(), p.b.cview(), c.view()});
+    const auto before = svc.stats().routed_per_shard;
+    Ticket t = svc.submit_batch(1.0, items, 0.0);
+    EXPECT_TRUE(t.wait().ok) << t.wait().message;
+    const auto after = svc.stats().routed_per_shard;
+    for (std::size_t s = 0; s < after.size(); ++s)
+      if (after[s] != before[s]) return static_cast<int>(s);
+    ADD_FAILURE() << "batch was not routed";
+    return -1;
+  };
+  for (index_t n = 8; n < 16; ++n) {
+    test::GemmProblem<double> p(n, n, n, 700 + static_cast<unsigned>(n));
+    std::vector<Matrix<double>> cs;
+    for (int i = 0; i < 4; ++i) cs.emplace_back(n, n);
+    const int home = home_of(p, cs);
+    const tune::ShapeClass sc{n, n, n, /*scalar=*/1, threads};
+    const double base = svc.estimate_cost_ns(n, n, n);
+    for (int i = 0; i < 8; ++i) {
+      std::uint32_t epoch = 0;
+      for (const auto& snap : tune::tuner().snapshot_classes())
+        if (snap.key == sc) epoch = snap.epoch;
+      tune::tuner().record(sc, {true, epoch}, 50.0 * base, {});
+    }
+    ASSERT_GT(svc.estimate_cost_ns(n, n, n), 10.0 * base) << "n=" << n;
+    EXPECT_EQ(home_of(p, cs), home) << "n=" << n;
+  }
+  svc.shutdown();
+  tune::set_mode_override(tune::Mode::kAuto);
 }
 
 TEST(ShardService, LanesDefaultDerivesFromNativeThreads) {

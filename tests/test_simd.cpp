@@ -26,33 +26,6 @@ TEST(Vec, UnalignedLoad) {
   EXPECT_EQ(v.lane(3), 4.0f);
 }
 
-TEST(Vec, PartialLoadZeroFills) {
-  float src[2] = {5, 6};
-  const Vec4f v = Vec4f::load_partial(src, 2);
-  EXPECT_EQ(v.lane(0), 5.0f);
-  EXPECT_EQ(v.lane(1), 6.0f);
-  EXPECT_EQ(v.lane(2), 0.0f);
-  EXPECT_EQ(v.lane(3), 0.0f);
-}
-
-TEST(Vec, PartialStoreLeavesTail) {
-  float dst[4] = {9, 9, 9, 9};
-  Vec4f::broadcast(1.0f).store_partial(dst, 2);
-  EXPECT_EQ(dst[0], 1.0f);
-  EXPECT_EQ(dst[1], 1.0f);
-  EXPECT_EQ(dst[2], 9.0f);
-}
-
-TEST(Vec, StridedLoad) {
-  float data[12];
-  for (int i = 0; i < 12; ++i) data[i] = static_cast<float>(i);
-  const Vec4f v = Vec4f::load_strided(data, 3, 4);
-  EXPECT_EQ(v.lane(0), 0.0f);
-  EXPECT_EQ(v.lane(1), 3.0f);
-  EXPECT_EQ(v.lane(2), 6.0f);
-  EXPECT_EQ(v.lane(3), 9.0f);
-}
-
 TEST(Vec, FmaMatchesScalar) {
   Vec4f acc = Vec4f::broadcast(1.0f);
   const float av[4] = {1, 2, 3, 4};
@@ -64,39 +37,10 @@ TEST(Vec, FmaMatchesScalar) {
   EXPECT_EQ(acc.lane(3), 33.0f);
 }
 
-TEST(Vec, FmaLaneBroadcastsOneElement) {
-  Vec4f acc = Vec4f::zero();
-  const float av[4] = {1, 2, 3, 4};
-  const float bv[4] = {10, 20, 30, 40};
-  const Vec4f a = Vec4f::load(av);
-  const Vec4f b = Vec4f::load(bv);
-  fma_lane<float, 2>(acc, a, b);  // acc += a * b[2]
-  EXPECT_EQ(acc.lane(0), 30.0f);
-  EXPECT_EQ(acc.lane(3), 120.0f);
-}
-
-TEST(Vec, FmaLaneRuntime) {
-  Vec2d acc = Vec2d::zero();
-  const double av[2] = {2, 3};
-  const double bv[2] = {5, 7};
-  const Vec2d a = Vec2d::load(av);
-  const Vec2d b = Vec2d::load(bv);
-  fma_lane_rt(acc, a, b, 1);
-  EXPECT_EQ(acc.lane(0), 14.0);
-  EXPECT_EQ(acc.lane(1), 21.0);
-}
-
 TEST(Vec, FmaScalar) {
   Vec4f acc = Vec4f::broadcast(1.0f);
   fma_scalar(acc, Vec4f::broadcast(2.0f), 3.0f);
   for (index_t i = 0; i < 4; ++i) EXPECT_EQ(acc.lane(i), 7.0f);
-}
-
-TEST(Vec, HorizontalSum) {
-  const float vv[4] = {1, 2, 3, 4};
-  const Vec4f v = Vec4f::load(vv);
-  EXPECT_EQ(hsum(v), 10.0f);
-  EXPECT_EQ(hsum(Vec2d::broadcast(2.5)), 5.0);
 }
 
 TEST(Vec, ArithmeticOperators) {
