@@ -16,10 +16,10 @@
 //   - O(us) rejection: the mean submit() latency of refused requests
 //     stays under --reject-us (generous default for sanitizer builds);
 //   - observable degradation: shed, rejection, deadline-miss,
-//     cancellation, breaker-trip, and breaker-rejection counters are all
-//     nonzero by the end — a failure class that never fired was not
-//     soaked. The breaker leg is induced by a brief kWorkerThrow window
-//     mid-soak.
+//     cancellation, shard-quarantine, and quarantine-rejection counters
+//     are all nonzero by the end — a failure class that never fired was
+//     not soaked. The quarantine leg is induced by a brief kWorkerThrow
+//     window mid-soak.
 //
 //   overload_soak [--seconds 10] [--overload 4] [--deadline-ms 100]
 //                 [--goodput-frac 0.9] [--reject-us 2000] [--slack-ms 300]
@@ -64,7 +64,6 @@
 #include "src/core/smm.h"
 #include "src/matrix/matrix.h"
 #include "src/robust/fault_injection.h"
-#include "src/robust/health.h"
 #include "src/service/smm_service.h"
 
 namespace {
@@ -139,8 +138,7 @@ int run_legacy(int argc, char** argv) {
   options.queue_depth = 32;
   options.shed_low_watermark = 0.25;
   options.shed_high_watermark = 0.75;
-  options.breaker.failure_threshold = 3;
-  options.breaker.open_for = std::chrono::milliseconds(50);
+  options.failover.quarantine_after = 3;
   SmmService service(options);
 
   // Measure single-lane capacity with a synchronous submit/wait loop
@@ -232,17 +230,17 @@ int run_legacy(int argc, char** argv) {
     });
   }
 
-  // Mid-soak fault window: repeated worker throws trip the breaker; the
-  // disarm lets the half-open probe recover it.
+  // Mid-soak fault window: repeated worker throws quarantine the shard;
+  // after the disarm the rebuild probe heals it.
   std::this_thread::sleep_for(std::chrono::seconds(seconds / 2));
   fault_window.store(true);
   // Unbounded fires for a fixed 300 ms: every pop fails, so the shard's
-  // breaker trips and STAYS open (a single success would re-close it
-  // instantly) and its ledger quarantines the shard, evicting the
-  // backlog. Arrivals then meet an empty queue — below every shed
-  // watermark — and hit the open breaker directly, making the
-  // breaker-rejection leg deterministic instead of a race against the
-  // next success.
+  // ledger quarantines it (evicting the backlog) and every rebuild probe
+  // fails it straight back (a single success would heal it instantly).
+  // Arrivals then meet an empty queue — below every shed watermark —
+  // and hit the quarantined shard directly, making the
+  // quarantine-rejection leg deterministic instead of a race against
+  // the next success.
   robust::FaultInjector::instance().arm(
       robust::FaultSite::kWorkerThrow,
       robust::FaultSpec{/*fire_after=*/0, /*max_fires=*/1u << 20});
@@ -265,7 +263,6 @@ int run_legacy(int argc, char** argv) {
           ? 0.0
           : static_cast<double>(rejects.us_sum.load()) /
                 static_cast<double>(rejects.count.load());
-  const auto health = robust::health().snapshot();
 
   std::printf(
       "ok %zu refused %zu stopped %zu infra %zu unexpected %zu late %zu\n",
@@ -277,10 +274,10 @@ int run_legacy(int argc, char** argv) {
               reject_us_mean, rejects.us_max.load(), rejects.count.load());
   std::printf(
       "counters: shed %zu evicted %zu rejected %zu deadline_misses %zu "
-      "cancellations %zu breaker_trips %zu breaker_rejections %zu\n",
+      "cancellations %zu quarantines %zu quarantine_rejections %zu\n",
       stats.shed, stats.evicted, stats.rejected, stats.deadline_misses,
-      stats.cancellations, health.service_breaker_trips,
-      stats.breaker_rejections);
+      stats.cancellations, stats.shard_quarantines,
+      stats.quarantine_rejections);
 
   soak::Gates gates;
   gates.check(totals.unexpected.load() != 0, "unexpected exceptions");
@@ -295,8 +292,9 @@ int run_legacy(int argc, char** argv) {
   gates.check(stats.deadline_misses == 0,
               "deadline_misses counter stayed zero");
   gates.check(stats.cancellations == 0, "cancellations counter stayed zero");
-  gates.check(health.service_breaker_trips == 0, "breaker never tripped");
-  gates.check(stats.breaker_rejections == 0, "breaker never rejected");
+  gates.check(stats.shard_quarantines == 0, "shard never quarantined");
+  gates.check(stats.quarantine_rejections == 0,
+              "quarantine never rejected");
   return gates.verdict("overload_soak");
 }
 

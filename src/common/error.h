@@ -34,7 +34,8 @@ enum class ErrorCode {
   kCancelled,          ///< the caller cancelled the request
   kDeadlineExceeded,   ///< the request's deadline passed before completion
   kOverloaded,         ///< admission control rejected the request (queue
-                       ///< full, cost budget spent, shed, or breaker open)
+                       ///< full, cost budget spent, shed, or its shard
+                       ///< quarantined)
   kShuttingDown,       ///< the service is draining; no new work admitted
   kNonFinite,          ///< an input operand contains NaN/Inf
   // Caller-side resilience (DESIGN.md §16).

@@ -27,9 +27,7 @@ FailoverOptions failover_options_from_env(FailoverOptions base) {
   return base;
 }
 
-ShardHealth::ShardHealth(FailoverOptions options,
-                         service::CircuitBreaker::Options breaker)
-    : options_(options), breaker_(breaker) {}
+ShardHealth::ShardHealth(FailoverOptions options) : options_(options) {}
 
 void ShardHealth::on_success() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -98,9 +96,6 @@ bool ShardHealth::enter_quarantine_locked(bool admin_hold) {
   quarantined_until_ = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(options_.quarantine_ms);
   quarantines_.fetch_add(1, std::memory_order_relaxed);
-  // The shard stops taking placements; keep its breaker open too so a
-  // racing admission that read the old state still gets refused.
-  breaker_.trip();
   return true;
 }
 
@@ -109,9 +104,6 @@ bool ShardHealth::begin_rebuild_locked() {
   consecutive_failures_ = 0;
   admin_hold_ = false;
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  // Fresh streak for the probe: the breaker restarts closed so the
-  // first probe request is actually admitted.
-  breaker_.on_success();
   return true;
 }
 

@@ -1,23 +1,22 @@
 // smm::failover — per-shard failure domains (DESIGN.md §15).
 //
-// PR 7 sharded the runtime into per-panel execution domains, but failure
-// handling stayed process-wide: one CircuitBreaker and one quarantine
-// signal meant a single sick shard (hung pool, corrupted private cache)
-// either tripped refusals for *all* traffic or silently kept receiving
-// its deterministic share of the route hash. This module gives every
-// shard its own health ledger so the service can treat shards the way
-// the asymmetric-capacity literature treats cores: unequal, time-varying
-// capacity that routing and admission must track.
+// Every shard of a service is its own failure domain: a single sick
+// shard (hung pool, corrupted private cache) must neither refuse
+// traffic for all shards nor keep silently receiving its deterministic
+// share of the route hash. Each shard therefore carries one health
+// ledger, so the service can treat shards the way the asymmetric-
+// capacity literature treats cores: unequal, time-varying capacity
+// that routing and admission must track.
 //
-// Per shard:
-//   - a lifecycle state machine
+// Per shard, one lifecycle state machine
 //       healthy ──failures──► degraded ──more──► quarantined
 //          ▲                                        │ hold
 //          └────── success ◄── rebuilding ◄─────────┘ (quarantine_ms)
-//     driven by that shard's own outcome stream (infra-class failures,
-//     pool quarantines) — never by a neighbour's;
-//   - a private CircuitBreaker consulted only for traffic placed on that
-//     shard, so one sick domain can no longer refuse everyone.
+// driven by that shard's own outcome stream (infra-class failures, pool
+// quarantines), never by a neighbour's. It is the shard's only failure
+// detector: admission refuses placements exactly while the shard is
+// quarantined, so the hold is the fast-fail window and the rebuild
+// state is the probe.
 //
 // The service layers three mechanisms on top (smm_service.h):
 //   - re-routing: a quarantined shard is drained and its traffic follows
@@ -29,8 +28,8 @@
 //     service has a second shard to fire it on;
 //   - brownout: when a majority of shards are quarantined, kLow is shed
 //     at the door, tune sampling pauses, and ABFT-correct serves
-//     detect-only — explicit degraded service instead of collapsing
-//     into a global breaker.
+//     detect-only — explicit degraded service instead of refusing
+//     everything.
 #pragma once
 
 #include <atomic>
@@ -39,8 +38,6 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
-
-#include "src/service/circuit_breaker.h"
 
 namespace smm::failover {
 
@@ -82,15 +79,13 @@ inline constexpr double kHedgePercentile = 0.95;
 /// top of `base` (unparsable or negative values are ignored).
 FailoverOptions failover_options_from_env(FailoverOptions base = {});
 
-/// Health ledger for one shard: the lifecycle state machine plus the
-/// shard-private circuit breaker. Outcome feeds come from the shard's
-/// own traffic only. The `on_*` transitions return true exactly when the
-/// event moved the shard *into* kQuarantined — the caller owns the drain
-/// that must follow.
+/// Health ledger for one shard: the lifecycle state machine. Outcome
+/// feeds come from the shard's own traffic only. The `on_*` transitions
+/// return true exactly when the event moved the shard *into*
+/// kQuarantined — the caller owns the drain that must follow.
 class ShardHealth {
  public:
-  ShardHealth(FailoverOptions options,
-              service::CircuitBreaker::Options breaker);
+  explicit ShardHealth(FailoverOptions options);
 
   [[nodiscard]] ShardState state() const {
     return state_.load(std::memory_order_acquire);
@@ -100,14 +95,13 @@ class ShardHealth {
   [[nodiscard]] bool admissible() const {
     return state() != ShardState::kQuarantined;
   }
-  [[nodiscard]] service::CircuitBreaker& breaker() { return breaker_; }
 
   /// A request this shard executed reached a clean terminal: clears the
   /// failure streak; a rebuilding or degraded shard heals to kHealthy.
   void on_success();
-  /// Infra-class failure (dead worker, pool timeout, data corruption —
-  /// the same set that feeds CircuitBreaker::on_failure). Returns true
-  /// on entry into kQuarantined.
+  /// Infra-class failure (dead worker, pool timeout, allocation
+  /// collapse, unrepaired data corruption). Returns true on entry into
+  /// kQuarantined.
   bool on_failure();
   /// The shard's private pool quarantined itself (watchdog): the hard
   /// signal — straight to kQuarantined. Returns true on entry.
@@ -134,7 +128,6 @@ class ShardHealth {
   bool begin_rebuild_locked();
 
   FailoverOptions options_;
-  service::CircuitBreaker breaker_;
   mutable std::mutex mu_;
   std::atomic<ShardState> state_{ShardState::kHealthy};
   int consecutive_failures_ = 0;  // guarded by mu_

@@ -1,7 +1,7 @@
 // smm::resilient — the caller-side resilience layer (DESIGN.md §16).
 //
-// PRs 4–9 hardened the server: shedding, deadlines, breakers, per-shard
-// quarantine, hedging, brownout. But every typed refusal is returned to
+// The server protects itself: shedding, deadlines, per-shard quarantine,
+// hedging, brownout. But every typed refusal is returned to
 // the caller, and a naive caller loop ("try again until it works") is
 // exactly how a transient capacity dip becomes a *metastable retry
 // storm*: with fresh arrival rate λ and per-request attempt count E[A],

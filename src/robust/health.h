@@ -58,8 +58,8 @@
   X(arena_fallbacks)                                                           \
   X(plan_cache_insert_failures)                                                \
   X(prepack_fallbacks)                                                         \
-  /* Serving layer (DESIGN.md §11): admission, shedding, deadlines, the        \
-     circuit breaker, input hygiene, and fork-lifecycle resets. */             \
+  /* Serving layer (DESIGN.md §11): admission, shedding, deadlines,            \
+     quarantine refusals, input hygiene, and fork-lifecycle resets. */         \
   X(service_submitted)                                                         \
   X(service_admitted)                                                          \
   X(service_completed)                                                         \
@@ -68,21 +68,17 @@
   X(service_evictions)        /* admitted, displaced by a higher class */      \
   X(service_deadline_misses)                                                   \
   X(service_cancellations)                                                     \
-  X(service_breaker_trips)                                                     \
-  X(service_breaker_rejections)                                                \
-  /* Sharded runtime (DESIGN.md §13): placement, skew repair, and              \
-     dispatch amortization. Invariant (bracketed in a Transaction at the       \
-     admission site): service_routed == service_submitted — every              \
-     submission is routed exactly once, before the admission decision. */      \
-  X(service_routed)           /* submissions placed on a shard */              \
+  X(service_quarantine_rejections) /* target shard quarantined */              \
+  /* Sharded runtime (DESIGN.md §13): skew repair and dispatch                 \
+     amortization. */                                                          \
   X(service_steals)           /* requests run by a non-home shard */           \
   X(service_coalesced_groups) /* >=2-member batched dispatches */              \
   X(service_coalesced_items)  /* requests served inside those groups */        \
   /* Failure domains (DESIGN.md §15): the per-shard lifecycle, drain           \
      re-routing, hedged deadline requests, and brownout entries.               \
-     Invariant (enforced in tests): service_routed counts every                \
-     submission once — a diversion or drain moves the *per-shard*              \
-     attribution and lands here instead, never double-counts. */               \
+     Invariant (enforced in tests): every submission is routed once — a        \
+     diversion or drain moves the *per-shard* attribution and lands in         \
+     service_rerouted instead, never double-counts. */                         \
   X(service_rerouted)         /* placements diverted off a quarantined home */ \
   X(service_hedged)           /* backup submissions fired */                   \
   X(service_hedge_wins)       /* hedged requests whose backup won */           \

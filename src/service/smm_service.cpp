@@ -144,13 +144,12 @@ SmmService::SmmService(ServiceOptions options)
   // A single-shard service runs on the process-wide pool and plan cache;
   // N > 1 gives every shard a private domain (DESIGN.md §13) so panels
   // stop contending on one region lock and one cache mutex. Either way
-  // every shard is a failure domain with its own ledger and breaker.
+  // every shard is a failure domain with its own health ledger.
   const bool isolated = options_.shards > 1;
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     auto sh = std::make_unique<Shard>();
-    sh->health = std::make_unique<failover::ShardHealth>(options_.failover,
-                                                         options_.breaker);
+    sh->health = std::make_unique<failover::ShardHealth>(options_.failover);
     if (isolated) {
       sh->pool = par::WorkerPool::create_private();
       sh->cache = std::make_unique<core::PlanCache>(core::reference_smm());
@@ -251,14 +250,9 @@ Ticket SmmService::admit(Request request) {
         target, n, [&](int idx) { return shard_admissible(idx); });
   }
   Shard& shard = *shards_[static_cast<std::size_t>(target)];
-  {
-    // Correlated pair (DESIGN.md §13): every submission is routed
-    // exactly once, before the admission decision — a health snapshot
-    // must never observe service_submitted != service_routed.
-    robust::Health::Transaction tx;
-    count(Counter::submitted);
-    count(Counter::routed);
-  }
+  // Every submission is routed exactly once, before the admission
+  // decision, so Stats::routed is `submitted` itself (DESIGN.md §13).
+  count(Counter::submitted);
   if (target == request.home) {
     shard.routed.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -273,10 +267,10 @@ Ticket SmmService::admit(Request request) {
   // mutex-guarded inspection of the shard's queue counters, O(µs), no
   // plan work.
   const auto refuse = [&](ErrorCode code, std::string msg, bool is_shed,
-                          bool is_breaker) {
+                          bool is_quarantine) {
     count(Counter::rejected);
     if (is_shed) count(Counter::shed);
-    if (is_breaker) count(Counter::breaker_rejections);
+    if (is_quarantine) count(Counter::quarantine_rejections);
     complete(request.state, Result{false, code, std::move(msg)});
     return ticket;
   };
@@ -358,29 +352,19 @@ Ticket SmmService::admit(Request request) {
       }
     }
 
-    // The target shard's breaker is consulted after every load-shaped
-    // refusal (so a refused request never consumes the half-open probe
-    // slot) but before the eviction is performed (so a breaker refusal
-    // strands no already-popped victim — it simply stays queued). A
-    // quarantined domain's breaker is tripped on entry, so traffic with
-    // no admissible domain left (on a one-shard service: its only one)
-    // is normally refused here.
-    CircuitBreaker& breaker = shard.health->breaker();
-    if (!breaker.allow()) {
-      lock.unlock();
-      return refuse(ErrorCode::kOverloaded,
-                    "smm service: circuit breaker open", false, true);
-    }
+    // The target's health ledger is read under shard.mu, before the
+    // eviction is performed (so a refusal strands no already-popped
+    // victim — it simply stays queued). Traffic with no admissible
+    // domain left (on a one-shard service: its only one) is refused
+    // here, and so is a target that entered quarantine between
+    // selection and lock: the quarantine flips the state before its
+    // drain takes shard.mu, so work never lands on a domain the drain
+    // already emptied.
     if (!shard_admissible(target)) {
-      // The breaker went half-open during a long (administrative) hold,
-      // or the target flipped between selection and lock. Release the
-      // probe slot and refuse — never enqueue onto a domain the drain
-      // owns.
-      breaker.on_neutral();
       lock.unlock();
       return refuse(ErrorCode::kOverloaded,
-                    "smm service: no healthy shard domain available",
-                    false, false);
+                    "smm service: shard quarantined, no healthy domain",
+                    false, true);
     }
 
     if (victim_class >= 0) {
@@ -430,7 +414,6 @@ bool SmmService::shard_admissible(int idx) const {
 }
 
 void SmmService::record_outcome(const Result& result, Shard& shard) {
-  CircuitBreaker& breaker = shard.health->breaker();
   // Ledger transitions: the executing shard's own outcome stream drives
   // its lifecycle — a quarantine entry discovered here owns the drain
   // that follows.
@@ -448,47 +431,29 @@ void SmmService::record_outcome(const Result& result, Shard& shard) {
   };
   if (result.ok) {
     count(Counter::completed);
-    breaker.on_success();
     shard.health->on_success();
     return;
   }
   switch (result.code) {
     case ErrorCode::kCancelled:
       count(Counter::cancellations);
-      breaker.on_neutral();
       break;
     case ErrorCode::kDeadlineExceeded:
       count(Counter::deadline_misses);
-      breaker.on_neutral();
       break;
     case ErrorCode::kNonFinite:
     case ErrorCode::kBadShape:
     case ErrorCode::kAlias:
     case ErrorCode::kPrecondition:
       // The request's own fault: says nothing about the substrate.
-      breaker.on_neutral();
-      break;
-    case ErrorCode::kDataCorrupted:
-    case ErrorCode::kCacheCorrupted:
-      // Silent-data-corruption defenses fired and could not repair:
-      // the substrate is actively producing wrong bytes — the
-      // strongest possible signal to trip the breaker.
-      breaker.on_failure();
-      on_shard_failure();
       break;
     default:
       // Infrastructure-class failure (dead worker, pool timeout,
-      // allocation collapse): counts toward tripping the breaker.
-      breaker.on_failure();
+      // allocation collapse) or unrepaired corruption (the substrate is
+      // producing wrong bytes): counts toward quarantine.
       on_shard_failure();
       break;
   }
-}
-
-BreakerState SmmService::shard_breaker_state(int shard_idx) const {
-  return shards_[static_cast<std::size_t>(shard_idx)]
-      ->health->breaker()
-      .state();
 }
 
 failover::ShardState SmmService::shard_state(int shard_idx) const {
@@ -814,10 +779,8 @@ void SmmService::execute(Request& request, Shard& shard) {
         // Hedged: compute into private scratch, then race for the
         // claim. Only the winner published into the caller's C; the
         // loser's work is discarded without touching any shared state.
-        if (!request.run_claim(token, shard_cache(shard))) {
-          if (!request.backup) shard.health->breaker().on_neutral();
+        if (!request.run_claim(token, shard_cache(shard)))
           return;  // the sibling owns the outcome — record nothing
-        }
         result.ok = true;
         if (request.backup) count(Counter::hedge_wins);
       } else {
@@ -848,10 +811,7 @@ void SmmService::execute(Request& request, Shard& shard) {
     // First terminal wins — success or failure alike. A second arm is
     // still racing (or already terminal); if the claim is lost, this
     // arm's outcome is nobody's business.
-    if (!request.state->claim()) {
-      if (!request.backup) shard.health->breaker().on_neutral();
-      return;
-    }
+    if (!request.state->claim()) return;
   }
   record_outcome(result, shard);
   complete(request.state, std::move(result));
@@ -902,12 +862,12 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
                     core::BatchItemStatus{false, error_code_of(e), e.what()});
   }
 
-  // Success accounting is batched: one counter bump and one breaker
+  // Success accounting is batched: one counter bump and one ledger
   // on_success per group instead of per member (on_success is
   // idempotent — it resets the failure streak — so folding N calls into
   // one is semantically identical and keeps the per-item completion
   // cost flat as groups deepen). Failures stay per-member so the
-  // breaker sees every individual infrastructure signal.
+  // ledger sees every individual infrastructure signal.
   std::size_t ok_members = 0;
   for (std::size_t i = 0; i < group.size(); ++i) {
     Result result;
@@ -932,7 +892,6 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
   }
   if (ok_members > 0) {
     svc.count(Counter::completed, ok_members);
-    shard.health->breaker().on_success();
     shard.health->on_success();
   }
 }
@@ -970,10 +929,6 @@ void SmmService::reap_stopped_locked(Shard& shard) {
                        "smm service: deadline passed while queued"};
       count(result.code == ErrorCode::kCancelled ? Counter::cancellations
                                                  : Counter::deadline_misses);
-      // Mirrors execute()'s queued pre-check: a stop is neutral for the
-      // breaker, but must still release a half-open probe slot the
-      // request may hold from admission. Backups never took that slot.
-      if (!it->backup) shard.health->breaker().on_neutral();
       complete(it->state, std::move(result));
       unqueue();
     }
@@ -1250,6 +1205,7 @@ SmmService::Stats SmmService::stats() const {
   Stats s;
   for (std::size_t i = 0; i < std::size(kCounterRows); ++i)
     s.*kCounterRows[i].field = counters_[i].load(std::memory_order_relaxed);
+  s.routed = s.submitted;
   s.queued = total_queued_.load(std::memory_order_relaxed);
   s.in_flight = total_in_flight_.load(std::memory_order_relaxed);
   s.routed_per_shard.reserve(shards_.size());

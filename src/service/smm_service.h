@@ -11,7 +11,7 @@
 //   submit() ─ router ─► shard ── admission ──► queue ─► lanes ─► gemm
 //               │          │        │ depth/cost budget → kOverloaded
 //               │          │        ├─ shed watermarks  → kOverloaded
-//               │          │        └─ circuit breaker  → kOverloaded
+//               │          │        └─ shard quarantined → kOverloaded
 //               │          └─ own WorkerPool + PlanCache + lanes
 //               └─ hash(shape class) ⊕ cost bucket (smm::shard)
 //
@@ -30,22 +30,23 @@
 // coalesced neighbor's failure never poisons siblings.
 //
 // Failure domains (smm::failover, DESIGN.md §15): every shard — the only
-// shard of a one-shard service included — carries its own health ledger
-// and circuit breaker, driven by that shard's outcome stream alone. A
-// quarantined shard is drained — its queue re-routes along a
-// deterministic fallback ring, in-flight work runs to terminal state —
-// and its home traffic diverts at admission until the rebuild probe
-// proves recovery. With multiple shards, kHigh requests with deadline
-// slack are hedged: a backup fires on a different shard after a
-// percentile-based delay, the first terminal claims the ticket, the
+// shard of a one-shard service included — carries its own health ledger,
+// driven by that shard's outcome stream alone; it is the shard's only
+// failure detector. A quarantined shard is drained — its queue re-routes
+// along a deterministic fallback ring, in-flight work runs to terminal
+// state — and its home traffic diverts at admission until the rebuild
+// probe proves recovery. With multiple shards, kHigh requests with
+// deadline slack are hedged: a backup fires on a different shard after
+// a percentile-based delay, the first terminal claims the ticket, the
 // loser is cancelled and never double-counts. When a majority of shards
 // are quarantined (a quarantined sole shard is a majority) the service
 // browns out: kLow shed at the door, tune sampling paused, ABFT-correct
 // serving detect-only.
 //
-// Rejections are O(µs): submit() does shape validation, routing, plus a
-// mutex-guarded admission decision — plan resolution, packing, and
-// execution all happen on the lanes.
+// Rejections are O(µs): submit() does shape validation, routing, plus an
+// admission decision under the target shard's mutex alone (no
+// process-wide lock) — plan resolution, packing, and execution all
+// happen on the lanes.
 //
 // Lifecycle: drain() stops admitting and completes every admitted
 // request; shutdown() drains, retires every shard's lanes, and releases
@@ -73,7 +74,6 @@
 #include "src/core/smm.h"
 #include "src/failover/failover.h"
 #include "src/matrix/view.h"
-#include "src/service/circuit_breaker.h"
 #include "src/threading/worker_pool.h"
 
 namespace smm::service {
@@ -91,7 +91,7 @@ struct ServiceOptions {
   /// private WorkerPool, and a partitioned PlanCache; queue_depth,
   /// watermarks, and cost_budget_ns are all per shard. 1 = one domain
   /// on the process-wide pool and plan cache; it runs the same
-  /// admission, breaker and health code as N shards.
+  /// admission and health code as N shards.
   int shards = 0;
   /// Bounded queue depth per shard; admissions beyond it are rejected
   /// (or evict a lower-priority entry). Env: SMMKIT_QUEUE_DEPTH.
@@ -129,10 +129,8 @@ struct ServiceOptions {
   /// Options for the underlying smm_gemm calls (check_finite lives
   /// here: a serving front-end typically turns it on).
   core::SmmOptions gemm;
-  CircuitBreaker::Options breaker;
   /// Per-shard failure domains, re-routing, hedging, brownout
-  /// (smm::failover, DESIGN.md §15). `breaker` above configures every
-  /// shard's private breaker.
+  /// (smm::failover, DESIGN.md §15).
   failover::FailoverOptions failover;
 };
 
@@ -231,10 +229,10 @@ struct BatchItem {
 /// X(stats_field, health_mirror) row each. SmmService::Stats has one field
 /// per row, and every bump of a row also bumps its Health mirror, so the
 /// two views move together. Invariants (DESIGN.md §13/§15): submitted ==
-/// routed == Σ routed_per_shard + rerouted (every submission is routed
-/// exactly once; a placement diverted off its quarantined home — at
-/// admission or by a drain — is attributed to `rerouted` instead of a
-/// shard), admitted == Σ admitted_per_shard, and submitted == admitted +
+/// Σ routed_per_shard + rerouted (every submission is routed exactly
+/// once; a placement diverted off its quarantined home — at admission or
+/// by a drain — is attributed to `rerouted` instead of a shard),
+/// admitted == Σ admitted_per_shard, and submitted == admitted +
 /// rejected.
 #define SMM_SERVICE_COUNTERS(X)                                                \
   X(submitted, service_submitted)                                              \
@@ -242,7 +240,8 @@ struct BatchItem {
   X(completed, service_completed) /* finished successfully */                  \
   X(rejected, service_rejected) /* kOverloaded/kShuttingDown at submit */      \
   X(shed, service_shed) /* subset of rejected: watermark refusals */           \
-  X(breaker_rejections, service_breaker_rejections) /* subset of rejected */   \
+  /* Subset of rejected: the target shard was quarantined. */                  \
+  X(quarantine_rejections, service_quarantine_rejections)                      \
   /* Admitted, then displaced by a higher-priority arrival (completes          \
      kOverloaded). Counted here only — submitted == admitted +                 \
      rejected, and admitted work ends completed, evicted, cancelled,           \
@@ -251,7 +250,6 @@ struct BatchItem {
   X(deadline_misses, service_deadline_misses)                                  \
   X(cancellations, service_cancellations)                                      \
   /* Sharded runtime (DESIGN.md §13). */                                       \
-  X(routed, service_routed) /* placements (== submitted) */                    \
   X(steals, service_steals) /* requests run by a non-home shard */             \
   X(coalesced_groups, service_coalesced_groups) /* >=2-member dispatches */    \
   X(coalesced_items, service_coalesced_items) /* requests in those groups */   \
@@ -311,15 +309,15 @@ class SmmService {
 #define SMM_SERVICE_STATS_FIELD(field, mirror) std::size_t field = 0;
     SMM_SERVICE_COUNTERS(SMM_SERVICE_STATS_FIELD)
 #undef SMM_SERVICE_STATS_FIELD
+    /// Placements: always == submitted, since every submission is routed
+    /// exactly once. routed == Σ routed_per_shard + rerouted.
+    std::size_t routed = 0;
     std::size_t queued = 0;      ///< currently waiting (all shards)
     std::size_t in_flight = 0;   ///< currently executing (all shards)
     std::vector<std::size_t> routed_per_shard;
     std::vector<std::size_t> admitted_per_shard;
   };
   [[nodiscard]] Stats stats() const;
-
-  /// The breaker admission consults for traffic placed on one shard.
-  [[nodiscard]] BreakerState shard_breaker_state(int shard_idx) const;
 
   // Failure-domain surface (DESIGN.md §15), the same for any shard count.
   /// Lifecycle state of one shard.
@@ -444,8 +442,7 @@ class SmmService {
     std::vector<std::thread> lanes;
     std::unique_ptr<par::WorkerPool> pool;
     std::unique_ptr<core::PlanCache> cache;
-    /// Failure-domain ledger + per-shard breaker (DESIGN.md §15); never
-    /// null.
+    /// Failure-domain ledger (DESIGN.md §15); never null.
     std::unique_ptr<failover::ShardHealth> health;
     /// Pool-quarantine count last attributed by the supervisor (seeded
     /// at construction; afterwards only the supervisor thread touches it).
@@ -504,10 +501,9 @@ class SmmService {
   template <typename T>
   static void run_coalesced(SmmService& svc, Shard& shard,
                             std::vector<Request>& group);
-  /// The completed/cancelled/deadline/breaker bookkeeping shared by the
+  /// The completed/cancelled/deadline/health bookkeeping shared by the
   /// single-request and coalesced completion paths. `shard` is the
-  /// domain that *executed* the request — its ledger and breaker take
-  /// the outcome.
+  /// domain that *executed* the request — its ledger takes the outcome.
   void record_outcome(const Result& result, Shard& shard);
   static void complete(const std::shared_ptr<detail::RequestState>& state,
                        Result result);

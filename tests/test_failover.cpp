@@ -4,7 +4,7 @@
 // tickets, hedged execution with exactly-once outcome accounting, the
 // routed == Σ routed_per_shard + rerouted invariant, steal gating by
 // shard state, brownout (kLow shed, tune sampling paused, ABFT repair
-// suppressed), per-shard breaker isolation, fork safety with shards > 1,
+// suppressed), per-shard quarantine isolation, fork safety with shards > 1,
 // and a TSan-facing concurrent quarantine/revive/hedge stress. The
 // sustained fault-schedule version lives in bench/failover_soak.
 #include <gtest/gtest.h>
@@ -46,8 +46,6 @@ using robust::FaultInjector;
 using robust::FaultSite;
 using robust::FaultSpec;
 using robust::ScopedFault;
-using service::BreakerState;
-using service::CircuitBreaker;
 using service::Priority;
 using service::Result;
 using service::ServiceOptions;
@@ -173,7 +171,7 @@ TEST_F(FailoverTest, LedgerWalksTheLifecycle) {
   fo.degrade_after = 2;
   fo.quarantine_after = 4;
   fo.quarantine_ms = 5;
-  ShardHealth h(fo, CircuitBreaker::Options{});
+  ShardHealth h(fo);
   EXPECT_EQ(h.state(), ShardState::kHealthy);
   EXPECT_TRUE(h.admissible());
 
@@ -223,7 +221,7 @@ TEST_F(FailoverTest, LedgerWalksTheLifecycle) {
 TEST_F(FailoverTest, AdministrativeHoldOutlivesTheClock) {
   FailoverOptions fo;
   fo.quarantine_ms = 1;
-  ShardHealth h(fo, CircuitBreaker::Options{});
+  ShardHealth h(fo);
   EXPECT_TRUE(h.force_quarantine());
   EXPECT_FALSE(h.force_quarantine());  // already held: not an entry
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
@@ -662,13 +660,11 @@ TEST_F(FailoverTest, MajorityQuarantineEntersAndExitsBrownout) {
   integrity::set_mode_override(integrity::AbftMode::kAuto);
 }
 
-// ---- per-shard breaker isolation -------------------------------------------
+// ---- per-shard quarantine isolation ----------------------------------------
 
-TEST_F(FailoverTest, OneSickShardTripsOnlyItsOwnBreaker) {
+TEST_F(FailoverTest, OneSickShardQuarantinesOnlyItself) {
   ServiceOptions options = failover_options(2);
   options.threads_per_request = 2;  // route through the worker pool
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_for = std::chrono::milliseconds(40);
   options.failover.degrade_after = 1;
   options.failover.quarantine_after = 2;
   options.failover.quarantine_ms = 30;
@@ -701,10 +697,9 @@ TEST_F(FailoverTest, OneSickShardTripsOnlyItsOwnBreaker) {
     }
   }
   // Two infra failures on shard 0's own traffic: its ledger quarantines
-  // and its breaker trips — the sibling's breaker never hears about it.
+  // it — the sibling's ledger never hears about it.
   EXPECT_EQ(svc.shard_state(sick), ShardState::kQuarantined);
-  EXPECT_EQ(svc.shard_breaker_state(sick), BreakerState::kOpen);
-  EXPECT_EQ(svc.shard_breaker_state(1), BreakerState::kClosed);
+  EXPECT_EQ(svc.shard_state(1), ShardState::kHealthy);
   EXPECT_GE(svc.stats().shard_quarantines, 1u);
 
   // Healthy-shard traffic flows; sick-homed traffic diverts and flows.
@@ -754,7 +749,6 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
     ~ReleaseHangs() { robust::cancel_injected_hangs(); }
   } release_hangs;
   EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
 
   // Hold the only lane inside a pooled region on a hung worker (released
   // below, long before the 30 s watchdog), then queue work behind it.
@@ -814,7 +808,6 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
   ASSERT_TRUE(probe.ok) << probe.message;
   EXPECT_TRUE(p.check(24));
   EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
-  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
 
   // kHigh with deadline slack: one domain has nowhere to fire a backup.
   for (int i = 0; i < 8; ++i)
@@ -874,7 +867,7 @@ TEST_F(FailoverTest, AnotherServicesPoolQuarantineLeavesASingleShardAlone) {
   ASSERT_GE(robust::health().snapshot().pool_quarantines, before + 1);
 
   // The quarantined pool belongs to the other service: the one-shard
-  // service keeps admitting and stays healthy with its breaker closed.
+  // service keeps admitting, stays healthy and refuses nothing.
   for (int i = 0; i < 2; ++i) {
     const Result& r =
         single.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view())
@@ -883,8 +876,7 @@ TEST_F(FailoverTest, AnotherServicesPoolQuarantineLeavesASingleShardAlone) {
   }
   EXPECT_TRUE(p.check(24));
   EXPECT_EQ(single.shard_state(0), ShardState::kHealthy);
-  EXPECT_EQ(single.shard_breaker_state(0), BreakerState::kClosed);
-  EXPECT_EQ(single.stats().breaker_rejections, 0u);
+  EXPECT_EQ(single.stats().quarantine_rejections, 0u);
   check_accounting(single, /*mirrors=*/false);  // `sharded` counts too
   sharded.shutdown();
   single.shutdown();

@@ -470,8 +470,8 @@ TEST_F(ResilientTest, ConcurrentExecuteRetryCancelStress) {
     canceller.join();
   }
   EXPECT_EQ(failed_unexpected.load(), 0u);
-  // With the fault disarmed the client must recover — the breaker may
-  // still be open for a while (kOverloaded refusals), but a fresh
+  // With the fault disarmed the client must recover — a shard may
+  // still be quarantined for a while (kOverloaded refusals), but a fresh
   // execute eventually succeeds. A dead-ended client here would mean
   // the storm left the stack wedged.
   heal_pool();

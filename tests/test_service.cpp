@@ -1,7 +1,7 @@
 // smm::service tests (DESIGN.md §11): deadline/cancel corners through the
 // cancellable execution stack, admission control (depth, cost budget,
-// watermark shedding, priority eviction), the circuit breaker's
-// trip → half-open → recover cycle, drain/shutdown lifecycle (including
+// watermark shedding, priority eviction), the shard health ledger's
+// quarantine → rebuild → heal cycle, drain/shutdown lifecycle (including
 // the no-live-pool-threads promise), fork safety after warm-up, the
 // check_finite input screen, and a TSan-clean concurrent submit/cancel
 // stress. The sustained 4×-overload version lives in bench/overload_soak.
@@ -24,9 +24,9 @@
 #include "src/common/fork_guard.h"
 #include "src/core/batched.h"
 #include "src/core/smm.h"
+#include "src/failover/failover.h"
 #include "src/robust/fault_injection.h"
 #include "src/robust/health.h"
-#include "src/service/circuit_breaker.h"
 #include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
@@ -39,8 +39,7 @@ using robust::FaultInjector;
 using robust::FaultSite;
 using robust::FaultSpec;
 using robust::ScopedFault;
-using service::BreakerState;
-using service::CircuitBreaker;
+using failover::ShardState;
 using service::Priority;
 using service::Result;
 using service::ServiceOptions;
@@ -441,43 +440,15 @@ TEST_F(ServiceTest, OversizedRequestAdmittedWhenQueueEmpty) {
   svc.shutdown();
 }
 
-// ---- circuit breaker -------------------------------------------------------
+// ---- shard quarantine -----------------------------------------------------
 
-TEST_F(ServiceTest, BreakerUnitTripHalfOpenRecover) {
-  CircuitBreaker::Options options;
-  options.failure_threshold = 2;
-  options.open_for = std::chrono::milliseconds(30);
-  CircuitBreaker breaker(options);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_failure();
-  breaker.on_failure();
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.allow());
-  EXPECT_EQ(breaker.trips(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_TRUE(breaker.allow());  // this caller is the half-open probe
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_FALSE(breaker.allow());  // probe slot taken
-  breaker.on_failure();           // probe fails: straight back to open
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.trips(), 2u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_neutral();  // a cancelled probe frees the slot undecided
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-}
-
-TEST_F(ServiceTest, ServiceBreakerTripsOnRepeatedFailuresAndRecovers) {
+TEST_F(ServiceTest, ShardQuarantinesOnRepeatedFailuresAndRecovers) {
   ServiceOptions options;
   options.shards = 1;
   options.lanes = 1;
   options.threads_per_request = 2;  // route through the worker pool
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_for = std::chrono::milliseconds(50);
+  options.failover.quarantine_after = 2;
+  options.failover.quarantine_ms = 50;
   SmmService svc(options);
   test::GemmProblem<double> p(64, 64, 64, 41);
 
@@ -495,22 +466,27 @@ TEST_F(ServiceTest, ServiceBreakerTripsOnRepeatedFailuresAndRecovers) {
       ASSERT_FALSE(r.ok);
       EXPECT_EQ(r.code, ErrorCode::kWorkerPanic) << r.message;
     }
-    EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kOpen);
-    // Open breaker: rejected at admission with kOverloaded, counted.
+    EXPECT_EQ(svc.shard_state(0), ShardState::kQuarantined);
+    // Quarantined shard: rejected at admission with kOverloaded, counted.
     const Result& rejected =
         svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
     ASSERT_FALSE(rejected.ok);
     EXPECT_EQ(rejected.code, ErrorCode::kOverloaded);
-    EXPECT_GE(svc.stats().breaker_rejections, 1u);
+    EXPECT_GE(svc.stats().quarantine_rejections, 1u);
   }
 
-  // Fault gone; after open_for the next request is the half-open probe
-  // and its success closes the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Fault gone; once quarantine_ms elapses the shard is rebuilding, the
+  // next request is the probe, and its success heals the shard.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (svc.shard_state(0) == ShardState::kQuarantined &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(svc.shard_state(0), ShardState::kRebuilding);
   const Result& probe =
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   EXPECT_TRUE(probe.ok) << probe.message;
-  EXPECT_EQ(svc.shard_breaker_state(0), BreakerState::kClosed);
+  EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
   svc.shutdown();
 }
 
@@ -698,9 +674,9 @@ TEST_F(ServiceTest, ServiceScreensNonFiniteWhenConfigured) {
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.code, ErrorCode::kNonFinite) << r.message;
   // A poisoned request is the caller's fault, not the substrate's: every
-  // shard's breaker must stay closed.
+  // shard must stay healthy.
   for (int s = 0; s < svc.options().shards; ++s)
-    EXPECT_EQ(svc.shard_breaker_state(s), BreakerState::kClosed);
+    EXPECT_EQ(svc.shard_state(s), ShardState::kHealthy);
   svc.shutdown();
 }
 
@@ -741,12 +717,6 @@ TEST_F(ServiceTest, SnapshotNeverTearsAcrossTransaction) {
             1, std::memory_order_relaxed);
         robust::health().naive_fallbacks.fetch_add(
             1, std::memory_order_relaxed);
-        // The shard router's correlated pair (DESIGN.md §13): admit()
-        // brackets these two exactly like this.
-        robust::health().service_submitted.fetch_add(
-            1, std::memory_order_relaxed);
-        robust::health().service_routed.fetch_add(
-            1, std::memory_order_relaxed);
         // The autotuner's correlated pair (DESIGN.md §14): a re-plan is
         // always driven by a recorded sample.
         robust::health().tune_samples.fetch_add(1,
@@ -770,8 +740,6 @@ TEST_F(ServiceTest, SnapshotNeverTearsAcrossTransaction) {
     const auto s = robust::health().snapshot();
     ASSERT_EQ(s.rebuild_fallbacks, s.naive_fallbacks)
         << "torn snapshot after " << reads << " reads";
-    ASSERT_EQ(s.service_submitted, s.service_routed)
-        << "torn submitted/routed pair after " << reads << " reads";
     ASSERT_EQ(s.tune_samples, s.tune_replans)
         << "torn tune samples/replans pair after " << reads << " reads";
     ASSERT_EQ(s.retry_attempts, s.retry_successes)

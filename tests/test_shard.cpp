@@ -16,6 +16,7 @@
 #include "src/common/cancel.h"
 #include "src/common/error.h"
 #include "src/core/smm.h"
+#include "src/failover/failover.h"
 #include "src/shard/shard.h"
 #include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
@@ -322,8 +323,8 @@ TEST(ShardService, CoalescedNeighborFailureDoesNotPoisonSiblings) {
   EXPECT_TRUE(probs[0].check(32));
   EXPECT_TRUE(probs[3].check(32));
   EXPECT_EQ(max_abs_diff(probs[2].c.cview(), c2_before.cview()), 0.0);
-  // A neighbor's NaN is the caller's fault: the breaker stays closed.
-  EXPECT_EQ(svc.shard_breaker_state(0), service::BreakerState::kClosed);
+  // A neighbor's NaN is the caller's fault: the shard stays healthy.
+  EXPECT_EQ(svc.shard_state(0), failover::ShardState::kHealthy);
   svc.shutdown();
 }
 
