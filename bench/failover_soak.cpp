@@ -4,9 +4,10 @@
 //    moderate fraction of measured capacity against a multi-shard
 //    service while a fault scheduler walks shards through
 //    quarantine/revive cycles — including one majority-quarantine
-//    window that must enter and exit brownout — and fires hedge bursts
-//    (a stuffed home lane under kHigh requests with deadline slack) so
-//    the hedged-execution path runs against real contention. Gates:
+//    window that must enter and exit brownout — and fires lane-stuffing
+//    bursts (kHigh blockers on one home lane, then kHigh requests with
+//    deadline slack queued behind them) so the late-terminal gate runs
+//    against a stuffed lane. Gates:
 //      - zero lost tickets: every submitted ticket reaches a terminal
 //        and is classified; queued == in_flight == 0 after drain; the
 //        exactly-once terminal identity holds
@@ -22,22 +23,20 @@
 //        (brownout window excluded — shedding there is the contract,
 //        not a regression) stays >= --goodput-frac (default 0.9) of the
 //        steady-state phase;
-//      - every failover counter nonzero by the end: rerouted, hedged,
-//        hedge_wins, shard_quarantines, shard_rebuilds, brownouts — a
-//        mechanism that never fired was not soaked.
+//      - every failover counter nonzero by the end: rerouted,
+//        shard_quarantines, shard_rebuilds, brownouts — a mechanism that
+//        never fired was not soaked.
 //
 //   failover_soak [--seconds 8] [--shards 3] [--load-frac 0.25]
 //                 [--deadline-ms 200] [--goodput-frac 0.9]
 //                 [--slack-ms 500] [--zipf 1.3] [--json BENCH_failover.json]
 //
-// 2. Perf smoke (--perf-check): a one-domain service must never pay for
-//    the hedge path — with one shard there is nowhere to fire a backup.
-//    Interleaved best-of-3 synchronous throughput trials on the same
-//    shards=1 service config: kHigh submissions with a 2000 ms deadline
-//    (A, the hedge-eligible shape on a multi-shard service, which would
-//    snapshot all three operands) vs kNormal submissions with no
-//    deadline (B), gating goodput(A) >= --perf-ratio (default 0.95) x
-//    goodput(B).
+// 2. Perf smoke (--perf-check): on one domain, a kHigh request with a
+//    deadline costs no more than a kNormal one. Interleaved best-of-3
+//    synchronous throughput trials on the same shards=1 service config:
+//    kHigh submissions with a 2000 ms deadline (A) vs kNormal
+//    submissions with no deadline (B), gating goodput(A) >= --perf-ratio
+//    (default 0.95) x goodput(B).
 //
 //   failover_soak --perf-check [--perf-reps 3] [--perf-requests 400]
 //                 [--perf-ratio 0.95] [--json BENCH_failover.json]
@@ -97,11 +96,12 @@ void count_terminal(Totals& totals, const soak::Pending& item,
     totals.ok_by_phase[item.phase].fetch_add(1);
 }
 
-// ---- hedge bursts ----------------------------------------------------------
+// ---- lane-stuffing bursts --------------------------------------------------
 
 /// Per-shard shapes the deterministic router homes on that shard:
-/// blockers (big, lane-hogging) and highs (hedge candidates). Found by
-/// scanning k — the same public-route_shard idiom the tests use.
+/// blockers (big, lane-hogging) and highs (kHigh requests with deadline
+/// slack that queue behind them). Found by scanning k — the same
+/// public-route_shard idiom the tests use.
 struct HomedShapes {
   index_t blocker_k = 0;
   index_t high_k = 0;
@@ -128,13 +128,13 @@ std::vector<HomedShapes> find_homed_shapes(const SmmService& service,
   return homed;
 }
 
-/// Stuff `target`'s lane with kHigh blockers, then submit kHigh
-/// requests with wide deadline slack homed on the same shard: with the
-/// home lane busy, the hedge timer fires and the backup — placed on the
-/// fallback ring — wins the claim race. Waits every ticket to a
-/// terminal before returning (prompt classification keeps the
-/// late-terminal bound honest).
-void hedge_burst(SmmService& service, const HomedShapes& shapes,
+/// Stuff the home lane of `shapes` with kHigh blockers, then submit
+/// kHigh requests with wide deadline slack homed on the same shard: they
+/// queue behind the blockers (or are stolen by an idle peer) and must
+/// still reach a terminal inside the late-terminal bound. Waits every
+/// ticket to a terminal before returning (prompt classification keeps
+/// the late-terminal bound honest).
+void lane_stuffing_burst(SmmService& service, const HomedShapes& shapes,
                  Totals& totals, long slack_ms) {
   constexpr int kBlockers = 6;
   constexpr int kHighs = 4;
@@ -201,10 +201,6 @@ int run_soak(int argc, char** argv) {
   options.queue_depth = 64;
   options.coalesce_depth = 1;
   options.coalesce_window_us = 0;
-  // A 1 ms hedge delay: far above every healthy completion in this mix
-  // (so hedges stay rare), far below a stuffed lane's backlog (so the
-  // bursts fire them deterministically).
-  options.failover.hedge_ms = 1;
   SmmService service(options);
 
   // Small f32 cubes in the dispatch-sensitive regime; the Zipf ranking
@@ -242,7 +238,7 @@ int run_soak(int argc, char** argv) {
       service, pool, offered, deadline_ms, slack_ms, totals.all,
       {.stop = [&] { return stop_traffic.load(std::memory_order_relaxed); },
        // Priority mix: mostly normal, some low (brownout shed fodder),
-       // some high (hedge candidates under a wide deadline budget).
+       // some high.
        .priority =
            [](std::uint64_t n) {
              return (n % 8 == 0)   ? Priority::kLow
@@ -256,9 +252,10 @@ int run_soak(int argc, char** argv) {
            }});
 
   // ---- the fault schedule, run from this thread -----------------------
-  // Timeline (T = --seconds): 0.5 s warm, ~0.35 T steady (with one hedge
-  // burst), then a fault phase of rolling quarantine/revive cycles with
-  // hedge bursts on healthy shards and one majority-quarantine brownout
+  // Timeline (T = --seconds): 0.5 s warm, ~0.35 T steady (with one
+  // lane-stuffing burst), then a fault phase of rolling quarantine/revive
+  // cycles with lane-stuffing bursts on healthy shards and one
+  // majority-quarantine brownout
   // window in the middle, then revive-all and drain.
   double phase_secs[kNumPhases] = {};
   auto phase_started = Clock::now();
@@ -276,7 +273,7 @@ int run_soak(int argc, char** argv) {
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(0.35 * seconds));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  hedge_burst(service, homed[0], totals, slack_ms);
+  lane_stuffing_burst(service, homed[0], totals, slack_ms);
   std::this_thread::sleep_until(steady_end);
 
   enter_phase(kFault);
@@ -310,9 +307,10 @@ int run_soak(int argc, char** argv) {
     service.quarantine_shard(victim);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     // Burst on a shard that is NOT the quarantined one, so the blockers
-    // land on a live lane and the hedge has a distinct shard to win on.
-    hedge_burst(service, homed[static_cast<std::size_t>((victim + 1) % shards)],
-                totals, slack_ms);
+    // land on a live lane.
+    lane_stuffing_burst(
+        service, homed[static_cast<std::size_t>((victim + 1) % shards)],
+        totals, slack_ms);
     service.revive_shard(victim);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     victim = (victim + 1) % shards;
@@ -361,10 +359,9 @@ int run_soak(int argc, char** argv) {
                                       ? goodput_fault / goodput_steady
                                       : 0.0,
               goodput_frac, phase_secs[kBrownout]);
-  std::printf("failover counters: rerouted %zu hedged %zu hedge_wins %zu "
-              "shard_quarantines %zu shard_rebuilds %zu brownouts %zu\n",
-              stats.rerouted, stats.hedged, stats.hedge_wins,
-              stats.shard_quarantines, stats.shard_rebuilds,
+  std::printf("failover counters: rerouted %zu shard_quarantines %zu "
+              "shard_rebuilds %zu brownouts %zu\n",
+              stats.rerouted, stats.shard_quarantines, stats.shard_rebuilds,
               stats.brownouts);
   std::printf("accounting: submitted %zu terminals %zu queued %zu "
               "in_flight %zu routed %zu rerouted %zu\n",
@@ -389,12 +386,10 @@ int run_soak(int argc, char** argv) {
                       totals.all.ok.load(), totals.all.refused.load(),
                       totals.all.stopped.load(), totals.all.late.load(),
                       lost);
-    json << strprintf("  \"rerouted\": %zu, \"hedged\": %zu, "
-                      "\"hedge_wins\": %zu, \"shard_quarantines\": %zu, "
+    json << strprintf("  \"rerouted\": %zu, \"shard_quarantines\": %zu, "
                       "\"shard_rebuilds\": %zu, \"brownouts\": %zu\n",
-                      stats.rerouted, stats.hedged, stats.hedge_wins,
-                      stats.shard_quarantines, stats.shard_rebuilds,
-                      stats.brownouts);
+                      stats.rerouted, stats.shard_quarantines,
+                      stats.shard_rebuilds, stats.brownouts);
     json << "}\n";
   }
 
@@ -413,8 +408,6 @@ int run_soak(int argc, char** argv) {
               "fault-phase goodput below threshold");
   gates.check(!did_brownout, "brownout window never ran");
   gates.check(stats.rerouted == 0, "rerouted counter stayed zero");
-  gates.check(stats.hedged == 0, "hedged counter stayed zero");
-  gates.check(stats.hedge_wins == 0, "hedge_wins counter stayed zero");
   gates.check(stats.shard_quarantines == 0,
               "shard_quarantines counter stayed zero");
   gates.check(stats.shard_rebuilds == 0,
@@ -427,12 +420,13 @@ int run_soak(int argc, char** argv) {
 
 constexpr long kPerfDeadlineMs = 2000;
 
-/// Synchronous goodput of one shards=1 service. `hedge_shaped`: kHigh
+/// Synchronous goodput of one shards=1 service. `high_deadline`: kHigh
 /// with a deadline (arm A); otherwise kNormal without one (arm B).
-double perf_trial(bool hedge_shaped, int requests) {
+double perf_trial(bool high_deadline, int requests) {
   SmmService service(soak::perf_service_options());
-  const Priority priority = hedge_shaped ? Priority::kHigh : Priority::kNormal;
-  const long deadline_ms = hedge_shaped ? kPerfDeadlineMs : 0;
+  const Priority priority =
+      high_deadline ? Priority::kHigh : Priority::kNormal;
+  const long deadline_ms = high_deadline ? kPerfDeadlineMs : 0;
   soak::Cube cube;
   const auto call = [&] {
     service
@@ -442,10 +436,8 @@ double perf_trial(bool hedge_shaped, int requests) {
   };
   for (int i = 0; i < 50; ++i) call();
   const double goodput = soak::goodput_per_s(requests, call);
-  const bool hedged = service.stats().hedged != 0;
   service.shutdown();
-  // A hedge on one domain is a correctness bug, not a slow trial.
-  return hedged ? 0.0 : goodput;
+  return goodput;
 }
 
 int run_perf_check(int argc, char** argv) {
@@ -459,8 +451,8 @@ int run_perf_check(int argc, char** argv) {
       bench::arg_value(argc, argv, "--json", "BENCH_failover.json");
 
   const soak::BestOf best = soak::interleaved_best_of(
-      reps, [&] { return perf_trial(/*hedge_shaped=*/true, requests); },
-      [&] { return perf_trial(/*hedge_shaped=*/false, requests); },
+      reps, [&] { return perf_trial(/*high_deadline=*/true, requests); },
+      [&] { return perf_trial(/*high_deadline=*/false, requests); },
       "kHigh+deadline", "kNormal", ratio_gate);
   {
     std::ofstream json(json_path);
@@ -477,8 +469,7 @@ int run_perf_check(int argc, char** argv) {
   soak::Gates gates;
   gates.check(best.ratio < ratio_gate,
               strprintf("shards=1 goodput of kHigh requests with a deadline "
-                        "below %.2fx of kNormal ones (or a one-domain "
-                        "service hedged)",
+                        "below %.2fx of kNormal ones",
                         ratio_gate));
   return gates.verdict("failover_soak --perf-check");
 }

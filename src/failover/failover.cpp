@@ -1,7 +1,5 @@
 #include "src/failover/failover.h"
 
-#include <algorithm>
-
 #include "src/common/env.h"
 
 namespace smm::failover {
@@ -23,7 +21,6 @@ const char* to_string(ShardState state) {
 FailoverOptions failover_options_from_env(FailoverOptions base) {
   base.quarantine_ms =
       env::read_long("SMMKIT_SHARD_QUARANTINE", base.quarantine_ms);
-  base.hedge_ms = env::read_long("SMMKIT_HEDGE_MS", base.hedge_ms);
   return base;
 }
 
@@ -105,38 +102,6 @@ bool ShardHealth::begin_rebuild_locked() {
   admin_hold_ = false;
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-LatencyWindow::LatencyWindow(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 8)) {}
-
-void LatencyWindow::record(double ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_] = ns;
-  next_ = (next_ + 1) % ring_.size();
-  size_ = std::min(size_ + 1, ring_.size());
-}
-
-double LatencyWindow::quantile(double q, double fallback_ns) const {
-  std::vector<double> copy;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (size_ == 0) return fallback_ns;
-    copy.assign(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(size_));
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(copy.size() - 1) + 0.5);
-  std::nth_element(copy.begin(),
-                   copy.begin() + static_cast<std::ptrdiff_t>(idx),
-                   copy.end());
-  return copy[idx];
-}
-
-std::size_t LatencyWindow::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
 }
 
 }  // namespace smm::failover

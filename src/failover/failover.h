@@ -18,14 +18,10 @@
 // quarantined, so the hold is the fast-fail window and the rebuild
 // state is the probe.
 //
-// The service layers three mechanisms on top (smm_service.h):
+// The service layers two mechanisms on top (smm_service.h):
 //   - re-routing: a quarantined shard is drained and its traffic follows
 //     a deterministic fallback ring to the next admissible shard (the
 //     route hash is untouched, so coalescing keys stay stable);
-//   - hedged execution: a kHigh request with deadline slack gets a
-//     backup submission on a different shard after a percentile-based
-//     delay (LatencyWindow), first terminal wins — only when the
-//     service has a second shard to fire it on;
 //   - brownout: when a majority of shards are quarantined, kLow is shed
 //     at the door, tune sampling pauses, and ABFT-correct serves
 //     detect-only — explicit degraded service instead of refusing
@@ -37,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 namespace smm::failover {
 
@@ -64,16 +59,7 @@ struct FailoverOptions {
   /// How long a quarantined shard is held before the rebuild probe
   /// (kRebuilding) readmits traffic. Env: SMMKIT_SHARD_QUARANTINE (ms).
   long quarantine_ms = 25;
-  /// Fixed hedge delay in ms; 0 = derive it from the observed completion
-  /// latency percentile kHedgePercentile. Env: SMMKIT_HEDGE_MS.
-  long hedge_ms = 0;
 };
-
-/// A kHigh request is hedge-eligible when its deadline budget exceeds
-/// this multiple of its predicted cost.
-inline constexpr double kHedgeBudgetFactor = 2.0;
-/// Completion-latency percentile used for the auto hedge delay.
-inline constexpr double kHedgePercentile = 0.95;
 
 /// FailoverOptions with the SMMKIT_* environment overrides applied on
 /// top of `base` (unparsable or negative values are ignored).
@@ -150,26 +136,5 @@ int next_on_ring(int home, int nshards, Pred admissible) {
   }
   return home;
 }
-
-/// Sliding window of completion latencies feeding the hedge delay: the
-/// p-th percentile of recent wall times is the point where a still-
-/// outstanding request has statistically stalled and a backup is worth
-/// its cost. Fixed-capacity ring, mutex-guarded (recorded once per
-/// completed request — far off the per-op hot path).
-class LatencyWindow {
- public:
-  explicit LatencyWindow(std::size_t capacity = 256);
-
-  void record(double ns);
-  /// Percentile (q in [0,1]) of the window; `fallback_ns` when empty.
-  [[nodiscard]] double quantile(double q, double fallback_ns) const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> ring_;
-  std::size_t size_ = 0;
-  std::size_t next_ = 0;
-};
 
 }  // namespace smm::failover

@@ -75,13 +75,11 @@
   X(service_coalesced_groups) /* >=2-member batched dispatches */              \
   X(service_coalesced_items)  /* requests served inside those groups */        \
   /* Failure domains (DESIGN.md §15): the per-shard lifecycle, drain           \
-     re-routing, hedged deadline requests, and brownout entries.               \
+     re-routing, and brownout entries.                                         \
      Invariant (enforced in tests): every submission is routed once — a        \
      diversion or drain moves the *per-shard* attribution and lands in         \
      service_rerouted instead, never double-counts. */                         \
   X(service_rerouted)         /* placements diverted off a quarantined home */ \
-  X(service_hedged)           /* backup submissions fired */                   \
-  X(service_hedge_wins)       /* hedged requests whose backup won */           \
   X(shard_quarantines)        /* shard entries into kQuarantined */            \
   X(shard_rebuilds)           /* quarantine -> rebuilding probes */            \
   X(service_brownouts)        /* brownout-mode entries */                      \

@@ -9,7 +9,6 @@
 #include "src/common/env.h"
 #include "src/common/str.h"
 #include "src/core/batched.h"
-#include "src/matrix/matrix.h"
 #include "src/model/parallel_runtime.h"
 #include "src/robust/health.h"
 #include "src/robust/integrity.h"
@@ -276,16 +275,6 @@ Ticket SmmService::admit(Request request) {
   };
 
   std::shared_ptr<detail::RequestState> victim;
-  // Hedge-eligible (submit armed run_claim): snapshot the backup before
-  // the primary is moved into the queue. The copy shares the ticket
-  // state and the submit-time operand snapshot; backup=true makes it
-  // silent on a lost claim.
-  std::optional<Request> backup_template;
-  if (request.run_claim != nullptr && !request.backup) {
-    backup_template = request;
-    backup_template->backup = true;
-    backup_template->rerouted = false;
-  }
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     if (state() != State::kRunning) {
@@ -383,15 +372,6 @@ Ticket SmmService::admit(Request request) {
     total_queued_.fetch_add(1, std::memory_order_relaxed);
   }
   shard.work_cv.notify_one();
-  // Hedged request admitted (submit armed run_claim): register the
-  // backup template with the supervisor, which fires it on a different
-  // shard once the hedge delay elapses. Registration is outside the
-  // shard lock — the supervisor takes shard locks when it fires. The
-  // entry records where the primary actually landed (`target`, not
-  // `home`: a rerouted primary already sits on home's ring successor,
-  // which is exactly where a home-relative scan would put the backup).
-  if (backup_template.has_value())
-    register_hedge(std::move(*backup_template), target);
   count(Counter::admitted);
   shard.admitted.fetch_add(1, std::memory_order_relaxed);
 
@@ -486,9 +466,9 @@ void SmmService::begin_shard_rebuild(Shard& shard) {
 }
 
 void SmmService::failover_main() {
-  // Supervisor cadence: 200µs keeps quarantine expiry and hedge firing
-  // well under any deadline a serving workload would set, while the
-  // notify in register_hedge() covers hedges shorter than a tick.
+  // Supervisor cadence: 200µs keeps quarantine expiry and pool-
+  // quarantine attribution well under any deadline a serving workload
+  // would set.
   std::unique_lock<std::mutex> lock(supervisor_mu_);
   while (supervisor_running_) {
     supervisor_cv_.wait_for(lock, std::chrono::microseconds(200));
@@ -521,67 +501,6 @@ void SmmService::tick_failover() {
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[static_cast<std::size_t>(i)];
     if (shard.health->maybe_begin_rebuild(now)) begin_shard_rebuild(shard);
-  }
-
-  // 3. Hedge sweep: cancel losers of decided races, fire backups whose
-  //    delay elapsed. Lock order is hedge_mu_ -> shard.mu (enqueue);
-  //    no path takes them in the other order.
-  const bool browned_out = brownout_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(hedge_mu_);
-  for (auto it = hedges_.begin(); it != hedges_.end();) {
-    bool done;
-    {
-      std::lock_guard<std::mutex> g(it->state->mu);
-      done = it->state->done;
-    }
-    const bool stopped = it->state->cancel.token().stop_requested();
-    if (done || stopped) {
-      // The race is decided (or the caller stopped the ticket): stop
-      // the outstanding arms and retire the entry. A cancelled loser
-      // reaps out of its queue, loses the claim, and vanishes without
-      // a second completion. Stopping the shared source after done is
-      // invisible to the caller (the result is already recorded) and
-      // spares a still-queued loser its pointless run.
-      if (it->backup_cancel != nullptr) it->backup_cancel->request_cancel();
-      if (done) it->state->cancel.request_cancel();
-      it = hedges_.erase(it);
-      continue;
-    }
-    if (!it->fired && now >= it->fire_at) {
-      it->fired = true;
-      if (state() == State::kRunning && !browned_out) {
-        // Scan relative to the primary's actual placement, not its
-        // routed home: an admission-diverted primary already runs on
-        // home's ring successor, and a home-relative scan would land
-        // the backup on that same shard — doubling its load and
-        // forfeiting the different-shard isolation the hedge is for.
-        // next_on_ring starts after `primary_shard`, so the primary's
-        // own domain is excluded by construction.
-        const int target = failover::next_on_ring(
-            it->primary_shard, n,
-            [&](int idx) { return shard_admissible(idx); });
-        if (target != it->primary_shard) {
-          Request backup = std::move(it->backup);
-          backup.exec_cancel =
-              backup.has_deadline
-                  ? std::make_shared<CancelSource>(backup.deadline)
-                  : std::make_shared<CancelSource>();
-          it->backup_cancel = backup.exec_cancel;
-          if (enqueue_backup(target, std::move(backup))) {
-            count(Counter::hedged);
-          } else {
-            // Queue full or the service stopped running between the
-            // check and the enqueue: the hedge is best-effort, the
-            // primary still owns the ticket.
-            it->backup_cancel = nullptr;
-          }
-        }
-        // No admissible second shard: nothing to hedge onto — the
-        // primary runs unhedged (fired stays true; the entry is GC'd
-        // when the ticket reaches terminal).
-      }
-    }
-    ++it;
   }
 }
 
@@ -618,7 +537,7 @@ void SmmService::place_rerouted(Request request, int from_idx) {
       from_idx, n, [&](int idx) { return shard_admissible(idx); });
   if (target != from_idx) {
     Shard& shard = *shards_[static_cast<std::size_t>(target)];
-    const bool attribute = !request.rerouted && !request.backup;
+    const bool attribute = !request.rerouted;
     const int pclass = static_cast<int>(request.priority);
     request.rerouted = true;
     bool placed = false;
@@ -653,14 +572,6 @@ void SmmService::place_rerouted(Request request, int from_idx) {
   }
   // No admissible fallback (or it is hard-full): the ticket terminates
   // here — never stranded in a quarantined queue.
-  if (request.backup ||
-      (request.run_claim != nullptr && !request.state->claim())) {
-    // A backup (or a hedged primary whose sibling already claimed) is
-    // dropped silently: the other arm owns the ticket.
-    total_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    maybe_notify_drained();
-    return;
-  }
   count(Counter::evicted);
   complete(request.state,
            Result{false, ErrorCode::kOverloaded,
@@ -691,65 +602,8 @@ void SmmService::evaluate_brownout() {
   }
 }
 
-void SmmService::register_hedge(Request backup_template,
-                                int primary_shard) {
-  const auto now = std::chrono::steady_clock::now();
-  double delay_ns;
-  if (options_.failover.hedge_ms > 0) {
-    delay_ns = static_cast<double>(options_.failover.hedge_ms) * 1e6;
-  } else {
-    // Percentile rule: past the p95 of recent completions a still-
-    // outstanding request has statistically stalled. Floor keeps
-    // microsecond shapes from hedging instantly (pure waste); cap keeps
-    // the backup worth firing — launched with at least half the
-    // deadline budget left. (Hedge eligibility guarantees a deadline.)
-    const double budget_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            backup_template.deadline - now)
-            .count();
-    delay_ns = latency_.quantile(failover::kHedgePercentile,
-                                 2.0 * backup_template.est_cost_ns);
-    delay_ns = std::clamp(delay_ns, 2.0e4, std::max(2.0e4, 0.5 * budget_ns));
-  }
-  HedgeEntry entry;
-  entry.state = backup_template.state;
-  entry.primary_shard = primary_shard;
-  entry.fire_at =
-      now + std::chrono::nanoseconds(static_cast<long long>(delay_ns));
-  entry.backup = std::move(backup_template);
-  {
-    std::lock_guard<std::mutex> lock(hedge_mu_);
-    hedges_.push_back(std::move(entry));
-  }
-  // A hedge shorter than the supervisor tick still fires on time.
-  supervisor_cv_.notify_all();
-}
-
-bool SmmService::enqueue_backup(int target, Request backup) {
-  Shard& shard = *shards_[static_cast<std::size_t>(target)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (state() != State::kRunning) return false;
-    if (shard.queued >= options_.queue_depth) return false;
-    shard.queued_cost_ns += backup.est_cost_ns;
-    // kHigh on purpose: the eviction victim scan only considers classes
-    // strictly below an arrival, so hedge machinery is never evicted
-    // (and never evicts — backups bypass admission entirely).
-    shard.queues[2].push_back(std::move(backup));
-    ++shard.queued;
-    total_queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.work_cv.notify_one();
-  return true;
-}
-
 void SmmService::execute(Request& request, Shard& shard) {
-  // A hedged backup runs under its own CancelSource so the supervisor
-  // can cancel the loser without disturbing the caller-facing source.
-  const CancelToken token = request.exec_cancel != nullptr
-                                ? request.exec_cancel->token()
-                                : request.state->cancel.token();
-  const bool claiming = request.run_claim != nullptr;
+  const CancelToken token = request.state->cancel.token();
   Result result;
   // Queued-but-unstarted stop: complete without touching C (or any plan
   // state) — exactly the "work nobody is waiting for" shedding exists
@@ -761,37 +615,17 @@ void SmmService::execute(Request& request, Shard& shard) {
     result = {false, ErrorCode::kDeadlineExceeded,
               "smm service: deadline passed while queued"};
   } else {
-    const auto t0 = std::chrono::steady_clock::now();
     try {
       // A degraded/rebuilding shard produces failover-shaped latencies
-      // (cold caches, half-open probes) that must not be ingested as
-      // evidence — neither by the tuner (sampling suppressed for the
-      // run) nor by the hedge LatencyWindow (recording skipped below):
-      // failure-inflated wall times would stretch the p95-derived
-      // hedge delay exactly when hedging matters most. Snapshot of the
+      // (cold caches, rebuild probes) that the tuner must not ingest as
+      // evidence: sampling is suppressed for the run. Snapshot of the
       // state at run start; a mid-run transition misclassifies at most
       // this one observation.
-      const bool shard_healthy =
-          shard.health->state() == failover::ShardState::kHealthy;
       std::optional<tune::ScopedSampleSuppression> suppress;
-      if (!shard_healthy) suppress.emplace();
-      if (claiming) {
-        // Hedged: compute into private scratch, then race for the
-        // claim. Only the winner published into the caller's C; the
-        // loser's work is discarded without touching any shared state.
-        if (!request.run_claim(token, shard_cache(shard)))
-          return;  // the sibling owns the outcome — record nothing
-        result.ok = true;
-        if (request.backup) count(Counter::hedge_wins);
-      } else {
-        request.run(token, shard_cache(shard));
-        result.ok = true;
-      }
-      if (shard_healthy)
-        latency_.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
+      if (shard.health->state() != failover::ShardState::kHealthy)
+        suppress.emplace();
+      request.run(token, shard_cache(shard));
+      result.ok = true;
     } catch (const std::exception& e) {
       ErrorCode code = error_code_of(e);
       // A stop inside a parallel plan poisons the peers' barriers, so
@@ -805,13 +639,6 @@ void SmmService::execute(Request& request, Shard& shard) {
       }
       result = {false, code, e.what()};
     }
-  }
-
-  if (claiming && !result.ok) {
-    // First terminal wins — success or failure alike. A second arm is
-    // still racing (or already terminal); if the claim is lost, this
-    // arm's outcome is nobody's business.
-    if (!request.state->claim()) return;
   }
   record_outcome(result, shard);
   complete(request.state, std::move(result));
@@ -899,26 +726,9 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
 void SmmService::reap_stopped_locked(Shard& shard) {
   for (auto& q : shard.queues) {
     for (auto it = q.begin(); it != q.end();) {
-      // A hedged backup is stopped through its private source (the
-      // supervisor cancels the loser once the sibling is terminal).
-      const CancelToken token = it->exec_cancel != nullptr
-                                    ? it->exec_cancel->token()
-                                    : it->state->cancel.token();
+      const CancelToken token = it->state->cancel.token();
       if (!token.stop_requested()) {
         ++it;
-        continue;
-      }
-      const auto unqueue = [&] {
-        shard.queued_cost_ns -= it->est_cost_ns;
-        --shard.queued;
-        total_queued_.fetch_sub(1, std::memory_order_relaxed);
-        it = q.erase(it);
-      };
-      if (it->run_claim != nullptr && !it->state->claim()) {
-        // The sibling already owns the terminal outcome: this arm is
-        // pure leftovers — drop it without a second completion or any
-        // health accounting (no double-counting).
-        unqueue();
         continue;
       }
       Result result =
@@ -930,7 +740,10 @@ void SmmService::reap_stopped_locked(Shard& shard) {
       count(result.code == ErrorCode::kCancelled ? Counter::cancellations
                                                  : Counter::deadline_misses);
       complete(it->state, std::move(result));
-      unqueue();
+      shard.queued_cost_ns -= it->est_cost_ns;
+      --shard.queued;
+      total_queued_.fetch_sub(1, std::memory_order_relaxed);
+      it = q.erase(it);
     }
   }
 }
@@ -1164,18 +977,14 @@ void SmmService::shutdown() {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     state_.store(State::kStopped, std::memory_order_release);
   }
-  // Supervisor first: it re-routes into shard queues and fires backups,
-  // so it must be gone before the lanes stop popping.
+  // Supervisor first: it re-routes into shard queues, so it must be
+  // gone before the lanes stop popping.
   {
     std::lock_guard<std::mutex> lock(supervisor_mu_);
     supervisor_running_ = false;
   }
   supervisor_cv_.notify_all();
   if (supervisor_.joinable()) supervisor_.join();
-  {
-    std::lock_guard<std::mutex> lock(hedge_mu_);
-    hedges_.clear();
-  }
   // The brownout suppressions are process-global counted holds (tune,
   // integrity): a service that dies browned-out must release its own
   // hold — and only its own; another instance's brownout stays in
@@ -1268,56 +1077,6 @@ Ticket SmmService::submit(T alpha, ConstMatrixView<T> a,
     request.a_range = storage_range(a);
     request.b_range = storage_range(b);
     request.c_range = storage_range(ConstMatrixView<T>(c));
-  }
-  // Hedged execution (DESIGN.md §15): a kHigh request whose deadline
-  // budget exceeds kHedgeBudgetFactor × its predicted cost can afford
-  // to run twice — a backup fires on a different shard after the hedge
-  // delay, first terminal wins. ALL THREE operands are snapshotted here
-  // into service-owned storage: the winner claims and completes while
-  // the loser may still be executing (its cancellation is cooperative),
-  // and the submit() contract lets the caller free A/B/C the moment
-  // wait() returns — a loser still reading the borrowed views would be
-  // a use-after-free. Both arms therefore compute from the snapshots
-  // into private scratch; only the claim winner publishes into the
-  // caller's C (and beta-accumulation reads a stable pre-image). A
-  // hedged request never coalesces: its group siblings would write the
-  // user's C directly, defeating the claim protocol. A one-shard service
-  // has no second domain to fire a backup on, so it never pays for the
-  // snapshots.
-  if (shards_.size() > 1 && priority == Priority::kHigh && ms > 0 &&
-      c.rows() > 0 && c.cols() > 0 && a.cols() > 0 &&
-      static_cast<double>(ms) * 1e6 >
-          failover::kHedgeBudgetFactor * request.est_cost_ns) {
-    auto a0 = std::make_shared<Matrix<T>>(a.rows(), a.cols(), a.layout());
-    for (index_t j = 0; j < a.cols(); ++j)
-      for (index_t i = 0; i < a.rows(); ++i) (*a0)(i, j) = a(i, j);
-    auto b0 = std::make_shared<Matrix<T>>(b.rows(), b.cols(), b.layout());
-    for (index_t j = 0; j < b.cols(); ++j)
-      for (index_t i = 0; i < b.rows(); ++i) (*b0)(i, j) = b(i, j);
-    auto c0 = std::make_shared<Matrix<T>>(c.rows(), c.cols(), c.layout());
-    for (index_t j = 0; j < c.cols(); ++j)
-      for (index_t i = 0; i < c.rows(); ++i) (*c0)(i, j) = c(i, j);
-    request.run = nullptr;
-    request.key = CoalesceKey{};
-    request.args = nullptr;
-    request.run_group = nullptr;
-    request.run_claim = [alpha, a0, b0, beta, c, c0, threads, gemm,
-                         state = request.state](
-                            const CancelToken& token,
-                            core::PlanCache& cache) -> bool {
-      Matrix<T> scratch = c0->clone();
-      core::smm_gemm(alpha, a0->cview(), b0->cview(), beta,
-                     scratch.view(), threads, gemm, token, cache);
-      if (!state->claim()) return false;  // the sibling already decided
-      // Publish: the caller observes C only after wait() returns, and
-      // complete() hands the result over under state->mu — the mutex
-      // orders this copy before any caller read.
-      MatrixView<T> out = c;
-      for (index_t j = 0; j < out.cols(); ++j)
-        for (index_t i = 0; i < out.rows(); ++i)
-          out(i, j) = scratch(i, j);
-      return true;
-    };
   }
   return admit(std::move(request));
 }

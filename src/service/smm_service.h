@@ -35,11 +35,9 @@
 // failure detector. A quarantined shard is drained — its queue re-routes
 // along a deterministic fallback ring, in-flight work runs to terminal
 // state — and its home traffic diverts at admission until the rebuild
-// probe proves recovery. With multiple shards, kHigh requests with
-// deadline slack are hedged: a backup fires on a different shard after
-// a percentile-based delay, the first terminal claims the ticket, the
-// loser is cancelled and never double-counts. When a majority of shards
-// are quarantined (a quarantined sole shard is a majority) the service
+// probe proves recovery. Every admitted request runs once, on the one
+// shard that pops (or steals) it. When a majority of shards are
+// quarantined (a quarantined sole shard is a majority) the service
 // browns out: kLow shed at the door, tune sampling paused, ABFT-correct
 // serving detect-only.
 //
@@ -129,8 +127,8 @@ struct ServiceOptions {
   /// Options for the underlying smm_gemm calls (check_finite lives
   /// here: a serving front-end typically turns it on).
   core::SmmOptions gemm;
-  /// Per-shard failure domains, re-routing, hedging, brownout
-  /// (smm::failover, DESIGN.md §15).
+  /// Per-shard failure domains, re-routing, brownout (smm::failover,
+  /// DESIGN.md §15).
   failover::FailoverOptions failover;
 };
 
@@ -156,12 +154,6 @@ struct RequestState {
   std::condition_variable cv;
   bool done = false;
   Result result;
-  /// Hedged execution (DESIGN.md §15): primary and backup share this
-  /// state, and exactly one of them may record the outcome and publish
-  /// the result — whoever wins this exchange. Only consulted for hedged
-  /// requests.
-  std::atomic<bool> claimed{false};
-  bool claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 };
 
 /// The typed operands of a coalescable GEMM submission, type-erased into
@@ -255,8 +247,6 @@ struct BatchItem {
   X(coalesced_items, service_coalesced_items) /* requests in those groups */   \
   /* Failure domains (DESIGN.md §15). */                                       \
   X(rerouted, service_rerouted) /* diverted off a quarantined home */          \
-  X(hedged, service_hedged) /* backup submissions fired */                     \
-  X(hedge_wins, service_hedge_wins) /* hedged requests whose backup won */     \
   X(shard_quarantines, shard_quarantines) /* entries into kQuarantined */      \
   X(shard_rebuilds, shard_rebuilds) /* quarantine -> rebuilding probes */      \
   X(brownouts, service_brownouts) /* brownout-mode entries */
@@ -312,6 +302,9 @@ class SmmService {
     /// Placements: always == submitted, since every submission is routed
     /// exactly once. routed == Σ routed_per_shard + rerouted.
     std::size_t routed = 0;
+    /// Both always 0: the service runs every request once and never hedges.
+    std::size_t hedged = 0;
+    std::size_t hedge_wins = 0;
     std::size_t queued = 0;      ///< currently waiting (all shards)
     std::size_t in_flight = 0;   ///< currently executing (all shards)
     std::vector<std::size_t> routed_per_shard;
@@ -392,30 +385,15 @@ class SmmService {
     std::shared_ptr<detail::RequestState> state;
     /// Single-request execution against the shard's plan cache.
     std::function<void(const CancelToken&, core::PlanCache&)> run;
-    /// Hedged variant (set instead of `run`): computes from submit-time
-    /// snapshots of ALL operands into a private scratch C, claims the
-    /// shared state, and publishes into the user's C only on a won claim.
-    /// The arms never race on user memory, and the losing arm — which
-    /// may outlive the ticket's terminal state — touches none of the
-    /// caller-borrowed views at all (the caller is free to release them
-    /// the moment wait() returns). Returns whether this execution won.
-    std::function<bool(const CancelToken&, core::PlanCache&)> run_claim;
     Priority priority = Priority::kNormal;
     double est_cost_ns = 0.0;
     int home = 0;  ///< shard the router placed this request on
     std::chrono::steady_clock::time_point deadline{};
     bool has_deadline = false;
-    /// Hedge backup: bypasses admission stats, never coalesces, and on a
-    /// lost claim (or a drain with no fallback) is dropped silently —
-    /// the primary owns the ticket.
-    bool backup = false;
     /// Already attributed to `rerouted` instead of a shard's routed
     /// counter (admission diversion or a quarantine drain); a second
     /// move must not count again.
     bool rerouted = false;
-    /// Backup executions cancel independently of the shared ticket
-    /// source (the loser is cancelled without touching the winner).
-    std::shared_ptr<CancelSource> exec_cancel;
     CoalesceKey key;
     /// detail::GemmArgs<T> when key.valid (run_group recovers the type).
     std::shared_ptr<void> args;
@@ -450,21 +428,6 @@ class SmmService {
     std::atomic<std::size_t> routed{0};
     std::atomic<std::size_t> admitted{0};
     std::atomic<std::size_t> steals{0};
-  };
-
-  /// One registered hedge: the shared ticket state, the pre-built backup
-  /// request, and when to fire it. Guarded by hedge_mu_.
-  struct HedgeEntry {
-    std::shared_ptr<detail::RequestState> state;
-    Request backup;
-    std::chrono::steady_clock::time_point fire_at{};
-    std::shared_ptr<CancelSource> backup_cancel;  ///< set once fired
-    /// Where admission actually placed the primary (it may have been
-    /// diverted off a quarantined home): the ring scan for the backup
-    /// starts after THIS shard, so a hedge never lands on the very
-    /// domain it exists to route around.
-    int primary_shard = 0;
-    bool fired = false;
   };
 
   /// The admission decision plus enqueue on the request's home shard.
@@ -511,8 +474,8 @@ class SmmService {
   // Failure domains (DESIGN.md §15).
   /// May placements land on shards_[idx] right now?
   [[nodiscard]] bool shard_admissible(int idx) const;
-  /// Supervisor thread: pool-quarantine attribution, quarantine expiry,
-  /// hedge firing/cancellation, brownout evaluation.
+  /// Supervisor thread: pool-quarantine attribution and quarantine
+  /// expiry (each of which re-evaluates brownout).
   void failover_main();
   void tick_failover();
   /// Entry into kQuarantined: mirror counters, drain the queue onto the
@@ -522,20 +485,14 @@ class SmmService {
   /// state is suspect), mirror counters, wake the lanes.
   void begin_shard_rebuild(Shard& shard);
   /// Move every queued request off shards_[idx] to the next admissible
-  /// shard on the ring; requests with no fallback complete kOverloaded
-  /// (backups are dropped silently). Nothing is left stranded.
+  /// shard on the ring; requests with no fallback complete kOverloaded.
+  /// Nothing is left stranded.
   void drain_shard_queue(int idx);
   /// Re-route one already-extracted request (the caller did the
   /// in_flight/queued handover). Returns false when it had to terminate
   /// the request instead.
   void place_rerouted(Request request, int from_idx);
   void evaluate_brownout();
-  /// Register a hedge for a just-admitted eligible request.
-  /// `primary_shard` is the shard admission actually placed it on.
-  void register_hedge(Request backup_template, int primary_shard);
-  /// Fire one backup onto `target`'s kHigh queue (bypasses admission —
-  /// hedges are best-effort; a full queue skips the fire).
-  bool enqueue_backup(int target, Request backup);
   [[nodiscard]] core::PlanCache& shard_cache(Shard& shard) const;
   [[nodiscard]] par::WorkerPool& shard_pool(Shard& shard) const;
   /// The construction-time constants alone (no tuner feedback): what
@@ -570,10 +527,7 @@ class SmmService {
 
   // Failure domains (DESIGN.md §15).
   std::atomic<bool> brownout_{false};
-  failover::LatencyWindow latency_;
-  /// Hedge registry and the supervisor thread (failover_main).
-  std::mutex hedge_mu_;
-  std::vector<HedgeEntry> hedges_;
+  /// The supervisor thread (failover_main).
   std::mutex supervisor_mu_;
   std::condition_variable supervisor_cv_;
   bool supervisor_running_ = false;  // guarded by supervisor_mu_

@@ -1,12 +1,12 @@
 // smm::failover tests (DESIGN.md §15): the ShardHealth lifecycle state
-// machine, the deterministic fallback ring and latency window, admission
-// diversion off a quarantined home, quarantine drain with zero stranded
-// tickets, hedged execution with exactly-once outcome accounting, the
+// machine, the deterministic fallback ring, admission diversion off a
+// quarantined home, quarantine drain with zero stranded tickets, the
 // routed == Σ routed_per_shard + rerouted invariant, steal gating by
-// shard state, brownout (kLow shed, tune sampling paused, ABFT repair
-// suppressed), per-shard quarantine isolation, fork safety with shards > 1,
-// and a TSan-facing concurrent quarantine/revive/hedge stress. The
-// sustained fault-schedule version lives in bench/failover_soak.
+// shard state, kHigh deadline requests coalescing like any other,
+// brownout (kLow shed, tune sampling paused, ABFT repair suppressed),
+// per-shard quarantine isolation, fork safety with shards > 1, and a
+// TSan-facing concurrent quarantine/revive stress. The sustained
+// fault-schedule version lives in bench/failover_soak.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -16,8 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +29,6 @@
 #include "src/robust/health.h"
 #include "src/robust/integrity.h"
 #include "src/service/smm_service.h"
-#include "src/shard/shard.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
 #include "src/tune/tune.h"
@@ -39,7 +38,6 @@ namespace smm {
 namespace {
 
 using failover::FailoverOptions;
-using failover::LatencyWindow;
 using failover::ShardHealth;
 using failover::ShardState;
 using robust::FaultInjector;
@@ -255,34 +253,15 @@ TEST_F(FailoverTest, FallbackRingIsDeterministic) {
             failover::next_on_ring(1, 8, all_but({2, 3})));
 }
 
-TEST_F(FailoverTest, LatencyWindowQuantiles) {
-  LatencyWindow w(8);
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_DOUBLE_EQ(w.quantile(0.95, 123.0), 123.0);  // empty: fallback
-  for (int i = 1; i <= 8; ++i) w.record(static_cast<double>(i) * 100.0);
-  EXPECT_EQ(w.size(), 8u);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0, 0.0), 100.0);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0, 0.0), 800.0);
-  EXPECT_GE(w.quantile(0.95, 0.0), 700.0);
-  // The ring forgets: overwrite everything with a new regime.
-  for (int i = 0; i < 8; ++i) w.record(50.0);
-  EXPECT_DOUBLE_EQ(w.quantile(0.95, 0.0), 50.0);
-}
-
 TEST_F(FailoverTest, OptionsReadTheEnvironment) {
   setenv("SMMKIT_SHARD_QUARANTINE", "75", 1);
-  setenv("SMMKIT_HEDGE_MS", "3", 1);
   FailoverOptions fo = failover::failover_options_from_env();
   EXPECT_EQ(fo.quarantine_ms, 75);
-  EXPECT_EQ(fo.hedge_ms, 3);
   setenv("SMMKIT_SHARD_QUARANTINE", "garbage", 1);
-  setenv("SMMKIT_HEDGE_MS", "-4", 1);
   FailoverOptions defaults;
   fo = failover::failover_options_from_env();
   EXPECT_EQ(fo.quarantine_ms, defaults.quarantine_ms);  // unparsable: kept
-  EXPECT_EQ(fo.hedge_ms, defaults.hedge_ms);
   unsetenv("SMMKIT_SHARD_QUARANTINE");
-  unsetenv("SMMKIT_HEDGE_MS");
 }
 
 // ---- tune sampling gate (satellite: failover noise vs the posterior) -------
@@ -480,139 +459,83 @@ TEST_F(FailoverTest, QuarantinedShardDoesNotSteal) {
   svc.shutdown();
 }
 
-// ---- hedged execution ------------------------------------------------------
+// ---- kHigh deadline requests coalesce -------------------------------------
 
-TEST_F(FailoverTest, HedgedBackupWinsWhilePrimaryIsStuck) {
+TEST_F(FailoverTest, HighPriorityDeadlineRequestsCoalesce) {
+  // On a multi-shard service a kHigh request with a deadline is an
+  // ordinary request: same-shape ones queued together on their home
+  // shard run as one coalesced dispatch, and each beta-accumulation
+  // reads its own C's pre-image exactly once.
+  constexpr int kRequests = 4;
+  constexpr int home = 0;
+  // Operands outlive the service: a failed assertion must not free
+  // storage that queued requests still point at.
+  std::optional<test::GemmProblem<double>> p;
+  std::optional<test::GemmProblem<double>> blocker;
+  std::vector<Matrix<double>> cs;
   ServiceOptions options = failover_options(2);
-  options.failover.hedge_ms = 1;  // fire fast and deterministically
+  // Route through the worker pool (two threads, static split) so an
+  // injected hang can park the home lane inside its blocker.
+  options.threads_per_request = 2;
+  options.gemm.thread_scaling = core::SmmOptions::ThreadScaling::kStatic;
   SmmService svc(options);
-  const int home = 0;
-  // A blocker batch that provably routes to `home`: replicate
-  // submit_batch's combined-hash routing (FNV fold of the item shape
-  // classes, cost-bucketed by the summed static estimate — what
-  // estimate_cost_ns returns with the tuner off) and pick a k for which
-  // it lands there. The batch must park the home lane so the hedged
-  // primary below stays queued past the 1 ms hedge delay.
-  constexpr int kBlockerItems = 60;
-  index_t kb = 0;
-  tune::set_mode_override(tune::Mode::kOff);
-  for (index_t k = 80; k < 300; ++k) {
-    std::uint64_t h = 1469598103934665603ull;
-    double est = 0.0;
-    for (int i = 0; i < kBlockerItems; ++i) {
-      h ^= shard::shape_class_hash({96, 96, k, /*scalar=*/1});
-      h *= 1099511628211ull;
-      est += svc.estimate_cost_ns(96, 96, k);
-    }
-    if (shard::route(h, est, 2) == home) {
-      kb = k;
-      break;
-    }
-  }
-  tune::set_mode_override(tune::Mode::kAuto);
-  ASSERT_GT(kb, 0) << "no blocker batch shape routes to shard " << home;
-  test::GemmProblem<double> big(96, 96, kb, 95);
-  std::vector<service::BatchItem<double>> blocker_items;
-  std::vector<Matrix<double>> blocker_cs;
-  for (int i = 0; i < kBlockerItems; ++i) {
-    blocker_cs.emplace_back(96, 96);
-    blocker_items.push_back(
-        {big.a.cview(), big.b.cview(), blocker_cs.back().view()});
-  }
+  // Runs before ~SmmService, which would otherwise wait on a parked lane.
+  struct ReleaseHangs {
+    ~ReleaseHangs() { robust::cancel_injected_hangs(); }
+  } release_hangs;
+
   const index_t k = k_homed_on(svc, home, 32, 32);
-  test::GemmProblem<double> p(32, 32, k, 96);
-  p.reference(1.0, 0.5);
+  p.emplace(32, 32, k, 106);
+  p->reference(1.0, 0.5);
+  const index_t kb = k_homed_on(svc, home, 64, 64, 64);
+  blocker.emplace(64, 64, kb, 107);
 
-  Ticket busy = svc.submit_batch(1.0, blocker_items, 0.0);
-  // Wait for the home lane to pop the blocker before submitting the
-  // hedged primary: while the blocker is still *queued*, the peer
-  // shard's idle lane may steal it (home would hold 2 queued entries),
-  // the primary would then run immediately, and the hedge would be
-  // GC'd unfired — a flaky hedged==0.
-  for (int spin = 0; spin < 200000 && svc.stats().queued > 0; ++spin)
-    std::this_thread::yield();
-  ASSERT_EQ(svc.stats().queued, 0u) << "blocker batch never started";
-  // kHigh + a deadline far beyond 2× the predicted cost: hedge-eligible.
-  Ticket hedged = svc.submit(1.0, p.a.cview(), p.b.cview(), 0.5,
-                             p.c.view(), Priority::kHigh,
-                             /*deadline_ms=*/2000);
-  const Result& r = hedged.wait();
-  ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(p.check(k));  // beta=0.5 read the pre-image exactly once
+  // Park the peer lane too: a quarantined shard never steals, so no
+  // thief can split the group that queues on `home` below.
+  svc.quarantine_shard(1 - home);
 
-  EXPECT_TRUE(busy.wait().ok);
+  // Hold the home lane inside a pooled region on a hung worker, then
+  // queue the same-shape requests behind it.
+  robust::reset_injected_hangs();
+  Ticket busy;
+  {
+    ScopedFault hang(FaultSite::kWorkerHang,
+                     FaultSpec{/*fire_after=*/0, /*max_fires=*/1});
+    busy = svc.submit(1.0, blocker->a.cview(), blocker->b.cview(), 0.0,
+                      blocker->c.view());
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(10);
+    while (robust::HangController::instance().waiting() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    ASSERT_EQ(robust::HangController::instance().waiting(), 1);
+  }
+  std::vector<Ticket> tickets;
+  cs.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    cs.push_back(p->c.clone());  // the pre-image the reference read
+    tickets.push_back(svc.submit(1.0, p->a.cview(), p->b.cview(), 0.5,
+                                 cs.back().view(), Priority::kHigh,
+                                 /*deadline_ms=*/2000));
+  }
+  EXPECT_EQ(svc.stats().queued, static_cast<std::size_t>(kRequests));
+
+  robust::cancel_injected_hangs();
+  for (auto& t : tickets) {
+    const Result& r = t.wait();
+    EXPECT_TRUE(r.ok) << r.message;
+  }
+  for (const auto& c : cs)
+    EXPECT_LE(max_abs_diff(c.cview(), p->c_expected.cview()),
+              gemm_tolerance<double>(k) * 4.0);
+  EXPECT_TRUE(busy.wait_for(std::chrono::seconds(10)));
+  robust::reset_injected_hangs();
+
   svc.drain();
   const SmmService::Stats s = svc.stats();
-  // The primary was parked behind a ~60-item batch while the hedge
-  // delay was 1 ms: the backup fired and won.
-  EXPECT_GE(s.hedged, 1u);
-  EXPECT_GE(s.hedge_wins, 1u);
-  EXPECT_LE(s.hedge_wins, s.hedged);
-  // Exactly-once: the ticket completed once — completed counts the
-  // batch and the hedged single, with no double-counted terminal.
-  EXPECT_EQ(s.completed + s.rejected + s.evicted + s.cancellations +
-                s.deadline_misses,
-            s.submitted);
-  check_accounting(svc);
-  svc.shutdown();
-}
-
-TEST_F(FailoverTest, HedgeDoesNotFireWhenThePrimaryIsFast) {
-  ServiceOptions options = failover_options(2);
-  options.failover.hedge_ms = 50;  // far beyond the request's runtime
-  SmmService svc(options);
-  test::GemmProblem<double> p(24, 24, 24, 97);
-  p.reference(1.0, 0.0);
-  // Warm the shape unhedged first: a process's first gemm calibrates the
-  // cost model and builds the plan, which on a loaded host can outlast
-  // the hedge delay — the request below must be the fast one.
-  ASSERT_TRUE(
-      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait().ok);
-  const Result& r = svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0,
-                               p.c.view(), Priority::kHigh,
-                               /*deadline_ms=*/2000)
-                        .wait();
-  ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(p.check(24));
-  // Give the supervisor a tick to GC the registered hedge.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(svc.stats().hedged, 0u);
-  EXPECT_EQ(svc.stats().hedge_wins, 0u);
-  svc.shutdown();
-}
-
-TEST_F(FailoverTest, HedgedLoserSurvivesCallerFreeingOperands) {
-  // The submit() contract lets the caller free A and B the moment
-  // wait() returns — but the ticket reaches terminal when the WINNING
-  // arm claims, while the losing arm may still be mid-gemm (its
-  // cancellation is cooperative). Both arms must therefore read only
-  // the service-owned submit-time snapshots. Regression: the hedged
-  // closure used to capture the borrowed A/B views directly, so this
-  // sequence was a use-after-free in the loser (ASan-visible in the
-  // sanitized CI runs of this suite).
-  ServiceOptions options = failover_options(2);
-  options.failover.hedge_ms = 1;  // fire while the primary is mid-gemm
-  SmmService svc(options);
-  // Big enough that one arm is still executing when the other claims:
-  // the backup fires 1 ms in, several ms before either gemm finishes.
-  constexpr index_t kDim = 256;
-  test::GemmProblem<double> p(kDim, kDim, kDim, 99);
-  p.reference(1.0, 0.5);
-  auto a_heap = std::make_unique<Matrix<double>>(p.a.clone());
-  auto b_heap = std::make_unique<Matrix<double>>(p.b.clone());
-
-  Ticket hedged = svc.submit(1.0, a_heap->cview(), b_heap->cview(), 0.5,
-                             p.c.view(), Priority::kHigh,
-                             /*deadline_ms=*/20000);
-  const Result r = hedged.wait();
-  // Terminal reached: the contract says these may die now, whichever
-  // arm is still running.
-  a_heap.reset();
-  b_heap.reset();
-  ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(p.check(kDim));
-  svc.drain();  // the loser runs to terminal against its snapshots
-  EXPECT_TRUE(p.check(kDim));  // and never re-publishes into C
+  EXPECT_EQ(s.coalesced_groups, 1u);
+  EXPECT_EQ(s.coalesced_items, static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(s.steals, 0u);
   check_accounting(svc);
   svc.shutdown();
 }
@@ -809,7 +732,7 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
   EXPECT_TRUE(p.check(24));
   EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
 
-  // kHigh with deadline slack: one domain has nowhere to fire a backup.
+  // kHigh with deadline slack runs like any other request.
   for (int i = 0; i < 8; ++i)
     ASSERT_TRUE(svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(),
                            Priority::kHigh, /*deadline_ms=*/2000)
@@ -817,7 +740,6 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
                     .ok);
   EXPECT_TRUE(p.check(24));
   s = svc.stats();
-  EXPECT_EQ(s.hedged, 0u);
   EXPECT_EQ(s.rerouted, 0u);
   EXPECT_EQ(s.shard_quarantines, 1u);
   EXPECT_EQ(s.shard_rebuilds, 1u);
@@ -905,8 +827,7 @@ TEST_F(FailoverTest, ForkedChildRunsGemmAndMultiShardService) {
   if (pid == 0) {
     // Child: the atfork handlers reset the inherited pool state; both a
     // parallel smm_gemm and a fresh multi-shard service (private pools,
-    // supervisor, hedging armed) must work. _exit keeps gtest/atexit
-    // machinery out.
+    // supervisor) must work. _exit keeps gtest/atexit machinery out.
     int status = 0;
     try {
       test::GemmProblem<double> q(32, 32, 32, 103);
@@ -942,10 +863,9 @@ TEST_F(FailoverTest, ForkedChildRunsGemmAndMultiShardService) {
 
 // ---- concurrent stress (TSan) ----------------------------------------------
 
-TEST_F(FailoverTest, ConcurrentQuarantineReviveHedgeStress) {
+TEST_F(FailoverTest, ConcurrentQuarantineReviveStress) {
   ServiceOptions options = failover_options(3, /*lanes=*/2);
   options.queue_depth = 128;
-  options.failover.hedge_ms = 1;
   options.failover.quarantine_ms = 5;
   SmmService svc(options);
 
