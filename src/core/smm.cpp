@@ -88,20 +88,21 @@ BuildSpec default_build_spec(GemmShape shape, plan::ScalarType scalar,
   spec.kc = kSmmKc;
   spec.nc = kSmmNc;
 
-  int max_threads = nthreads;
-  if (options.thread_cap > 0)
-    max_threads = std::min(max_threads, options.thread_cap);
+  const int max_threads = std::max(1, nthreads);
   // kAuto resolves to the static heuristic here: a directly built plan
   // must be a pure function of (shape, scalar, nthreads, options), or
   // simulated goldens would vary with the machine running the tests.
   // The runtime entry points opt into kMeasured before reaching this.
+  // A one-thread budget has only the serial choice, which both paths
+  // pick alike, so it never pays the model's one-time calibration.
   const model::ParallelCostModel* cost =
-      options.thread_scaling == SmmOptions::ThreadScaling::kMeasured
+      options.thread_scaling == SmmOptions::ThreadScaling::kMeasured &&
+              max_threads > 1
           ? &calibrated_cost_model()
           : nullptr;
   const ParallelChoice par_choice =
-      choose_parallel(shape, std::max(1, max_threads), spec.mr, spec.nr,
-                      spec.mc, spec.nc, 4, cost, spec.kc);
+      choose_parallel(shape, max_threads, spec.mr, spec.nr, spec.mc,
+                      spec.nc, 4, cost, spec.kc);
   spec.nthreads = par_choice.nthreads;
   spec.ways = par_choice.ways;
   spec.k_parts = par_choice.k_parts;
@@ -161,8 +162,6 @@ std::uint64_t options_fingerprint(const SmmOptions& options) {
   mix(static_cast<std::uint64_t>(options.pack_b));
   mix(options.edge_pack ? 1u : 0u);
   mix(options.adaptive_kernel ? 1u : 0u);
-  mix(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(options.thread_cap)));
   mix(static_cast<std::uint64_t>(options.thread_scaling));
   mix(options.check_finite ? 1u : 0u);
   mix(static_cast<std::uint64_t>(options.abft));
@@ -206,7 +205,6 @@ bool tuner_applies(const SmmOptions& resolved) {
          resolved.pack_b == defaults.pack_b &&
          resolved.edge_pack == defaults.edge_pack &&
          resolved.adaptive_kernel == defaults.adaptive_kernel &&
-         resolved.thread_cap == defaults.thread_cap &&
          resolved.thread_scaling == defaults.thread_scaling;
 }
 

@@ -38,8 +38,6 @@ struct SmmOptions {
   bool edge_pack = true;
   /// Choose the main tile per shape (false pins 16x4).
   bool adaptive_kernel = true;
-  /// Hard thread cap; 0 derives the cap from the tile grid.
-  int thread_cap = 0;
   /// How the thread count/ways are decided within the caller's budget.
   ///  - kStatic: the deterministic tile-grid heuristic alone.
   ///  - kMeasured: candidates priced in predicted wall-clock with the

@@ -238,11 +238,9 @@ service::Result ResilientClient::run_attempts(
     if (result.ok) {
       limiter_.on_success();
       if (attempt > 1) {
-        // Transaction-bracketed (as is the attempt bump below) so a
-        // health snapshot can never tear the pair: retry_successes <=
-        // retry_attempts is an invariant scrapes may rely on.
-        robust::Health::Transaction tx;
-        h.retry_successes.fetch_add(1, std::memory_order_relaxed);
+        // Released after this call's attempt bump, so every snapshot
+        // keeps retry_successes <= retry_attempts (health.h's rule).
+        h.retry_successes.fetch_add(1, std::memory_order_release);
         retry_successes_.fetch_add(1, std::memory_order_relaxed);
       }
       return result;
@@ -293,11 +291,8 @@ service::Result ResilientClient::run_attempts(
                         "attempt(s); last failure: %s",
                         attempt, smm::to_string(last.code))};
     }
-    {
-      robust::Health::Transaction tx;
-      h.retry_attempts.fetch_add(1, std::memory_order_relaxed);
-      retries_.fetch_add(1, std::memory_order_relaxed);
-    }
+    h.retry_attempts.fetch_add(1, std::memory_order_relaxed);
+    retries_.fetch_add(1, std::memory_order_relaxed);
     if (sleep_us > 0)
       std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
     // Idempotency with beta != 0: the attempt about to run reads C, so

@@ -73,7 +73,7 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
   RunReport report;
   if (c.empty()) {  // nothing to compute (and nothing to verify)
     report.outcome = Outcome::kOk;
-    h.clean_runs.fetch_add(1, std::memory_order_relaxed);
+    h.clean_runs.fetch_add(1, std::memory_order_release);
     return report;
   }
 
@@ -181,18 +181,17 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
     return true;
   };
 
-  // Lands the run's outcome: the retry count and the outcome counter are
-  // one correlated group, so a health scraper never sees the retries of a
-  // run whose outcome has not landed yet (or vice versa).
+  // Lands the run's outcome: retries first, then the outcome row with
+  // release (health.h's ordering rule), so a snapshot that shows the
+  // outcome also shows the run's guarded_runs bump and its retries.
   const auto finish = [&](Outcome base, const char* fallback,
                           std::atomic<std::size_t>* outcome_counter) {
     report.retries = report.attempts > 0 ? report.attempts - 1 : 0;
-    Health::Transaction tx;
     if (report.retries > 0)
       h.retries.fetch_add(static_cast<std::size_t>(report.retries),
                           std::memory_order_relaxed);
     if (outcome_counter != nullptr)
-      outcome_counter->fetch_add(1, std::memory_order_relaxed);
+      outcome_counter->fetch_add(1, std::memory_order_release);
     report.fallback = fallback;
     report.outcome = base;
   };

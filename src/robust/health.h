@@ -1,32 +1,39 @@
 // Process-wide health counters for the robustness layer: how often the
 // guarded executor ran, retried, degraded, or failed, and how often the
-// batched driver hit per-item trouble. Lock-free (relaxed atomics — these
-// are monotonic event counts, not synchronization); a serving system polls
-// snapshot() for observability.
+// batched driver hit per-item trouble. Lock-free atomics; a serving system
+// polls snapshot() for observability.
 //
 // Every counter is one row of SMM_HEALTH_COUNTERS below. The snapshot
 // field, the atomic, the snapshot load, reset() and to_string() are all
 // generated from that row, so adding a counter means adding one row.
 //
-// Coherent snapshots (DESIGN.md §11): lone increments stay relaxed, but
-// sites that update *several correlated* counters (a guarded run landing
-// its outcome, the batched driver accounting a failure set, the service
-// resolving a request) bracket the group in a Health::Transaction — a
-// writer-exclusive seqlock bump. snapshot() retries until it reads a
-// quiescent sequence, so a scraper can no longer observe a torn
-// cross-counter state such as clean_runs > guarded_runs.
+// Counter invariants by order (DESIGN.md §11). Some rows promise that an
+// effect never outnumbers its cause (clean_runs <= guarded_runs,
+// tune_replans <= tune_samples, ...). Each such promise holds in every
+// snapshot, with no lock and no retry, by one rule:
+//   an effect row sits below its cause row in the table, is bumped after
+//   it with memory_order_release, and snapshot() loads the rows
+//   bottom-up with memory_order_acquire.
+// A reader whose acquire load sees N effect bumps synchronizes with each
+// of them (every later RMW continues a release sequence), so the cause
+// bumps sequenced before them are visible to the cause row's load, which
+// comes later: it reads at least N. Rows with no cause stay relaxed.
+// SmmService::stats() follows the same rule; tests/test_robust.cpp
+// checks the documented row orders at compile time.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <string>
 
 /// The counter table: X(name) per counter, in snapshot and to_string()
 /// order. Every counter is a std::size_t event count starting at 0.
 #define SMM_HEALTH_COUNTERS(X)                                                 \
   X(guarded_runs)                                                              \
+  /* Guarded-run outcomes, each an effect of guarded_runs: clean_runs +        \
+     corrected_runs + rebuild_fallbacks + naive_fallbacks + failures <=        \
+     guarded_runs. retries sits above the outcome rows that can follow         \
+     a retry, so a snapshot showing the outcome shows its retries. */          \
   X(clean_runs)                                                                \
   X(retries)                                                                   \
   X(rebuild_fallbacks)                                                         \
@@ -72,8 +79,8 @@
   /* Sharded runtime (DESIGN.md §13): skew repair and dispatch                 \
      amortization. */                                                          \
   X(service_steals)           /* requests run by a non-home shard */           \
-  X(service_coalesced_groups) /* >=2-member batched dispatches */              \
-  X(service_coalesced_items)  /* requests served inside those groups */        \
+  X(service_coalesced_items)  /* requests served in >=2-member groups */       \
+  X(service_coalesced_groups) /* those groups: 2 * groups <= items */          \
   /* Failure domains (DESIGN.md §15): the per-shard lifecycle, drain           \
      re-routing, and brownout entries.                                         \
      Invariant (enforced in tests): every submission is routed once — a        \
@@ -99,15 +106,15 @@
   X(plan_seal_rebuilds)       /* PlanCache seal mismatch -> rebuilt */         \
   X(corrected_runs)           /* guarded runs served via in-place repair */    \
   /* Online autotuning (DESIGN.md §14): the observe/adapt feedback loop.       \
-     Invariant (Transaction-bracketed at the install site): every re-plan      \
-     was driven by at least one sample — tune_replans <= tune_samples. */      \
+     Invariant: a re-plan is installed only inside record(), after its         \
+     sample bump — tune_replans <= tune_samples. */                            \
   X(tune_samples)             /* timed warm calls fed to the tuner */          \
   X(tune_replans)             /* epoch bumps (plan installs/reverts) */        \
   X(tune_table_hits)          /* classes warm-started from disk */             \
   X(tune_table_stale)         /* tables rejected (corrupt/foreign) */          \
   /* Caller-side resilience (DESIGN.md §16): the retry budget and the          \
-     adaptive concurrency limiter. Invariant (attempt bumped before its        \
-     outcome can land): retry_successes <= retry_attempts. */                  \
+     adaptive concurrency limiter. Invariant: a retry succeeds only after      \
+     its attempt bump — retry_successes <= retry_attempts. */                  \
   X(retry_attempts)           /* resubmissions by the resilient client */      \
   X(retry_successes)          /* retries that reached ok */                    \
   X(retry_budget_exhausted)   /* dry-bucket fast-fails */                      \
@@ -125,7 +132,8 @@ struct HealthSnapshot {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// The counters themselves. All increments are relaxed.
+/// The counters themselves. Effect rows are bumped with release (see the
+/// ordering rule at the top of this file); every other bump is relaxed.
 class Health {
  public:
   static Health& instance();
@@ -134,33 +142,14 @@ class Health {
   SMM_HEALTH_COUNTERS(SMM_HEALTH_ATOMIC)
 #undef SMM_HEALTH_ATOMIC
 
-  /// Brackets a correlated multi-counter update: writer-exclusive (a
-  /// mutex serializes transactions) with an odd/even sequence bump so
-  /// snapshot() can detect and retry a torn read. Increments inside a
-  /// transaction stay relaxed — the sequence provides the grouping, not
-  /// the ordering. Single-counter events do not need one.
-  class Transaction {
-   public:
-    Transaction();
-    ~Transaction();
-    Transaction(const Transaction&) = delete;
-    Transaction& operator=(const Transaction&) = delete;
-  };
-
-  /// One coherent copy of every counter: no transaction is half-visible
-  /// in the result. Lone relaxed increments may land on either side of
-  /// the snapshot (they carry no cross-counter invariant). Lock-free on
-  /// the happy path; under a writer storm it falls back to taking the
-  /// transaction mutex, so it always terminates.
+  /// Every counter, loaded bottom-up with acquire: each documented
+  /// "effect <= cause" invariant holds in the result. Independent rows
+  /// may land on either side of a concurrent bump.
   [[nodiscard]] HealthSnapshot snapshot() const;
   void reset();
 
  private:
   Health() = default;
-  HealthSnapshot read_counters() const;
-
-  mutable std::mutex tx_mu_;
-  std::atomic<std::uint64_t> tx_seq_{0};
 };
 
 /// Shorthand accessor.

@@ -177,11 +177,11 @@ double SmmService::static_cost_ns(index_t m, index_t n, index_t k) const {
 }
 
 double SmmService::estimate_cost_ns(index_t m, index_t n, index_t k) const {
-  // Admission budgets track reality: once the autotuner has a steady
+  // Cost estimates track reality: once the autotuner has a steady
   // per-shape-class EWMA (either scalar type — the estimate runs before
   // T is known), it replaces the construction-time constants here, so
-  // queued_cost_ns and the coalescing cost bucket price requests at what
-  // they actually cost on this host today.
+  // the coalescing cost bucket prices requests at what they actually
+  // cost on this host today.
   if (tune::mode() != tune::Mode::kOff) {
     const std::optional<double> observed = tune::tuner().observed_cost_ns(
         m, n, k, /*scalar=*/-1, options_.threads_per_request);
@@ -227,13 +227,16 @@ void SmmService::maybe_notify_drained() {
   }
 }
 
-// Forced inline (GCC declines on its own): a bump stays two relaxed adds.
+// Forced inline (GCC declines on its own): a bump stays two adds. Both
+// release, per health.h's ordering rule: every row may be the effect of a
+// row above it (admitted of submitted, completed of admitted, ...). On
+// x86 a release add is the same lock xadd as a relaxed one.
 [[gnu::always_inline]] inline void SmmService::count(Counter counter,
                                                     std::size_t n) {
   const auto i = static_cast<std::size_t>(counter);
-  counters_[i].fetch_add(n, std::memory_order_relaxed);
+  counters_[i].fetch_add(n, std::memory_order_release);
   (robust::health().*kCounterRows[i].mirror)
-      .fetch_add(n, std::memory_order_relaxed);
+      .fetch_add(n, std::memory_order_release);
 }
 
 Ticket SmmService::admit(Request request) {
@@ -313,17 +316,6 @@ Ticket SmmService::admit(Request request) {
           true, false);
     }
 
-    // Cost budget: bounds queue *accumulation*, not request size — an
-    // oversized request still runs when it has the queue to itself.
-    if (options_.cost_budget_ns > 0.0 && shard.queued > 0 &&
-        shard.queued_cost_ns + request.est_cost_ns >
-            options_.cost_budget_ns) {
-      lock.unlock();
-      return refuse(ErrorCode::kOverloaded,
-                    "smm service: queued-cost budget exhausted", false,
-                    false);
-    }
-
     // At a hard-full queue a higher class may displace the newest entry
     // of a strictly lower one; identify the victim's class now but pop
     // it only once the arrival is certain to be admitted.
@@ -359,21 +351,22 @@ Ticket SmmService::admit(Request request) {
     if (victim_class >= 0) {
       auto& q = shard.queues[victim_class];
       victim = std::move(q.back().state);
-      shard.queued_cost_ns -= q.back().est_cost_ns;
       q.pop_back();
       --shard.queued;
       total_queued_.fetch_sub(1, std::memory_order_relaxed);
     }
 
-    shard.queued_cost_ns += request.est_cost_ns;
+    // Counted before the push, under shard.mu: the lane that pops the
+    // request bumps `completed` after it, so completed <= admitted holds
+    // in every stats() copy (health.h's ordering rule).
+    count(Counter::admitted);
+    shard.admitted.fetch_add(1, std::memory_order_relaxed);
     shard.queues[static_cast<int>(request.priority)].push_back(
         std::move(request));
     ++shard.queued;
     total_queued_.fetch_add(1, std::memory_order_relaxed);
   }
   shard.work_cv.notify_one();
-  count(Counter::admitted);
-  shard.admitted.fetch_add(1, std::memory_order_relaxed);
 
   if (victim != nullptr) {
     // The victim was *admitted* (it is counted in `admitted`) and is now
@@ -526,7 +519,6 @@ void SmmService::drain_shard_queue(int idx) {
       q.clear();
     }
     shard.queued = 0;
-    shard.queued_cost_ns = 0.0;
   }
   for (auto& r : orphans) place_rerouted(std::move(r), idx);
 }
@@ -548,7 +540,6 @@ void SmmService::place_rerouted(Request request, int from_idx) {
       // it terminates below rather than strand.
       if (state() != State::kStopped &&
           shard.queued < options_.queue_depth) {
-        shard.queued_cost_ns += request.est_cost_ns;
         shard.queues[pclass].push_back(std::move(request));
         ++shard.queued;
         total_queued_.fetch_add(1, std::memory_order_relaxed);
@@ -663,13 +654,10 @@ void SmmService::run_coalesced(SmmService& svc, Shard& shard,
     tokens.push_back(&token_storage.back());
   }
 
-  {
-    // Correlated pair: a snapshot must never see a group without its
-    // items (or vice versa).
-    robust::Health::Transaction tx;
-    svc.count(Counter::coalesced_groups);
-    svc.count(Counter::coalesced_items, group.size());
-  }
+  // Items before their group (the rows' table order), so every
+  // snapshot keeps 2 * coalesced_groups <= coalesced_items.
+  svc.count(Counter::coalesced_items, group.size());
+  svc.count(Counter::coalesced_groups);
 
   // One batched dispatch for the whole group: one plan lookup, one
   // pack of the shared B (when the items share one), one fork-join —
@@ -740,7 +728,6 @@ void SmmService::reap_stopped_locked(Shard& shard) {
       count(result.code == ErrorCode::kCancelled ? Counter::cancellations
                                                  : Counter::deadline_misses);
       complete(it->state, std::move(result));
-      shard.queued_cost_ns -= it->est_cost_ns;
       --shard.queued;
       total_queued_.fetch_sub(1, std::memory_order_relaxed);
       it = q.erase(it);
@@ -783,7 +770,6 @@ std::size_t SmmService::sweep_matches_locked(Shard& shard,
       total_in_flight_.fetch_add(1, std::memory_order_relaxed);
       total_queued_.fetch_sub(1, std::memory_order_relaxed);
       --shard.queued;
-      shard.queued_cost_ns -= it->est_cost_ns;
       group.push_back(std::move(*it));
       it = q.erase(it);
       ++added;
@@ -816,7 +802,6 @@ void SmmService::pop_group_locked(Shard& shard,
     total_in_flight_.fetch_add(1, std::memory_order_relaxed);
     total_queued_.fetch_sub(1, std::memory_order_relaxed);
     --shard.queued;
-    shard.queued_cost_ns -= q.front().est_cost_ns;
     group.push_back(std::move(q.front()));
     q.pop_front();
     break;
@@ -880,7 +865,6 @@ bool SmmService::try_steal(int thief_idx) {
           total_in_flight_.fetch_add(1, std::memory_order_relaxed);
           total_queued_.fetch_sub(1, std::memory_order_relaxed);
           --victim.queued;
-          victim.queued_cost_ns -= q.back().est_cost_ns;
           stolen = std::move(q.back());
           q.pop_back();
           got = true;
@@ -1011,9 +995,11 @@ void SmmService::shutdown() {
 }
 
 SmmService::Stats SmmService::stats() const {
+  // Bottom-up acquire loads (health.h's ordering rule): an effect row is
+  // read before its cause, so e.g. completed <= admitted in every copy.
   Stats s;
-  for (std::size_t i = 0; i < std::size(kCounterRows); ++i)
-    s.*kCounterRows[i].field = counters_[i].load(std::memory_order_relaxed);
+  for (std::size_t i = std::size(kCounterRows); i-- > 0;)
+    s.*kCounterRows[i].field = counters_[i].load(std::memory_order_acquire);
   s.routed = s.submitted;
   s.queued = total_queued_.load(std::memory_order_relaxed);
   s.in_flight = total_in_flight_.load(std::memory_order_relaxed);

@@ -86,10 +86,10 @@ const char* to_string(Priority priority);
 struct ServiceOptions {
   /// Execution domains (DESIGN.md §13). 0 = auto: SMMKIT_SHARDS, else 8
   /// (the sim's panel count). Each shard owns its queue, lanes, a
-  /// private WorkerPool, and a partitioned PlanCache; queue_depth,
-  /// watermarks, and cost_budget_ns are all per shard. 1 = one domain
-  /// on the process-wide pool and plan cache; it runs the same
-  /// admission and health code as N shards.
+  /// private WorkerPool, and a partitioned PlanCache; queue_depth and
+  /// the watermarks are per shard. 1 = one domain on the process-wide
+  /// pool and plan cache; it runs the same admission and health code as
+  /// N shards.
   int shards = 0;
   /// Bounded queue depth per shard; admissions beyond it are rejected
   /// (or evict a lower-priority entry). Env: SMMKIT_QUEUE_DEPTH.
@@ -97,11 +97,6 @@ struct ServiceOptions {
   /// Deadline applied to requests submitted without one; 0 = none.
   /// Env: SMMKIT_DEFAULT_DEADLINE_MS.
   long default_deadline_ms = 0;
-  /// Estimated-cost budget (ns of predicted single-lane work) each
-  /// shard's queue may hold; 0 disables the cost gate. An oversized
-  /// single request is still admitted when the queue is empty — the
-  /// budget bounds queue *accumulation*, not request size.
-  double cost_budget_ns = 0.0;
   /// Queue fill fraction above which kLow arrivals are shed.
   /// Env: SMMKIT_SHED_LOW_WATERMARK.
   double shed_low_watermark = 0.5;
@@ -225,7 +220,11 @@ struct BatchItem {
 /// once; a placement diverted off its quarantined home — at admission or
 /// by a drain — is attributed to `rerouted` instead of a shard),
 /// admitted == Σ admitted_per_shard, and submitted == admitted +
-/// rejected.
+/// rejected. Rows follow health.h's ordering rule (an effect row below
+/// its cause, bumped after it with release, stats() loading bottom-up
+/// with acquire), so even mid-flight every stats() copy keeps admitted +
+/// rejected <= submitted, completed <= admitted and 2 * coalesced_groups
+/// <= coalesced_items.
 #define SMM_SERVICE_COUNTERS(X)                                                \
   X(submitted, service_submitted)                                              \
   X(admitted, service_admitted)                                                \
@@ -243,8 +242,8 @@ struct BatchItem {
   X(cancellations, service_cancellations)                                      \
   /* Sharded runtime (DESIGN.md §13). */                                       \
   X(steals, service_steals) /* requests run by a non-home shard */             \
-  X(coalesced_groups, service_coalesced_groups) /* >=2-member dispatches */    \
-  X(coalesced_items, service_coalesced_items) /* requests in those groups */   \
+  X(coalesced_items, service_coalesced_items) /* in >=2-member groups */       \
+  X(coalesced_groups, service_coalesced_groups) /* 2*groups <= items */        \
   /* Failure domains (DESIGN.md §15). */                                       \
   X(rerouted, service_rerouted) /* diverted off a quarantined home */          \
   X(shard_quarantines, shard_quarantines) /* entries into kQuarantined */      \
@@ -334,13 +333,14 @@ class SmmService {
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
   /// Predicted single-lane cost (ns) of one m×n×k request — the unit of
-  /// cost_budget_ns (exposed so benches can size an overload factor).
-  /// Serves the autotuner's observed per-shape-class EWMA once a class
-  /// has enough samples (smm::tune, DESIGN.md §14), so long-lived
-  /// services re-read their admission budgets from reality instead of
-  /// trusting the constants snapshotted at construction; falls back to
-  /// those constants (2mnk·flop_ns + dispatch_ns) for unseen shapes or
-  /// with SMMKIT_AUTOTUNE=off.
+  /// the coalescing cost bucket and the retry deadline pricing (exposed
+  /// so benches can size an overload factor). Serves the autotuner's
+  /// observed per-shape-class EWMA once a class has enough samples
+  /// (smm::tune, DESIGN.md §14), so long-lived services re-read their
+  /// cost estimates from reality instead of trusting the constants
+  /// snapshotted at construction; falls back to those constants
+  /// (2mnk·flop_ns + dispatch_ns) for unseen shapes or with
+  /// SMMKIT_AUTOTUNE=off.
   [[nodiscard]] double estimate_cost_ns(index_t m, index_t n,
                                         index_t k) const;
 
@@ -416,7 +416,6 @@ class SmmService {
     /// One deque per priority class; lanes pop the highest non-empty.
     std::deque<Request> queues[3];
     std::size_t queued = 0;
-    double queued_cost_ns = 0.0;
     std::vector<std::thread> lanes;
     std::unique_ptr<par::WorkerPool> pool;
     std::unique_ptr<core::PlanCache> cache;

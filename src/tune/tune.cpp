@@ -270,11 +270,10 @@ void Tuner::install_locked(const ShapeClass& /*sc*/, ClassState& st,
   st.installed = spec;
   ++st.epoch;
   replans_.fetch_add(1, std::memory_order_relaxed);
-  // A re-plan is driven by a sample recorded just before it in the same
-  // call; the transaction groups the bump so a scraper never reads
-  // tune_replans ahead of the samples that caused them.
-  robust::Health::Transaction tx;
-  robust::health().tune_replans.fetch_add(1, std::memory_order_relaxed);
+  // An effect of the sample record() bumped just before it in the same
+  // call: release, so a snapshot never reads tune_replans ahead of the
+  // samples that caused them (health.h's ordering rule).
+  robust::health().tune_replans.fetch_add(1, std::memory_order_release);
 }
 
 void Tuner::commit_locked(const ShapeClass& sc, ClassState& st) {

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/core/kernel_select.h"
+#include "src/core/parallel_cost.h"
 #include "src/core/parallel_select.h"
 #include "src/core/plan_builder.h"
 #include "src/plan/native_executor.h"
@@ -219,13 +220,47 @@ TEST(KSplit, EndToEndThroughSmmGemm) {
   EXPECT_TRUE(prob.check(4096));
 }
 
-TEST(SmmGemm, ThreadCapOptionHonoured) {
-  SmmOptions opt;
-  opt.thread_cap = 2;
-  const auto strategy = make_reference_smm(opt);
-  const plan::GemmPlan p = strategy->make_plan(
-      {1024, 1024, 128}, plan::ScalarType::kF32, 64);
-  EXPECT_LE(p.nthreads, 2);
+TEST(DefaultBuildSpec, OneThreadPlanIgnoresScaling) {
+  // A one-thread budget leaves only the serial choice, so the measured
+  // path skips the cost model (and its one-time calibration). Guard the
+  // skip: the model, had it been consulted, picks what the static
+  // heuristic picks. Shapes: the warm_tiny and compute_mid lists of
+  // perfbench/src/workloads.cpp.
+  const GemmShape shapes[] = {
+      {2, 2, 2},       {4, 4, 4},       {5, 5, 5},     {8, 8, 8},
+      {12, 12, 12},    {16, 16, 16},    {20, 20, 20},  {24, 24, 24},
+      {7, 9, 11},      {13, 5, 17},     {23, 19, 21},  {9, 24, 6},
+      {17, 3, 22},     {11, 14, 3},     {24, 24, 2},   {24, 2, 24},
+      {2, 24, 24},     {20, 20, 4},     {4, 20, 20},   {20, 4, 20},
+      {24, 3, 16},     {3, 24, 16},     {16, 16, 3},   {6, 18, 10},
+      {48, 48, 48},    {64, 64, 64},    {96, 96, 96},  {128, 128, 128},
+      {160, 160, 160}, {192, 192, 192}, {8, 256, 128}, {200, 8, 160},
+      {4, 192, 256},   {128, 128, 8},   {256, 192, 12}, {160, 224, 16}};
+  SmmOptions measured, fixed;
+  measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
+  fixed.thread_scaling = SmmOptions::ThreadScaling::kStatic;
+  const model::ParallelCostModel& cost = calibrated_cost_model();
+  for (const GemmShape& shape : shapes) {
+    for (const auto scalar : {plan::ScalarType::kF32, plan::ScalarType::kF64}) {
+      SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n << "x"
+                                      << shape.k);
+      const BuildSpec s = default_build_spec(shape, scalar, 1, fixed);
+      const auto expect_static = [&s](int nthreads, int k_parts,
+                                      par::Ways ways) {
+        EXPECT_EQ(nthreads, s.nthreads);
+        EXPECT_EQ(k_parts, s.k_parts);
+        EXPECT_EQ(ways.jc, s.ways.jc);
+        EXPECT_EQ(ways.ic, s.ways.ic);
+        EXPECT_EQ(ways.jr, s.ways.jr);
+        EXPECT_EQ(ways.ir, s.ways.ir);
+      };
+      const BuildSpec m = default_build_spec(shape, scalar, 1, measured);
+      expect_static(m.nthreads, m.k_parts, m.ways);
+      const ParallelChoice priced = choose_parallel(
+          shape, 1, s.mr, s.nr, s.mc, s.nc, 4, &cost, s.kc);
+      expect_static(priced.nthreads, priced.k_parts, priced.ways);
+    }
+  }
 }
 
 }  // namespace

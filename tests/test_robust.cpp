@@ -22,6 +22,7 @@
 #include "src/robust/fault_injection.h"
 #include "src/robust/guarded_executor.h"
 #include "src/robust/health.h"
+#include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
 #include "tests/test_helpers.h"
@@ -494,6 +495,47 @@ TEST_F(RobustTest, EveryHealthCounterSnapshotsPrintsAndResets) {
     EXPECT_EQ((health.*row.live).load(), 0u) << row.name;
   }
 }
+
+// health.h's ordering rule, checked at compile time: every documented
+// "effect <= cause" pair has its effect row below its cause row, so a
+// reordered table fails to build instead of tearing snapshots silently.
+enum class HealthRow {
+#define HEALTH_ROW_INDEX(name) name,
+  SMM_HEALTH_COUNTERS(HEALTH_ROW_INDEX)
+#undef HEALTH_ROW_INDEX
+};
+constexpr bool below(HealthRow effect, HealthRow cause) {
+  return effect > cause;
+}
+using H = HealthRow;
+static_assert(below(H::clean_runs, H::guarded_runs));
+static_assert(below(H::corrected_runs, H::guarded_runs));
+static_assert(below(H::rebuild_fallbacks, H::guarded_runs));
+static_assert(below(H::naive_fallbacks, H::guarded_runs));
+static_assert(below(H::failures, H::guarded_runs));
+static_assert(below(H::rebuild_fallbacks, H::retries));
+static_assert(below(H::naive_fallbacks, H::retries));
+static_assert(below(H::failures, H::retries));
+static_assert(below(H::tune_replans, H::tune_samples));
+static_assert(below(H::retry_successes, H::retry_attempts));
+static_assert(below(H::service_coalesced_groups, H::service_coalesced_items));
+static_assert(below(H::service_admitted, H::service_submitted));
+static_assert(below(H::service_rejected, H::service_submitted));
+static_assert(below(H::service_completed, H::service_admitted));
+
+enum class ServiceRow {
+#define SERVICE_ROW_INDEX(field, mirror) field,
+  SMM_SERVICE_COUNTERS(SERVICE_ROW_INDEX)
+#undef SERVICE_ROW_INDEX
+};
+constexpr bool below(ServiceRow effect, ServiceRow cause) {
+  return effect > cause;
+}
+using S = ServiceRow;
+static_assert(below(S::coalesced_groups, S::coalesced_items));
+static_assert(below(S::admitted, S::submitted));
+static_assert(below(S::rejected, S::submitted));
+static_assert(below(S::completed, S::admitted));
 
 TEST_F(RobustTest, ReportSummaryIsReadable) {
   GuardedExecutor guard(*strategy_, GuardOptions{});

@@ -1,6 +1,6 @@
 // smm::service tests (DESIGN.md §11): deadline/cancel corners through the
-// cancellable execution stack, admission control (depth, cost budget,
-// watermark shedding, priority eviction), the shard health ledger's
+// cancellable execution stack, admission control (depth, watermark
+// shedding, priority eviction), the shard health ledger's
 // quarantine → rebuild → heal cycle, drain/shutdown lifecycle (including
 // the no-live-pool-threads promise), fork safety after warm-up, the
 // check_finite input screen, and a TSan-clean concurrent submit/cancel
@@ -26,6 +26,7 @@
 #include "src/core/smm.h"
 #include "src/failover/failover.h"
 #include "src/robust/fault_injection.h"
+#include "src/robust/guarded_executor.h"
 #include "src/robust/health.h"
 #include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
@@ -397,49 +398,6 @@ TEST_F(ServiceTest, EnvWatermarksUnorderedPairIsIgnored) {
   unsetenv("SMMKIT_SHED_HIGH_WATERMARK");
 }
 
-TEST_F(ServiceTest, CostBudgetBoundsQueueAccumulation) {
-  ServiceOptions options;
-  options.shards = 1;
-  options.lanes = 1;
-  // Budget below the predicted cost of two queued 32³ requests but above
-  // one — so the queue holds exactly one while a blocker runs.
-  const SmmService probe;  // for the cost model constants
-  const double unit = probe.estimate_cost_ns(32, 32, 32);
-  options.cost_budget_ns = 1.5 * unit;
-  SmmService svc(options);
-  Blocker blocker;
-  Ticket busy = svc.submit_batch(1.0, blocker.items, 0.0);
-  while (svc.stats().in_flight == 0 && !busy.done())
-    std::this_thread::yield();
-
-  test::GemmProblem<double> p(32, 32, 32, 33);
-  Ticket first =
-      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view());
-  Ticket second =
-      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view());
-  const Result& r = second.wait();
-  ASSERT_FALSE(r.ok);
-  EXPECT_EQ(r.code, ErrorCode::kOverloaded) << r.message;
-  first.wait();
-  busy.wait();
-  svc.shutdown();
-}
-
-TEST_F(ServiceTest, OversizedRequestAdmittedWhenQueueEmpty) {
-  ServiceOptions options;
-  options.shards = 1;
-  options.cost_budget_ns = 1.0;  // smaller than any request's estimate
-  SmmService svc(options);
-  test::GemmProblem<double> p(32, 32, 32, 34);
-  p.reference(1.0, 0.0);
-  // The budget bounds accumulation, not request size: an empty queue
-  // admits even a request that alone exceeds it.
-  Ticket t = svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view());
-  EXPECT_TRUE(t.wait().ok) << t.wait().message;
-  EXPECT_TRUE(p.check(32));
-  svc.shutdown();
-}
-
 // ---- shard quarantine -----------------------------------------------------
 
 TEST_F(ServiceTest, ShardQuarantinesOnRepeatedFailuresAndRecovers) {
@@ -703,53 +661,83 @@ TEST_F(ServiceTest, SubmitBatchScreensNonFiniteWhenConfigured) {
 
 // ---- coherent health snapshot ----------------------------------------------
 
-TEST_F(ServiceTest, SnapshotNeverTearsAcrossTransaction) {
-  robust::health().reset();
+TEST_F(ServiceTest, SnapshotKeepsCounterInvariantsUnderWriters) {
+  // health.h's ordering rule: each effect row is bumped after its cause
+  // with release and read first, so no copy shows an effect ahead of its
+  // cause — with writers racing the reader and no lock anywhere.
+  robust::Health& h = robust::health();
+  h.reset();
+  ServiceOptions options;
+  options.shards = 1;
+  SmmService svc(options);
   std::atomic<bool> stop{false};
-  // Writers keep two counters in lockstep inside transactions; a torn
-  // snapshot would observe them unequal.
   std::vector<std::thread> writers;
-  for (int w = 0; w < 2; ++w) {
-    writers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        robust::Health::Transaction tx;
-        robust::health().rebuild_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-        robust::health().naive_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-        // The autotuner's correlated pair (DESIGN.md §14): a re-plan is
-        // always driven by a recorded sample.
-        robust::health().tune_samples.fetch_add(1,
-                                                std::memory_order_relaxed);
-        robust::health().tune_replans.fetch_add(1,
-                                                std::memory_order_relaxed);
-        // The resilient client's correlated pair (DESIGN.md §16): a
-        // rescued call implies a prior retry attempt, so
-        // retry_successes <= retry_attempts must hold in every snapshot.
-        robust::health().retry_attempts.fetch_add(
-            1, std::memory_order_relaxed);
-        robust::health().retry_successes.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+  const auto writer = [&](auto bump) {
+    writers.emplace_back([&stop, bump] {
+      while (!stop.load(std::memory_order_relaxed)) bump();
     });
-  }
+  };
+  // The tuner's pair (DESIGN.md §14): a re-plan follows its sample.
+  writer([&h] {
+    h.tune_samples.fetch_add(1, std::memory_order_relaxed);
+    h.tune_replans.fetch_add(1, std::memory_order_release);
+  });
+  // The resilient client's pair (DESIGN.md §16): a rescued call follows
+  // its retry attempt.
+  writer([&h] {
+    h.retry_attempts.fetch_add(1, std::memory_order_relaxed);
+    h.retry_successes.fetch_add(1, std::memory_order_release);
+  });
+  // A coalesced group (DESIGN.md §13): its >= 2 items, then the group.
+  writer([&h] {
+    h.service_coalesced_items.fetch_add(2, std::memory_order_release);
+    h.service_coalesced_groups.fetch_add(1, std::memory_order_release);
+  });
+  // Real guarded runs: guarded_runs, then one outcome row per run.
+  writers.emplace_back([&stop] {
+    robust::GuardedExecutor guard;
+    test::GemmProblem<float> p(8, 8, 8, 41);
+    while (!stop.load(std::memory_order_relaxed))
+      guard.run(1.0f, p.a.cview(), p.b.cview(), 0.0f, p.c.view());
+  });
+  // Real service traffic: submitted, then admitted or rejected, then
+  // completed — through SmmService::count() and stats().
+  writers.emplace_back([&stop, &svc] {
+    test::GemmProblem<double> p(8, 8, 8, 42);
+    while (!stop.load(std::memory_order_relaxed))
+      svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
+  });
+
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(200);
+  // EXPECT, not ASSERT: a failure must still stop and join the writers.
   std::size_t reads = 0;
-  while (std::chrono::steady_clock::now() < until) {
-    const auto s = robust::health().snapshot();
-    ASSERT_EQ(s.rebuild_fallbacks, s.naive_fallbacks)
-        << "torn snapshot after " << reads << " reads";
-    ASSERT_EQ(s.tune_samples, s.tune_replans)
-        << "torn tune samples/replans pair after " << reads << " reads";
-    ASSERT_EQ(s.retry_attempts, s.retry_successes)
-        << "torn retry attempts/successes pair after " << reads << " reads";
+  while (std::chrono::steady_clock::now() < until && !HasFailure()) {
+    const auto s = h.snapshot();
+    EXPECT_LE(s.tune_replans, s.tune_samples) << "after " << reads;
+    EXPECT_LE(s.retry_successes, s.retry_attempts) << "after " << reads;
+    EXPECT_LE(2 * s.service_coalesced_groups, s.service_coalesced_items)
+        << "after " << reads;
+    EXPECT_LE(s.clean_runs + s.corrected_runs + s.rebuild_fallbacks +
+                  s.naive_fallbacks + s.failures,
+              s.guarded_runs)
+        << "after " << reads;
+    const SmmService::Stats st = svc.stats();
+    EXPECT_LE(st.admitted + st.rejected, st.submitted) << "after " << reads;
+    EXPECT_LE(st.completed, st.admitted) << "after " << reads;
     ++reads;
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : writers) w.join();
+  svc.shutdown();
+  const auto s = h.snapshot();
   EXPECT_GT(reads, 0u);
-  robust::health().reset();
+  EXPECT_GT(s.tune_replans, 0u);
+  EXPECT_GT(s.retry_successes, 0u);
+  EXPECT_GT(s.service_coalesced_groups, 0u);
+  EXPECT_GT(s.clean_runs, 0u);
+  EXPECT_GT(svc.stats().completed, 0u);
+  h.reset();
 }
 
 // ---- concurrency stress ----------------------------------------------------
