@@ -1,42 +1,106 @@
 #include "src/kernels/microkernel.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/common/error.h"
 #include "src/simd/vec.h"
 
 namespace smm::kern {
 
+namespace {
+
+// Largest tile the runtime-bound scalar kernel takes.
+constexpr index_t kMaxScalarTile = 32;
+
+// Calls f(i) for i in [0, n): fully unrolled when kN > 0 (then n == kN), a
+// plain loop when kN == 0. The lambdas use the GNU attribute spelling: after
+// a lambda's parameter list, [[gnu::always_inline]] applies to its type, not
+// to its call operator, and the calls would stay.
+template <index_t kN, typename F>
+[[gnu::always_inline]] inline void for_index(index_t n, F&& f) {
+  if constexpr (kN > 0) {
+    [&]<index_t... I>(std::integer_sequence<index_t, I...>)
+        __attribute__((always_inline)) { (f(I), ...); }
+    (std::make_integer_sequence<index_t, kN>{});
+  } else {
+    for (index_t i = 0; i < n; ++i) f(i);
+  }
+}
+
+// The scalar tile kernel, at compile-time extents MR x NR, or at runtime
+// extents mr_eff x nr_eff <= kMaxScalarTile when MR == NR == 0. Since
+// a_offset(i, k) == a_offset(i, 0) + k * a_kstride (and likewise for B),
+// the row and column offsets are computed once per call and k steps by one
+// add: no integer division per multiply-add. Each C element keeps the k
+// order, multiply-then-add and epilogue of the per-element formula, so
+// every instance agrees bit for bit with it. At compile-time extents the
+// loops unroll and the accumulators stay in registers.
+template <typename T, int MR, int NR>
+[[gnu::always_inline]] inline void scalar_tile(index_t kc, T alpha, T beta,
+                                               const KernelOperands<T>& ops,
+                                               index_t mr, index_t nr) {
+  constexpr index_t kRows = MR > 0 ? MR : kMaxScalarTile;
+  constexpr index_t kCols = NR > 0 ? NR : kMaxScalarTile;
+  index_t a_row[kRows];
+  index_t b_col[kCols];
+  for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
+    a_row[i] = a_offset(ops, i, 0);
+  });
+  for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
+    b_col[j] = b_offset(ops, 0, j);
+  });
+
+  // Accumulate in a local tile so C is read/written exactly once
+  // (Algorithm 1, lines 3 and 11-13).
+  T acc[kRows][kCols];
+  for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
+    for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
+      acc[i][j] = T(0);
+    });
+  });
+
+  const T* a = ops.a;
+  const T* b = ops.b;
+  const index_t a_ks = ops.a_kstride;
+  const index_t b_ks = ops.b_kstride;
+  for (index_t k = 0, ak = 0, bk = 0; k < kc; ++k, ak += a_ks, bk += b_ks) {
+    for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
+      const T bkj = b[bk + b_col[j]];
+      for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
+        acc[i][j] += a[ak + a_row[i]] * bkj;
+      });
+    });
+  }
+
+  for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
+    for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
+      T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
+      // beta == 0 must not read C (it may hold uninitialized data).
+      *c = (beta == T(0)) ? alpha * acc[i][j] : alpha * acc[i][j] + beta * *c;
+    });
+  });
+}
+
+}  // namespace
+
 template <typename T>
 void generic_microkernel(index_t kc, T alpha, T beta,
                          const KernelOperands<T>& ops, index_t mr_eff,
                          index_t nr_eff) {
-  // Accumulate in a local tile so C is read/written exactly once
-  // (Algorithm 1, lines 3 and 11-13).
-  constexpr index_t kMaxTile = 32;
-  SMM_EXPECT(mr_eff >= 0 && mr_eff <= kMaxTile && nr_eff >= 0 &&
-                 nr_eff <= kMaxTile,
+  SMM_EXPECT(mr_eff >= 0 && mr_eff <= kMaxScalarTile && nr_eff >= 0 &&
+                 nr_eff <= kMaxScalarTile,
              "generic_microkernel: tile too large");
-  T acc[kMaxTile][kMaxTile];
-  for (index_t i = 0; i < mr_eff; ++i)
-    for (index_t j = 0; j < nr_eff; ++j) acc[i][j] = T(0);
+  scalar_tile<T, 0, 0>(kc, alpha, beta, ops, mr_eff, nr_eff);
+}
 
-  for (index_t k = 0; k < kc; ++k) {
-    for (index_t j = 0; j < nr_eff; ++j) {
-      const T bkj = ops.b[b_offset(ops, k, j)];
-      for (index_t i = 0; i < mr_eff; ++i) {
-        acc[i][j] += ops.a[a_offset(ops, i, k)] * bkj;
-      }
-    }
-  }
-
-  for (index_t j = 0; j < nr_eff; ++j) {
-    for (index_t i = 0; i < mr_eff; ++i) {
-      T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
-      // beta == 0 must not read C (it may hold uninitialized data).
-      *c = (beta == T(0)) ? alpha * acc[i][j] : alpha * acc[i][j] + beta * *c;
-    }
-  }
+template <typename T, int MR, int NR>
+void scalar_microkernel(index_t kc, T alpha, T beta,
+                        const KernelOperands<T>& ops, index_t mr_eff,
+                        index_t nr_eff) {
+  SMM_EXPECT(mr_eff == MR && nr_eff == NR,
+             "scalar_microkernel handles only full tiles");
+  scalar_tile<T, MR, NR>(kc, alpha, beta, ops, MR, NR);
 }
 
 namespace {
@@ -233,6 +297,18 @@ MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits) {
     case 404:  return tile_clone<T, 4, 4>(max_bits);
     case 402:  return tile_clone<T, 4, 2>(max_bits);
     case 401:  return tile_clone<T, 4, 1>(max_bits);
+    case 1208: return &scalar_microkernel<T, 12, 8>;
+    case 1202: return &scalar_microkernel<T, 12, 2>;
+    case 1201: return &scalar_microkernel<T, 12, 1>;
+    case 408:  return &scalar_microkernel<T, 4, 8>;
+    case 208:  return &scalar_microkernel<T, 2, 8>;
+    case 204:  return &scalar_microkernel<T, 2, 4>;
+    case 202:  return &scalar_microkernel<T, 2, 2>;
+    case 201:  return &scalar_microkernel<T, 2, 1>;
+    case 108:  return &scalar_microkernel<T, 1, 8>;
+    case 104:  return &scalar_microkernel<T, 1, 4>;
+    case 102:  return &scalar_microkernel<T, 1, 2>;
+    case 101:  return &scalar_microkernel<T, 1, 1>;
     default:   return &generic_microkernel<T>;
   }
 }
@@ -271,5 +347,28 @@ SMM_INSTANTIATE_TILE(4, 2);
 SMM_INSTANTIATE_TILE(4, 1);
 
 #undef SMM_INSTANTIATE_TILE
+
+#define SMM_INSTANTIATE_SCALAR_TILE(MR, NR)                              \
+  template void scalar_microkernel<float, MR, NR>(                       \
+      index_t, float, float, const KernelOperands<float>&, index_t,      \
+      index_t);                                                          \
+  template void scalar_microkernel<double, MR, NR>(                      \
+      index_t, double, double, const KernelOperands<double>&, index_t,   \
+      index_t)
+
+SMM_INSTANTIATE_SCALAR_TILE(12, 8);
+SMM_INSTANTIATE_SCALAR_TILE(12, 2);
+SMM_INSTANTIATE_SCALAR_TILE(12, 1);
+SMM_INSTANTIATE_SCALAR_TILE(4, 8);
+SMM_INSTANTIATE_SCALAR_TILE(2, 8);
+SMM_INSTANTIATE_SCALAR_TILE(2, 4);
+SMM_INSTANTIATE_SCALAR_TILE(2, 2);
+SMM_INSTANTIATE_SCALAR_TILE(2, 1);
+SMM_INSTANTIATE_SCALAR_TILE(1, 8);
+SMM_INSTANTIATE_SCALAR_TILE(1, 4);
+SMM_INSTANTIATE_SCALAR_TILE(1, 2);
+SMM_INSTANTIATE_SCALAR_TILE(1, 1);
+
+#undef SMM_INSTANTIATE_SCALAR_TILE
 
 }  // namespace smm::kern

@@ -165,13 +165,28 @@ void set_panel_a(KernelOperands<T>& ops, const T* a, index_t ps,
 
 // ---- Kernels -------------------------------------------------------------
 
-/// Fully general scalar micro-kernel: any tile, any addressing, masked C
-/// update. The fallback for edge tiles and the numerical reference for
-/// every specialized kernel.
+/// Scalar micro-kernel at runtime extents: any tile up to 32 x 32, any
+/// addressing, masked C update. It is the runtime-bound instance of the
+/// scalar tile template behind scalar_microkernel, and the numerical
+/// reference for every specialized kernel. The executor runs it only for
+/// masked (mr_eff/nr_eff below the tile) updates and strided-row A
+/// (a_istride != 1); every registered tile has a compile-time kernel.
+/// Row and column offsets are computed once per call and k steps by one
+/// add per operand, so no multiply-add pays an integer division.
 template <typename T>
 void generic_microkernel(index_t kc, T alpha, T beta,
                          const KernelOperands<T>& ops, index_t mr_eff,
                          index_t nr_eff);
+
+/// The same scalar tile at compile-time MR x NR, so the loops unroll and
+/// the accumulators stay in registers: the kernel of every registered tile
+/// with no tile_microkernel instantiation (12x8, 12x2, 12x1, 4x8, 2xN and
+/// 1xN). Any addressing; bit-identical to generic_microkernel. Requires
+/// mr_eff == MR and nr_eff == NR (checked with SMM_EXPECT).
+template <typename T, int MR, int NR>
+void scalar_microkernel(index_t kc, T alpha, T beta,
+                        const KernelOperands<T>& ops, index_t mr_eff,
+                        index_t nr_eff);
 
 /// Register-blocked vector kernel for a full MR x NR tile, with two
 /// addressing paths that produce bit-identical C.
@@ -215,8 +230,9 @@ constexpr int tile_vector_bits(int mr, int max_bits) {
 
 /// The native kernel for an mr x nr tile on a host whose widest usable
 /// vector is `max_bits`: the tile_microkernel clone built at
-/// tile_vector_bits<T>(mr, max_bits) (128 = tile_microkernel itself), or
-/// generic_microkernel for a tile with no register-blocked instantiation.
+/// tile_vector_bits<T>(mr, max_bits) (128 = tile_microkernel itself), the
+/// scalar_microkernel of a registered tile with no tile_microkernel
+/// instantiation, or generic_microkernel for an unregistered tile.
 /// A clone differs from the 128-bit build only in its packed path: wider
 /// lanes batch more rows, while each C element keeps the same k order,
 /// multiply-then-add and epilogue, so every clone is bit-identical to it.

@@ -2,7 +2,12 @@
 // selection, and numerical correctness of every option combination.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <set>
+#include <utility>
+#include <variant>
 
 #include "src/core/kernel_select.h"
 #include "src/core/parallel_cost.h"
@@ -10,6 +15,8 @@
 #include "src/core/plan_builder.h"
 #include "src/plan/native_executor.h"
 #include "src/core/smm.h"
+#include "src/kernels/microkernel.h"
+#include "src/kernels/registry.h"
 #include "tests/test_helpers.h"
 
 namespace smm::core {
@@ -262,6 +269,88 @@ TEST(DefaultBuildSpec, OneThreadPlanIgnoresScaling) {
     }
   }
 }
+
+// The tiles the default one-thread plan for `shape` runs; fails if one of
+// them runs the runtime-bound scalar kernel or a masked update.
+template <typename T>
+void collect_tiles(GemmShape shape, std::set<std::pair<int, int>>& tiles) {
+  const auto scalar = sizeof(T) == 4 ? plan::ScalarType::kF32
+                                     : plan::ScalarType::kF64;
+  const auto plan = cached_smm_plan(smm_plan_cache(), shape, scalar, 1, {});
+  const auto& reg = kern::KernelRegistry::instance();
+  for (const auto& ops : plan->thread_ops) {
+    for (const auto& op : ops) {
+      const auto* k = std::get_if<plan::KernelOp>(&op);
+      if (k == nullptr) continue;
+      const kern::KernelInfo& info = reg.info(k->kernel);
+      EXPECT_EQ(k->useful_m, info.mr) << info.name;
+      EXPECT_EQ(k->useful_n, info.nr) << info.name;
+      EXPECT_NE(kern::kernel_fn<T>(k->kernel), &kern::generic_microkernel<T>)
+          << info.name;
+      tiles.insert({info.mr, info.nr});
+    }
+  }
+}
+
+// Default smm_gemm over the edge lattice m, n in 1..21 and k in
+// {1, 2, 7, 24}, on operands whose leading dimensions exceed their row
+// counts: every result matches naive_gemm within GemmProblem's tolerance,
+// beta == 0 never reads the NaN-filled C, and the padding past each view
+// stays untouched. The plans run every chunk pair of {16, 12, 8, 4, 2, 1}
+// x {4, 2, 1}, each through a compile-time kernel.
+template <typename T>
+void check_edge_lattice() {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T alpha = T(0.75);
+  const index_t pad = 3;
+  std::set<std::pair<int, int>> tiles;
+  for (index_t k : {1, 2, 7, 24}) {
+    for (index_t m = 1; m <= 21; ++m) {
+      for (index_t n = 1; n <= 21; ++n) {
+        Rng rng(static_cast<std::uint64_t>(k * 10000 + m * 100 + n));
+        Matrix<T> a(m + pad, k), b(k + pad, n), c_init(m + pad, n);
+        a.fill_random(rng);
+        b.fill_random(rng);
+        c_init.fill_random(rng);
+        const auto a_view = a.cview().block(0, 0, m, k);
+        const auto b_view = b.cview().block(0, 0, k, n);
+        for (T beta : {T(0), T(1), T(-0.5)}) {
+          SCOPED_TRACE(::testing::Message()
+                       << m << "x" << n << "x" << k << " f" << 8 * sizeof(T)
+                       << " beta=" << beta);
+          Matrix<T> c = c_init.clone();
+          if (beta == T(0)) c.fill(nan);
+          const Matrix<T> before = c.clone();
+          Matrix<T> expected = c.clone();
+          libs::naive_gemm(alpha, a_view, b_view, beta,
+                           expected.view().block(0, 0, m, n));
+          smm_gemm(alpha, a_view, b_view, beta, c.view().block(0, 0, m, n));
+          for (index_t j = 0; j < n; ++j) {
+            for (index_t i = 0; i < m + pad; ++i) {
+              if (i < m) {
+                ASSERT_FALSE(std::isnan(c(i, j))) << i << ", " << j;
+              } else {
+                ASSERT_EQ(std::memcmp(&c(i, j), &before(i, j), sizeof(T)), 0)
+                    << "padding at " << i << ", " << j;
+              }
+            }
+          }
+          ASSERT_LE(max_abs_diff(c.cview().block(0, 0, m, n),
+                                 expected.cview().block(0, 0, m, n)),
+                    gemm_tolerance<T>(k) * 4.0);
+        }
+        collect_tiles<T>(GemmShape{m, n, k}, tiles);
+      }
+    }
+  }
+  for (int mr : {16, 12, 8, 4, 2, 1})
+    for (int nr : {4, 2, 1})
+      EXPECT_TRUE(tiles.count({mr, nr})) << mr << "x" << nr << " never ran";
+}
+
+TEST(SmmGemm, EdgeLatticeMatchesNaiveF32) { check_edge_lattice<float>(); }
+
+TEST(SmmGemm, EdgeLatticeMatchesNaiveF64) { check_edge_lattice<double>(); }
 
 }  // namespace
 }  // namespace smm::core

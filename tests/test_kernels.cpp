@@ -243,6 +243,29 @@ constexpr std::pair<int, int> kSpecializedTiles[] = {
     {16, 4}, {16, 2}, {16, 1}, {12, 4}, {8, 12}, {8, 8},
     {8, 4},  {8, 2},  {8, 1},  {4, 4},  {4, 2},  {4, 1}};
 
+// Registered tiles with no tile_microkernel instantiation: each has a
+// compile-time scalar_microkernel.
+template <typename T>
+struct ScalarTileFn {
+  int mr, nr;
+  MicroKernelFn<T> fn;
+};
+
+template <typename T>
+constexpr ScalarTileFn<T> kScalarTileFns[] = {
+    {12, 8, &scalar_microkernel<T, 12, 8>},
+    {12, 2, &scalar_microkernel<T, 12, 2>},
+    {12, 1, &scalar_microkernel<T, 12, 1>},
+    {4, 8, &scalar_microkernel<T, 4, 8>},
+    {2, 8, &scalar_microkernel<T, 2, 8>},
+    {2, 4, &scalar_microkernel<T, 2, 4>},
+    {2, 2, &scalar_microkernel<T, 2, 2>},
+    {2, 1, &scalar_microkernel<T, 2, 1>},
+    {1, 8, &scalar_microkernel<T, 1, 8>},
+    {1, 4, &scalar_microkernel<T, 1, 4>},
+    {1, 2, &scalar_microkernel<T, 1, 2>},
+    {1, 1, &scalar_microkernel<T, 1, 1>}};
+
 // The dispatch rule, restated: the widest clone the host runs whose lane
 // count divides MR, else the 128-bit build.
 template <typename T>
@@ -268,10 +291,21 @@ void check_dispatch() {
       if (tile_vector_bits<T>(mr, bits) != rule_bits<T>(mr))
         EXPECT_NE(tile_clone_fn<T>(mr, nr, bits), named) << bits;
   }
+  for (const auto& [mr, nr, fn] : kScalarTileFns<T>) {
+    SCOPED_TRACE(::testing::Message() << mr << "x" << nr << " f"
+                                      << 8 * sizeof(T));
+    for (int bits : {128, 256, 512})
+      EXPECT_EQ(tile_clone_fn<T>(mr, nr, bits), fn) << bits;
+  }
+  // No registered tile runs the runtime instance: every one in every
+  // family, the smm and smm-direct lattices included, has a compile-time
+  // kernel.
   for (KernelId id = 0; id < static_cast<KernelId>(reg.size()); ++id) {
     const KernelInfo& k = reg.info(id);
     EXPECT_EQ(kernel_fn<T>(id), native_tile_fn<T>(k.mr, k.nr)) << k.name;
+    EXPECT_NE(kernel_fn<T>(id), &generic_microkernel<T>) << k.name;
   }
+  EXPECT_EQ(native_tile_fn<T>(3, 5), &generic_microkernel<T>);
 }
 
 TEST(KernelDispatch, NativeFnIsTheCloneTheRuleNames) {
@@ -286,6 +320,11 @@ TEST(KernelDispatch, NativeFnIsTheCloneTheRuleNames) {
             (&tile_microkernel<float, 12, 4>));
   EXPECT_EQ(native_tile_fn<float>(3, 5), &generic_microkernel<float>);
   EXPECT_THROW((void)tile_clone_fn<float>(8, 12, 1024), Error);
+  // A compile-time kernel takes only its full tile; masked updates run
+  // generic_microkernel.
+  EXPECT_THROW((scalar_microkernel<float, 4, 8>(0, 1.0f, 0.0f,
+                                                KernelOperands<float>{}, 3, 5)),
+               Error);
 }
 
 // Asserts nothing: it puts one line per width in the test log, so a CI
@@ -306,6 +345,210 @@ INSTANTIATE_TEST_SUITE_P(Widths, CloneWidth, ::testing::Values(128, 256, 512),
                          [](const auto& info) {
                            return std::to_string(info.param) + "bit";
                          });
+
+// ---- Scalar tile kernels -----------------------------------------------------
+
+// The per-element formula every scalar kernel reproduces bit for bit: each
+// C element sums the a_offset / b_offset products in k order, then applies
+// the epilogue (this file is built with -ffp-contract=off, as the kernels
+// are).
+template <typename T>
+void formula_tile(index_t kc, T alpha, T beta, const KernelOperands<T>& ops,
+                  index_t mr, index_t nr) {
+  for (index_t j = 0; j < nr; ++j) {
+    for (index_t i = 0; i < mr; ++i) {
+      T acc = T(0);
+      for (index_t k = 0; k < kc; ++k)
+        acc += ops.a[a_offset(ops, i, k)] * ops.b[b_offset(ops, k, j)];
+      T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
+      *c = (beta == T(0)) ? alpha * acc : alpha * acc + beta * *c;
+    }
+  }
+}
+
+// One operand layout the executor binds: its storage and its descriptor
+// (the c fields unused).
+template <typename T>
+struct BoundOperand {
+  const char* name;
+  std::vector<T> store;
+  KernelOperands<T> ops;
+};
+
+// The mr x kc A values `a` (a[k * mr + i]) in every layout the executor
+// binds for A: packed, direct col-major, direct row-major (strided rows,
+// a_istride != 1) and a multi-panel BLASFEO layout with rows i >= a_ps.
+// Padding is NaN, so a read past the view shows.
+template <typename T>
+std::vector<BoundOperand<T>> a_layouts(const std::vector<T>& a, index_t mr,
+                                       index_t kc) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
+  std::vector<BoundOperand<T>> out(4);
+  const index_t lda_cm = mr + 3, lda_rm = kc + 2;
+  const index_t ps = mr >= 8 ? 4 : std::max<index_t>(1, mr / 2);
+  const index_t panels = (mr + ps - 1) / ps, cols = kc + 1;
+  out[0] = {"packed A", a, {}};
+  out[1] = {"direct col-major A", std::vector<T>(sz(lda_cm * kc + 1), nan), {}};
+  out[2] = {"direct row-major A", std::vector<T>(sz(lda_rm * mr + 1), nan), {}};
+  out[3] = {"panel A", std::vector<T>(sz(panels * ps * cols + 1), nan), {}};
+  for (index_t k = 0; k < kc; ++k) {
+    for (index_t i = 0; i < mr; ++i) {
+      const T v = a[sz(k * mr + i)];
+      out[1].store[sz(i + k * lda_cm)] = v;
+      out[2].store[sz(i * lda_rm + k)] = v;
+      out[3].store[sz((i / ps) * ps * cols + k * ps + i % ps)] = v;
+    }
+  }
+  set_packed_a(out[0].ops, out[0].store.data(), mr);
+  set_direct_a_colmajor(out[1].ops, out[1].store.data(), lda_cm, mr);
+  set_direct_a_rowmajor(out[2].ops, out[2].store.data(), lda_rm, mr);
+  set_panel_a(out[3].ops, out[3].store.data(), ps, cols);
+  return out;
+}
+
+// The kc x nr B values `b` (b[k * nr + j]) packed, direct col-major and
+// direct row-major.
+template <typename T>
+std::vector<BoundOperand<T>> b_layouts(const std::vector<T>& b, index_t nr,
+                                       index_t kc) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
+  std::vector<BoundOperand<T>> out(3);
+  const index_t ldb_cm = kc + 2, ldb_rm = nr + 3;
+  out[0] = {"packed B", b, {}};
+  out[1] = {"direct col-major B", std::vector<T>(sz(ldb_cm * nr + 1), nan), {}};
+  out[2] = {"direct row-major B", std::vector<T>(sz(ldb_rm * kc + 1), nan), {}};
+  for (index_t k = 0; k < kc; ++k) {
+    for (index_t j = 0; j < nr; ++j) {
+      const T v = b[sz(k * nr + j)];
+      out[1].store[sz(k + j * ldb_cm)] = v;
+      out[2].store[sz(k * ldb_rm + j)] = v;
+    }
+  }
+  set_packed_b(out[0].ops, out[0].store.data(), nr);
+  set_direct_b_colmajor(out[1].ops, out[1].store.data(), ldb_cm);
+  set_direct_b_rowmajor(out[2].ops, out[2].store.data(), ldb_rm, nr);
+  return out;
+}
+
+// C layouts the executor binds: col-major with a padded column stride, a
+// K-split slab (col-major, ld = mr) and row-major (c_rs = nr + 2).
+struct CLayout {
+  const char* name;
+  index_t rs, cs, size;
+};
+
+std::vector<CLayout> c_layouts(index_t mr, index_t nr) {
+  return {{"col-major C", 1, mr + 3, (mr + 3) * nr},
+          {"K-split slab C", 1, mr, mr * nr},
+          {"row-major C", nr + 2, 1, mr * (nr + 2)}};
+}
+
+// For an mr x nr tile: the kernel native_tile_fn binds and
+// generic_microkernel give the same bits on every A x B x C layout, and
+// generic_microkernel gives the bits of the per-element formula. Every
+// layout holds the same values, so all of them give the values of packed
+// A and B into col-major C. beta == 0 runs on a NaN-filled C, which must
+// never be read; C outside the tile stays untouched.
+template <typename T>
+void check_scalar_tile(int mr, int nr) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
+  const MicroKernelFn<T> fn = native_tile_fn<T>(mr, nr);
+  const T alpha = T(-0.75);
+  for (index_t kc : {0, 1, 2, 7, 24}) {
+    Rng rng(static_cast<std::uint64_t>(mr * 100000 + nr * 1000 + kc));
+    std::vector<T> a(sz(mr * kc)), b(sz(nr * kc));
+    for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
+    for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
+    const auto as = a_layouts(a, mr, kc);
+    const auto bs = b_layouts(b, nr, kc);
+    for (T beta : {T(0), T(1), T(-0.5)}) {
+      // The initial C tile, (i, j) at i + j * mr; all NaN when beta == 0.
+      std::vector<T> c_tile(sz(mr * nr), nan);
+      if (beta != T(0))
+        for (auto& v : c_tile) v = static_cast<T>(rng.uniform(-1, 1));
+      std::vector<T> expected;  // the result tile, laid out as c_tile
+      for (const CLayout& cl : c_layouts(mr, nr)) {
+        std::vector<T> c0(sz(cl.size), beta == T(0) ? nan : T(0.5));
+        for (index_t j = 0; j < nr; ++j)
+          for (index_t i = 0; i < mr; ++i)
+            c0[sz(i * cl.rs + j * cl.cs)] = c_tile[sz(i + j * mr)];
+        for (const auto& ab : as) {
+          for (const auto& bb : bs) {
+            SCOPED_TRACE(::testing::Message()
+                         << mr << "x" << nr << " f" << 8 * sizeof(T)
+                         << " kc=" << kc << " beta=" << beta << " " << ab.name
+                         << ", " << bb.name << ", " << cl.name);
+            KernelOperands<T> ops = ab.ops;
+            ops.b = bb.ops.b;
+            ops.b_ps = bb.ops.b_ps;
+            ops.b_pstride = bb.ops.b_pstride;
+            ops.b_kstride = bb.ops.b_kstride;
+            ops.b_jstride = bb.ops.b_jstride;
+            ops.c_rs = cl.rs;
+            ops.c_cs = cl.cs;
+            const auto runtime = run_into(&generic_microkernel<T>, kc, alpha,
+                                          beta, ops, c0, mr, nr);
+            EXPECT_TRUE(same_bits(
+                runtime, run_into(fn, kc, alpha, beta, ops, c0, mr, nr)));
+            EXPECT_TRUE(same_bits(runtime, run_into(&formula_tile<T>, kc,
+                                                    alpha, beta, ops, c0, mr,
+                                                    nr)));
+            std::vector<bool> in_tile(c0.size(), false);
+            std::vector<T> tile(sz(mr * nr));
+            for (index_t j = 0; j < nr; ++j) {
+              for (index_t i = 0; i < mr; ++i) {
+                const auto at = sz(i * cl.rs + j * cl.cs);
+                in_tile[at] = true;
+                tile[sz(i + j * mr)] = runtime[at];
+                ASSERT_FALSE(std::isnan(runtime[at])) << i << ", " << j;
+              }
+            }
+            for (std::size_t e = 0; e < c0.size(); ++e)
+              if (!in_tile[e])
+                ASSERT_EQ(std::memcmp(&runtime[e], &c0[e], sizeof(T)), 0)
+                    << "padding at " << e;
+            if (expected.empty()) {
+              expected = tile;
+            } else {
+              for (std::size_t e = 0; e < tile.size(); ++e)
+                ASSERT_EQ(tile[e], expected[e]) << "tile element " << e;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class ScalarTile : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF32) {
+  const auto [mr, nr] = GetParam();
+  check_scalar_tile<float>(mr, nr);
+}
+
+TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF64) {
+  const auto [mr, nr] = GetParam();
+  check_scalar_tile<double>(mr, nr);
+}
+
+// Every tile with a compile-time scalar kernel, plus the unregistered 3x5,
+// where native_tile_fn is generic_microkernel itself and only the formula
+// check applies.
+INSTANTIATE_TEST_SUITE_P(
+    Tiles, ScalarTile,
+    ::testing::Values(std::pair{12, 8}, std::pair{12, 2}, std::pair{12, 1},
+                      std::pair{4, 8}, std::pair{2, 8}, std::pair{2, 4},
+                      std::pair{2, 2}, std::pair{2, 1}, std::pair{1, 8},
+                      std::pair{1, 4}, std::pair{1, 2}, std::pair{1, 1},
+                      std::pair{3, 5}),
+    [](const auto& info) {
+      return std::to_string(info.param.first) + "x" +
+             std::to_string(info.param.second);
+    });
 
 TEST(GenericKernel, StridedDirectB) {
   // Direct col-major B: b(k, j) = b[k + j*ldb].
