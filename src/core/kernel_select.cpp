@@ -1,7 +1,10 @@
 #include "src/core/kernel_select.h"
 
+#include <algorithm>
+
 #include "src/common/error.h"
 #include "src/common/str.h"
+#include "src/kernels/microkernel.h"
 #include "src/model/equations.h"
 
 namespace smm::core {
@@ -42,22 +45,53 @@ double tile_score(GemmShape shape, index_t mr, index_t nr) {
   return base * fill_m * fill_n * edge_factor;
 }
 
-KernelChoice choose_main_tile(GemmShape shape) {
+namespace {
+
+/// The best smm main tile by tile_score times `weight(mr)`; ties keep
+/// the earlier tile.
+template <typename Weight>
+KernelChoice best_tile(GemmShape shape, Weight weight) {
   KernelChoice best;
   best.score = -1.0;
   for (const auto& [mr, nr] : smm_main_tiles()) {
-    const double s = tile_score(shape, mr, nr);
+    const double s = tile_score(shape, mr, nr) * weight(mr);
     if (s > best.score) {
       best = {mr, nr, s, ""};
     }
   }
-  best.reason = strprintf("%ldx%ld: score %.2f (CMR %.2f) for %ldx%ldx%ld",
-                          static_cast<long>(best.mr),
-                          static_cast<long>(best.nr), best.score,
-                          model::cmr(best.mr, best.nr),
-                          static_cast<long>(shape.m),
-                          static_cast<long>(shape.n),
-                          static_cast<long>(shape.k));
+  return best;
+}
+
+std::string describe(const KernelChoice& c, GemmShape shape) {
+  return strprintf("%ldx%ld: score %.2f (CMR %.2f) for %ldx%ldx%ld",
+                   static_cast<long>(c.mr), static_cast<long>(c.nr),
+                   c.score, model::cmr(c.mr, c.nr),
+                   static_cast<long>(shape.m), static_cast<long>(shape.n),
+                   static_cast<long>(shape.k));
+}
+
+}  // namespace
+
+KernelChoice choose_main_tile(GemmShape shape) {
+  KernelChoice best = best_tile(shape, [](index_t) { return 1.0; });
+  best.reason = describe(best, shape);
+  return best;
+}
+
+KernelChoice choose_host_tile(GemmShape shape, index_t elem_bytes,
+                              int host_bits) {
+  SMM_EXPECT(elem_bytes == 4 || elem_bytes == 8, "bad element size");
+  KernelChoice best = best_tile(shape, [&](index_t mr) {
+    // A tile taller than the matrix never runs: its rows go to an edge
+    // tile about m rows tall, so that tile's clone width counts.
+    const int m = static_cast<int>(std::min(mr, shape.m));
+    const int bits = elem_bytes == 4
+                         ? kern::tile_vector_bits<float>(m, host_bits)
+                         : kern::tile_vector_bits<double>(m, host_bits);
+    return static_cast<double>(bits) / static_cast<double>(host_bits);
+  });
+  best.reason = describe(best, shape) +
+                strprintf(" at %d-bit host vectors", host_bits);
   return best;
 }
 

@@ -27,4 +27,15 @@ double tile_score(GemmShape shape, index_t mr, index_t nr);
 /// Pick the best main tile for the shape.
 KernelChoice choose_main_tile(GemmShape shape);
 
+/// Pick the main tile for a native plan that runs packed panels, on a
+/// host whose widest vector is `host_bits`: each tile_score is weighted
+/// by the share of that width its packed-kernel clone runs at
+/// (kern::tile_vector_bits / host_bits, Eq. 4-5 with the host's lanes;
+/// a tile taller than M is weighted by the M-row edge tile that runs in
+/// its place), so on a 512-bit host f32 16x4 (512-bit clone) beats 8x8
+/// (256-bit).
+/// `elem_bytes` is 4 (f32) or 8 (f64).
+KernelChoice choose_host_tile(GemmShape shape, index_t elem_bytes,
+                              int host_bits);
+
 }  // namespace smm::core

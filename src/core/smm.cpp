@@ -12,6 +12,7 @@
 #include "src/core/parallel_select.h"
 #include "src/core/plan_builder.h"
 #include "src/core/plan_cache.h"
+#include "src/kernels/registry.h"
 #include "src/plan/native_executor.h"
 #include "src/robust/fault_injection.h"
 #include "src/robust/health.h"
@@ -100,9 +101,32 @@ BuildSpec default_build_spec(GemmShape shape, plan::ScalarType scalar,
               max_threads > 1
           ? &calibrated_cost_model()
           : nullptr;
-  const ParallelChoice par_choice =
+  ParallelChoice par_choice =
       choose_parallel(shape, max_threads, spec.mr, spec.nr, spec.mc,
                       spec.nc, 4, cost, spec.kc);
+  // A measured multi-thread plan runs packed panels through the width
+  // clones, so its tile is scored at the width its clone runs on this
+  // host (Eq. 4-5 with the host's lanes). The simulator's plans (no
+  // cost model) keep the ARMv8 choice, and so does a shape whose
+  // re-priced split falls back to one thread or a K split, which read
+  // their operands directly.
+  const auto runs_packed = [](const ParallelChoice& c) {
+    return c.nthreads > 1 && c.k_parts == 1;
+  };
+  if (cost != nullptr && options.adaptive_kernel && runs_packed(par_choice)) {
+    const KernelChoice host = choose_host_tile(
+        shape, plan::elem_bytes(scalar), kern::host_vector_bits());
+    if (host.mr != spec.mr || host.nr != spec.nr) {
+      const ParallelChoice host_par =
+          choose_parallel(shape, max_threads, host.mr, host.nr, spec.mc,
+                          spec.nc, 4, cost, spec.kc);
+      if (runs_packed(host_par)) {
+        spec.mr = host.mr;
+        spec.nr = host.nr;
+        par_choice = host_par;
+      }
+    }
+  }
   spec.nthreads = par_choice.nthreads;
   spec.ways = par_choice.ways;
   spec.k_parts = par_choice.k_parts;

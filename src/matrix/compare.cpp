@@ -16,6 +16,8 @@ double max_abs_diff(ConstMatrixView<T> a, ConstMatrixView<T> b) {
     for (index_t i = 0; i < a.rows(); ++i) {
       const double d = std::abs(static_cast<double>(a(i, j)) -
                                 static_cast<double>(b(i, j)));
+      // `d > worst` is false for NaN, which would read a NaN as a match.
+      if (std::isnan(d)) return std::numeric_limits<double>::infinity();
       if (d > worst) worst = d;
     }
   }

@@ -6,7 +6,9 @@
 
 namespace smm {
 
-/// Largest absolute element-wise difference between two same-shaped views.
+/// Largest absolute element-wise difference between two same-shaped views;
+/// +infinity when any difference is NaN (a NaN on either side), so no
+/// tolerance accepts it.
 template <typename T>
 double max_abs_diff(ConstMatrixView<T> a, ConstMatrixView<T> b);
 

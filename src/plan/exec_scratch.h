@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/common/aligned_buffer.h"
@@ -47,11 +49,15 @@ class ExecScratch {
 
   /// Carves `sizes` (element counts of T, each slice cache-aligned and
   /// zero-filled) out of the arena for the lifetime of the lease. A size
-  /// of 0 yields a null slice. `ptr(i)` addresses slice i.
+  /// of 0 yields a null slice. `ptr(i)` addresses slice i. A slice i < 64
+  /// whose bit is set in `overwritten` is not zeroed: the caller writes
+  /// every element of it before reading one, and its bytes until then
+  /// are whatever the last lease left (or zero, on a freshly grown slab).
   template <typename T>
   class Lease {
    public:
-    Lease(ExecScratch& arena, const std::vector<index_t>& sizes) {
+    Lease(ExecScratch& arena, const std::vector<index_t>& sizes,
+          std::uint64_t overwritten = 0) {
       // Consult the allocation fault-injection site once per non-empty
       // slice — exactly what the per-buffer AlignedBuffer path did — so
       // deterministic alloc-fault tests fire identically warm or cold.
@@ -67,14 +73,17 @@ class ExecScratch {
           std::size_t total = 0;
           for (const index_t elems : sizes)
             total += aligned_bytes<T>(elems);
-          arena.reserve_and_zero(total);
+          const bool fresh = arena.reserve(total);
           arena_ = &arena;
           ++arena.leases_;
           std::size_t off = 0;
           for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (sizes[i] == 0) continue;
             ptrs_[i] = reinterpret_cast<T*>(arena.slab_.data() + off);
-            off += aligned_bytes<T>(sizes[i]);
+            const std::size_t bytes = aligned_bytes<T>(sizes[i]);
+            if (!fresh && !(i < 64 && (overwritten >> i & 1) != 0))
+              std::memset(arena.slab_.data() + off, 0, bytes);
+            off += bytes;
           }
           return;
         } catch (...) {
@@ -126,11 +135,13 @@ class ExecScratch {
            kBufferAlignment;
   }
 
-  void reserve_and_zero(std::size_t bytes);
+  /// Grows the slab to `bytes` if needed; true when it was just
+  /// (re)allocated, and so is all zero.
+  bool reserve(std::size_t bytes);
 
   // The slab never consults the kAllocFail site (the lease already did,
   // once per logical buffer): AlignedBuffer::reset_unchecked. It has its
-  // own kArenaExhausted site in reserve_and_zero, which models the slab
+  // own kArenaExhausted site in reserve, which models the slab
   // itself failing — the Lease catches that and falls back per-buffer.
   AlignedBuffer<unsigned char> slab_;
   std::size_t capacity_ = 0;

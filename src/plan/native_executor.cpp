@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -25,11 +26,7 @@ template <typename T>
 void run_pack_b_op(const PackBOp& op, ConstMatrixView<T> b, T* base) {
   T* dst = base + op.dst_offset;
   const auto block = b.block(op.k0, op.j0, op.kc, op.nc);
-  if (op.chunks.empty()) {
-    pack::pack_b(block, op.nr, op.pad, dst);
-  } else {
-    pack::pack_b_chunked(block, op.chunks, dst);
-  }
+  pack::pack_b(block, op.nr, op.pad, op.chunks, dst);
 }
 
 /// Run one ConvertOp against its source matrix, writing at `dst`.
@@ -79,7 +76,8 @@ struct ExecContext {
         beta(be),
         c(cv),
         prepacked(pre),
-        scratch(ExecScratch::local(), scratch_sizes(p, pre)) {
+        scratch(ExecScratch::local(), scratch_sizes(p, pre),
+                packed_only_buffers(p)) {
     buffers.resize(plan.buffers.size(), nullptr);
     for (std::size_t i = 0; i < plan.buffers.size(); ++i) {
       buffers[i] = serves_buffer(i)
@@ -96,6 +94,39 @@ struct ExecContext {
   }
 
  private:
+  /// Bit i set: buffer i is written only by PackAOp / PackBOp (buffers
+  /// past 63 always count as read first). The packers write every
+  /// element the kernels read (zero padding included) before any kernel
+  /// reads it, so these skip the lease's zero fill: a two-thread plan's
+  /// caller would otherwise clear every thread's panels, and each worker
+  /// would then pull its own panels' cache lines back from the caller's
+  /// core. ConvertOp targets (their padding rows are never written) and
+  /// K-split slabs keep it.
+  static std::uint64_t packed_only_buffers(const GemmPlan& p) {
+    if (p.buffers.empty()) return 0;
+    std::uint64_t packed = 0;
+    std::uint64_t other = 0;
+    const auto bit = [](int buffer) {
+      return buffer >= 0 && buffer < 64 ? std::uint64_t{1} << buffer : 0;
+    };
+    for (const auto& ops : p.thread_ops) {
+      for (const Op& op : ops) {
+        if (const auto* pa = std::get_if<PackAOp>(&op)) {
+          packed |= bit(pa->buffer);
+        } else if (const auto* pb = std::get_if<PackBOp>(&op)) {
+          packed |= bit(pb->buffer);
+        } else if (const auto* cv = std::get_if<ConvertOp>(&op)) {
+          other |= bit(cv->buffer);
+        } else if (const auto* k = std::get_if<KernelOp>(&op)) {
+          other |= bit(k->c_buffer);
+        } else if (const auto* r = std::get_if<ReduceCOp>(&op)) {
+          other |= bit(r->buffer);
+        }
+      }
+    }
+    return packed & ~other;
+  }
+
   /// Per-buffer element counts the arena must carve; prepacked buffers
   /// need no scratch at all.
   static std::vector<index_t> scratch_sizes(const GemmPlan& p,
@@ -116,11 +147,7 @@ struct OpRunner {
     T* dst = ctx.buffers[static_cast<std::size_t>(op.buffer)] +
              op.dst_offset;
     const auto block = ctx.a.block(op.i0, op.k0, op.mc, op.kc);
-    if (op.chunks.empty()) {
-      pack::pack_a(block, op.mr, op.pad, dst);
-    } else {
-      pack::pack_a_chunked(block, op.chunks, dst);
-    }
+    pack::pack_a(block, op.mr, op.pad, op.chunks, dst);
     // A bit flip in the scratch slab between pack and kernel: the packed
     // block is about to be trusted by every kernel that reads it.
     robust::maybe_corrupt(robust::FaultSite::kScratchSlabFlip, dst,

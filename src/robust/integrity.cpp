@@ -1,5 +1,6 @@
 #include "src/robust/integrity.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -84,150 +85,163 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-struct Hasher {
-  std::uint64_t h = kFnvOffset;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= kFnvPrime;
+/// Four independent FNV-1a lanes: word i of the stream goes to lane
+/// i % 4, so the four xor-multiply chains run in parallel instead of one
+/// chain of multiplies serializing the hash. finish() folds the lanes
+/// into one FNV-1a chain. Every step is a bijection of its lane (xor,
+/// then multiply by an odd prime mod 2^64), so changing any one word
+/// changes its lane's final value, and the fold then changes the result.
+class LaneHasher {
+ public:
+  /// One field group, zero-padded to whole blocks so every group starts
+  /// at lane 0. Groups of variable length carry their own count word.
+  template <std::size_t N>
+  void words(const std::uint64_t (&w)[N]) {
+    const auto at = [&w](std::size_t i) { return i < N ? w[i] : 0; };
+    // The lanes are copied to locals (the words are uint64_t too, so the
+    // compiler would otherwise store and reload every lane around every
+    // word), and the loop is fully unrolled, so each word is xored
+    // straight from its field.
+    std::uint64_t a = l0_, b = l1_, c = l2_, d = l3_;
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < N; i += 4) {
+      a = (a ^ at(i)) * kFnvPrime;
+      b = (b ^ at(i + 1)) * kFnvPrime;
+      c = (c ^ at(i + 2)) * kFnvPrime;
+      d = (d ^ at(i + 3)) * kFnvPrime;
+    }
+    l0_ = a;
+    l1_ = b;
+    l2_ = c;
+    l3_ = d;
   }
-  void mix_i(index_t v) { mix(static_cast<std::uint64_t>(v)); }
+
+  /// A variable-length list, four values per block, zero-padded at the
+  /// end; its length is part of an earlier group.
+  template <typename Range, typename Proj>
+  void list(const Range& range, Proj proj) {
+    std::uint64_t t[4] = {};
+    std::size_t j = 0;
+    for (const auto& x : range) {
+      t[j++] = proj(x);
+      if (j == 4) {
+        words(t);
+        j = 0;
+      }
+    }
+    if (j == 0) return;
+    std::fill(t + j, t + 4, 0);
+    words(t);
+  }
+
+  [[nodiscard]] std::uint64_t finish(std::uint64_t tail) const {
+    std::uint64_t h = kFnvOffset;
+    for (const std::uint64_t lane : {l0_, l1_, l2_, l3_, tail})
+      h = (h ^ lane) * kFnvPrime;
+    return h;
+  }
+
+ private:
+  // Distinct seeds, so words moved between lanes do not hash alike.
+  std::uint64_t l0_ = kFnvOffset;
+  std::uint64_t l1_ = kFnvOffset ^ 1;
+  std::uint64_t l2_ = kFnvOffset ^ 2;
+  std::uint64_t l3_ = kFnvOffset ^ 3;
 };
+
+/// One field as a hash word (index_t, int and enum fields alike).
+template <typename V>
+std::uint64_t word(V v) {
+  return static_cast<std::uint64_t>(v);
+}
 
 }  // namespace
 
 std::uint64_t content_checksum(const void* data, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
-  Hasher hash;
+  LaneHasher hash;
+  constexpr std::size_t kBlock = 4 * sizeof(std::uint64_t);
   std::size_t i = 0;
-  for (; i + sizeof(std::uint64_t) <= bytes; i += sizeof(std::uint64_t)) {
-    std::uint64_t word;
-    std::memcpy(&word, p + i, sizeof(word));
-    hash.mix(word);
+  for (; i + kBlock <= bytes; i += kBlock) {
+    std::uint64_t w[4];
+    std::memcpy(w, p + i, kBlock);
+    hash.words(w);
   }
-  std::uint64_t tail = 0;
   if (i < bytes) {
-    std::memcpy(&tail, p + i, bytes - i);
-    hash.mix(tail);
+    std::uint64_t w[4] = {};
+    std::memcpy(w, p + i, bytes - i);
+    hash.words(w);
   }
-  hash.mix(static_cast<std::uint64_t>(bytes));  // length-extension guard
-  return hash.h;
+  return hash.finish(static_cast<std::uint64_t>(bytes));  // length guard
 }
 
 std::uint64_t plan_seal(const plan::GemmPlan& plan) {
   using namespace smm::plan;
-  Hasher hash;
-  hash.mix(content_checksum(plan.strategy.data(), plan.strategy.size()));
-  hash.mix_i(plan.shape.m);
-  hash.mix_i(plan.shape.n);
-  hash.mix_i(plan.shape.k);
-  hash.mix(static_cast<std::uint64_t>(plan.scalar));
-  hash.mix(static_cast<std::uint64_t>(plan.nthreads));
-  hash.mix(plan.conversion_outside_timing ? 1u : 0u);
-  hash.mix_i(plan.blocking.mc);
-  hash.mix_i(plan.blocking.kc);
-  hash.mix_i(plan.blocking.nc);
-  hash.mix_i(plan.blocking.mr);
-  hash.mix_i(plan.blocking.nr);
-  for (const auto& buf : plan.buffers) hash.mix_i(buf.elems);
-  for (const auto& bar : plan.barriers)
-    hash.mix(static_cast<std::uint64_t>(bar.participants));
-
-  const auto mix_ref = [&hash](const OperandRef& ref) {
-    hash.mix(static_cast<std::uint64_t>(ref.kind));
-    hash.mix(static_cast<std::uint64_t>(ref.buffer));
-    hash.mix_i(ref.offset);
-    hash.mix_i(ref.ps);
-    hash.mix_i(ref.pstride);
-    hash.mix_i(ref.kstride);
-    hash.mix_i(ref.row0);
-    hash.mix_i(ref.col0);
-  };
-  const auto mix_chunks = [&hash](const std::vector<index_t>& chunks) {
-    hash.mix(chunks.size());
-    for (const index_t c : chunks) hash.mix_i(c);
-  };
+  LaneHasher hash;
+  hash.words({content_checksum(plan.strategy.data(), plan.strategy.size()),
+              word(plan.shape.m), word(plan.shape.n), word(plan.shape.k),
+              word(plan.scalar), word(plan.nthreads),
+              plan.conversion_outside_timing ? 1u : 0u,
+              word(plan.blocking.mc), word(plan.blocking.kc),
+              word(plan.blocking.nc), word(plan.blocking.mr),
+              word(plan.blocking.nr), plan.buffers.size(),
+              plan.barriers.size(), plan.thread_ops.size()});
+  hash.list(plan.buffers, [](const BufferDecl& b) { return word(b.elems); });
+  hash.list(plan.barriers,
+            [](const BarrierDecl& b) { return word(b.participants); });
 
   struct OpSealer {
-    Hasher& hash;
-    decltype(mix_ref)& ref;
-    decltype(mix_chunks)& chunks;
+    LaneHasher& hash;
+    void chunks(const std::vector<index_t>& c) const {
+      hash.list(c, [](index_t v) { return word(v); });
+    }
     void operator()(const PackAOp& op) const {
-      hash.mix(1);
-      hash.mix(static_cast<std::uint64_t>(op.buffer));
-      hash.mix_i(op.dst_offset);
-      hash.mix_i(op.i0);
-      hash.mix_i(op.k0);
-      hash.mix_i(op.mc);
-      hash.mix_i(op.kc);
-      hash.mix_i(op.mr);
-      hash.mix(op.pad ? 1u : 0u);
+      hash.words({1, word(op.buffer), word(op.dst_offset), word(op.i0),
+                  word(op.k0), word(op.mc), word(op.kc), word(op.mr),
+                  op.pad ? 1u : 0u, op.chunks.size()});
       chunks(op.chunks);
     }
     void operator()(const PackBOp& op) const {
-      hash.mix(2);
-      hash.mix(static_cast<std::uint64_t>(op.buffer));
-      hash.mix_i(op.dst_offset);
-      hash.mix_i(op.k0);
-      hash.mix_i(op.j0);
-      hash.mix_i(op.kc);
-      hash.mix_i(op.nc);
-      hash.mix_i(op.nr);
-      hash.mix(op.pad ? 1u : 0u);
+      hash.words({2, word(op.buffer), word(op.dst_offset), word(op.k0),
+                  word(op.j0), word(op.kc), word(op.nc), word(op.nr),
+                  op.pad ? 1u : 0u, op.chunks.size()});
       chunks(op.chunks);
     }
     void operator()(const ConvertOp& op) const {
-      hash.mix(3);
-      hash.mix(static_cast<std::uint64_t>(op.which));
-      hash.mix(static_cast<std::uint64_t>(op.buffer));
-      hash.mix_i(op.ps);
-      hash.mix(op.transpose ? 1u : 0u);
+      hash.words({3, word(op.which), word(op.buffer), word(op.ps),
+                  op.transpose ? 1u : 0u});
     }
     void operator()(const KernelOp& op) const {
-      hash.mix(4);
-      hash.mix(static_cast<std::uint64_t>(op.kernel));
-      hash.mix_i(op.kc);
-      hash.mix_i(op.i0);
-      hash.mix_i(op.j0);
-      hash.mix_i(op.useful_m);
-      hash.mix_i(op.useful_n);
-      ref(op.a);
-      ref(op.b);
-      hash.mix(op.first_k_block ? 1u : 0u);
-      hash.mix(static_cast<std::uint64_t>(op.c_buffer));
-      hash.mix_i(op.c_offset);
-      hash.mix_i(op.c_ld);
+      const OperandRef& a = op.a;
+      const OperandRef& b = op.b;
+      hash.words({4, word(op.kernel), word(op.kc), word(op.i0), word(op.j0),
+                  word(op.useful_m), word(op.useful_n), word(a.kind),
+                  word(a.buffer), word(a.offset), word(a.ps), word(a.pstride),
+                  word(a.kstride), word(a.row0), word(a.col0), word(b.kind),
+                  word(b.buffer), word(b.offset), word(b.ps), word(b.pstride),
+                  word(b.kstride), word(b.row0), word(b.col0),
+                  op.first_k_block ? 1u : 0u, word(op.c_buffer),
+                  word(op.c_offset), word(op.c_ld)});
     }
     void operator()(const BarrierOp& op) const {
-      hash.mix(5);
-      hash.mix(static_cast<std::uint64_t>(op.barrier));
+      hash.words({5, word(op.barrier)});
     }
     void operator()(const ScaleCOp& op) const {
-      hash.mix(6);
-      hash.mix_i(op.i0);
-      hash.mix_i(op.j0);
-      hash.mix_i(op.rows);
-      hash.mix_i(op.cols);
+      hash.words({6, word(op.i0), word(op.j0), word(op.rows), word(op.cols)});
     }
     void operator()(const ReduceCOp& op) const {
-      hash.mix(7);
-      hash.mix(static_cast<std::uint64_t>(op.buffer));
-      hash.mix_i(op.i0);
-      hash.mix_i(op.j0);
-      hash.mix_i(op.rows);
-      hash.mix_i(op.cols);
-      hash.mix_i(op.ld);
-      hash.mix_i(op.offset);
-      hash.mix_i(op.part_stride);
-      hash.mix(static_cast<std::uint64_t>(op.parts));
+      hash.words({7, word(op.buffer), word(op.i0), word(op.j0), word(op.rows),
+                  word(op.cols), word(op.ld), word(op.offset),
+                  word(op.part_stride), word(op.parts)});
     }
   };
 
-  const OpSealer sealer{hash, mix_ref, mix_chunks};
+  const OpSealer sealer{hash};
   for (const auto& ops : plan.thread_ops) {
-    hash.mix(ops.size());
+    hash.words({ops.size()});
     for (const auto& op : ops) std::visit(sealer, op);
   }
-  return hash.h;
+  return hash.finish(0);
 }
 
 bool corrupt_plan_for_test(plan::GemmPlan& plan) {

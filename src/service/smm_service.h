@@ -9,8 +9,9 @@
 // bounded, deadline-aware admission layer above smm_gemm/batched_smm:
 //
 //   submit() ─ router ─► shard ── admission ──► queue ─► lanes ─► gemm
-//               │          │        │ depth/cost budget → kOverloaded
+//               │          │        │ queue full        → kOverloaded
 //               │          │        ├─ shed watermarks  → kOverloaded
+//               │          │        ├─ brownout, kLow   → kOverloaded
 //               │          │        └─ shard quarantined → kOverloaded
 //               │          └─ own WorkerPool + PlanCache + lanes
 //               └─ hash(shape class) ⊕ cost bucket (smm::shard)

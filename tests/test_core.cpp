@@ -227,27 +227,28 @@ TEST(KSplit, EndToEndThroughSmmGemm) {
   EXPECT_TRUE(prob.check(4096));
 }
 
+// perfbench's warm_tiny and compute_mid shapes (perfbench/src/workloads.cpp).
+constexpr GemmShape kPerfbenchShapes[] = {
+    {2, 2, 2},       {4, 4, 4},       {5, 5, 5},      {8, 8, 8},
+    {12, 12, 12},    {16, 16, 16},    {20, 20, 20},   {24, 24, 24},
+    {7, 9, 11},      {13, 5, 17},     {23, 19, 21},   {9, 24, 6},
+    {17, 3, 22},     {11, 14, 3},     {24, 24, 2},    {24, 2, 24},
+    {2, 24, 24},     {20, 20, 4},     {4, 20, 20},    {20, 4, 20},
+    {24, 3, 16},     {3, 24, 16},     {16, 16, 3},    {6, 18, 10},
+    {48, 48, 48},    {64, 64, 64},    {96, 96, 96},   {128, 128, 128},
+    {160, 160, 160}, {192, 192, 192}, {8, 256, 128},  {200, 8, 160},
+    {4, 192, 256},   {128, 128, 8},   {256, 192, 12}, {160, 224, 16}};
+
 TEST(DefaultBuildSpec, OneThreadPlanIgnoresScaling) {
   // A one-thread budget leaves only the serial choice, so the measured
   // path skips the cost model (and its one-time calibration). Guard the
   // skip: the model, had it been consulted, picks what the static
-  // heuristic picks. Shapes: the warm_tiny and compute_mid lists of
-  // perfbench/src/workloads.cpp.
-  const GemmShape shapes[] = {
-      {2, 2, 2},       {4, 4, 4},       {5, 5, 5},     {8, 8, 8},
-      {12, 12, 12},    {16, 16, 16},    {20, 20, 20},  {24, 24, 24},
-      {7, 9, 11},      {13, 5, 17},     {23, 19, 21},  {9, 24, 6},
-      {17, 3, 22},     {11, 14, 3},     {24, 24, 2},   {24, 2, 24},
-      {2, 24, 24},     {20, 20, 4},     {4, 20, 20},   {20, 4, 20},
-      {24, 3, 16},     {3, 24, 16},     {16, 16, 3},   {6, 18, 10},
-      {48, 48, 48},    {64, 64, 64},    {96, 96, 96},  {128, 128, 128},
-      {160, 160, 160}, {192, 192, 192}, {8, 256, 128}, {200, 8, 160},
-      {4, 192, 256},   {128, 128, 8},   {256, 192, 12}, {160, 224, 16}};
+  // heuristic picks.
   SmmOptions measured, fixed;
   measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
   fixed.thread_scaling = SmmOptions::ThreadScaling::kStatic;
   const model::ParallelCostModel& cost = calibrated_cost_model();
-  for (const GemmShape& shape : shapes) {
+  for (const GemmShape& shape : kPerfbenchShapes) {
     for (const auto scalar : {plan::ScalarType::kF32, plan::ScalarType::kF64}) {
       SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n << "x"
                                       << shape.k);
@@ -267,6 +268,72 @@ TEST(DefaultBuildSpec, OneThreadPlanIgnoresScaling) {
           shape, 1, s.mr, s.nr, s.mc, s.nc, 4, &cost, s.kc);
       expect_static(priced.nthreads, priced.k_parts, priced.ways);
     }
+  }
+}
+
+TEST(DefaultBuildSpec, StaticAndOneThreadSpecsKeepTheArmTile) {
+  // Host-width scoring touches only measured multi-thread packed plans:
+  // the simulator's (kStatic) specs and one-thread specs keep
+  // choose_main_tile's tile and the split it prices.
+  SmmOptions measured, fixed;
+  measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
+  fixed.thread_scaling = SmmOptions::ThreadScaling::kStatic;
+  for (const GemmShape& shape : kPerfbenchShapes) {
+    for (const auto scalar : {plan::ScalarType::kF32, plan::ScalarType::kF64}) {
+      SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n << "x"
+                                      << shape.k);
+      const KernelChoice arm = choose_main_tile(shape);
+      for (const int threads : {1, 2, 8}) {
+        const BuildSpec s = default_build_spec(shape, scalar, threads, fixed);
+        EXPECT_EQ(s.mr, arm.mr);
+        EXPECT_EQ(s.nr, arm.nr);
+        const ParallelChoice p = choose_parallel(shape, threads, arm.mr,
+                                                 arm.nr, s.mc, s.nc, 4,
+                                                 nullptr, s.kc);
+        EXPECT_EQ(s.nthreads, p.nthreads);
+        EXPECT_EQ(s.k_parts, p.k_parts);
+      }
+      const BuildSpec one = default_build_spec(shape, scalar, 1, measured);
+      EXPECT_EQ(one.mr, arm.mr);
+      EXPECT_EQ(one.nr, arm.nr);
+      EXPECT_EQ(one.nthreads, 1);
+    }
+  }
+}
+
+TEST(DefaultBuildSpec, HostTileFillsTheHostVectorOnPackedCubes) {
+  // Scored at 512 bits, every f32 cube picks the tile whose clone runs
+  // 512 bits; f64 keeps 8x8, already a 512-bit clone. Host-independent.
+  for (const index_t n : {48, 64, 96, 128, 160, 192}) {
+    const GemmShape cube{n, n, n};
+    const KernelChoice f32 = choose_host_tile(cube, 4, 512);
+    EXPECT_EQ(kern::tile_vector_bits<float>(static_cast<int>(f32.mr), 512),
+              512)
+        << n << "^3 f32 took " << f32.mr << "x" << f32.nr;
+    const KernelChoice f64 = choose_host_tile(cube, 8, 512);
+    EXPECT_EQ(f64.mr, choose_main_tile(cube).mr);
+    EXPECT_EQ(f64.nr, choose_main_tile(cube).nr);
+  }
+  // A tile taller than M is weighted by the edge tile that runs instead.
+  const KernelChoice thin = choose_host_tile({4, 192, 256}, 4, 512);
+  EXPECT_EQ(thin.mr, choose_main_tile({4, 192, 256}).mr);
+}
+
+TEST(DefaultBuildSpec, TwoThreadCubesRunTheHostWidthTileOnAvx512) {
+  if (kern::host_vector_bits() < 512)
+    GTEST_SKIP() << "host lacks AVX-512F/VL: no 512-bit clone to score for";
+  SmmOptions measured;
+  measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
+  for (const GemmShape& shape : kPerfbenchShapes) {
+    if (shape.m != shape.n || shape.n != shape.k) continue;
+    const BuildSpec s =
+        default_build_spec(shape, plan::ScalarType::kF32, 2, measured);
+    // Only a spec that runs packed on two threads takes the host tile; the
+    // calibrated cost model may keep a small cube serial.
+    if (s.nthreads < 2 || s.k_parts != 1) continue;
+    EXPECT_EQ(kern::tile_vector_bits<float>(static_cast<int>(s.mr), 512),
+              kern::host_vector_bits())
+        << shape.m << "^3 runs " << s.mr << "x" << s.nr;
   }
 }
 

@@ -8,6 +8,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/core/plan_cache.h"
 #include "src/core/smm.h"
@@ -146,6 +151,308 @@ TEST_F(IntegrityTest, PlanSealCatchesStructuralRot) {
   EXPECT_EQ(integrity::plan_seal(plan), clean) << "seal not deterministic";
   ASSERT_TRUE(integrity::corrupt_plan_for_test(plan));
   EXPECT_NE(integrity::plan_seal(plan), clean);
+}
+
+// ---- Lane seals: every sealed field is seen ---------------------------------
+
+/// A plan holding one of every op kind, every field set to a distinct
+/// nonzero value. It is never executed, only sealed.
+plan::GemmPlan every_op_kind_plan() {
+  using namespace smm::plan;
+  GemmPlan p;
+  p.strategy = "seal-probe";
+  p.shape = {37, 41, 43};
+  p.scalar = ScalarType::kF64;
+  p.nthreads = 2;
+  p.conversion_outside_timing = true;
+  p.blocking = {240, 512, 480, 16, 4};
+  p.buffers = {{1001}, {1002}, {1003}};
+  p.barriers = {{2}, {3}};
+  PackAOp pa;
+  pa.buffer = 1;
+  pa.dst_offset = 11;
+  pa.i0 = 12;
+  pa.k0 = 13;
+  pa.mc = 14;
+  pa.kc = 15;
+  pa.mr = 16;
+  pa.pad = true;
+  pa.chunks = {8, 4, 2};
+  PackBOp pb;
+  pb.buffer = 2;
+  pb.dst_offset = 21;
+  pb.k0 = 22;
+  pb.j0 = 23;
+  pb.kc = 24;
+  pb.nc = 25;
+  pb.nr = 26;
+  pb.pad = true;
+  pb.chunks = {4, 2, 1, 1, 1};
+  ConvertOp cv;
+  cv.which = ConvertOp::Which::kB;
+  cv.buffer = 1;
+  cv.ps = 8;
+  cv.transpose = true;
+  KernelOp k;
+  k.kernel = 5;
+  k.kc = 31;
+  k.i0 = 32;
+  k.j0 = 33;
+  k.useful_m = 34;
+  k.useful_n = 35;
+  k.a = {OperandRef::Kind::kBuffer, 1, 36, 37, 38, 39, 40, 41};
+  k.b = {OperandRef::Kind::kDirectB, 2, 42, 43, 44, 45, 46, 47};
+  k.first_k_block = true;
+  k.c_buffer = 2;
+  k.c_offset = 48;
+  k.c_ld = 49;
+  BarrierOp bar;
+  bar.barrier = 1;
+  ScaleCOp sc;
+  sc.i0 = 51;
+  sc.j0 = 52;
+  sc.rows = 53;
+  sc.cols = 54;
+  ReduceCOp rd;
+  rd.buffer = 2;
+  rd.i0 = 61;
+  rd.j0 = 62;
+  rd.rows = 63;
+  rd.cols = 64;
+  rd.ld = 65;
+  rd.offset = 66;
+  rd.part_stride = 67;
+  rd.parts = 3;
+  p.thread_ops = {{pa, pb, cv, k, bar}, {sc, rd, k}};
+  return p;
+}
+
+template <typename Op>
+Op& op_at(plan::GemmPlan& p, std::size_t thread, std::size_t i) {
+  return std::get<Op>(p.thread_ops[thread][i]);
+}
+
+/// Flip `bit` of an integer field in place.
+template <typename Int>
+void flip(Int& v, int bit) {
+  using U = std::make_unsigned_t<Int>;
+  v = static_cast<Int>(static_cast<U>(v) ^ (U{1} << bit));
+}
+
+TEST(SealLanes, EverySealedFieldChangesThePlanSeal) {
+  using namespace smm::plan;
+  using Mutation = std::function<void(GemmPlan&)>;
+  std::vector<std::pair<std::string, Mutation>> cases;
+  const auto add = [&cases](std::string name, Mutation m) {
+    cases.emplace_back(std::move(name), std::move(m));
+  };
+  // 64-bit fields: low, middle and top bits; 32-bit fields: low and top.
+  const auto index_field = [&add](const std::string& name,
+                                  std::function<index_t&(GemmPlan&)> f) {
+    for (const int bit : {0, 17, 40, 63})
+      add(name + " bit " + std::to_string(bit),
+          [f, bit](GemmPlan& p) { flip(f(p), bit); });
+  };
+  const auto int_field = [&add](const std::string& name,
+                                std::function<int&(GemmPlan&)> f) {
+    for (const int bit : {0, 17, 31})
+      add(name + " bit " + std::to_string(bit),
+          [f, bit](GemmPlan& p) { flip(f(p), bit); });
+  };
+
+  add("strategy", [](GemmPlan& p) { p.strategy[3] ^= 0x20; });
+  index_field("shape.m", [](GemmPlan& p) -> index_t& { return p.shape.m; });
+  index_field("shape.n", [](GemmPlan& p) -> index_t& { return p.shape.n; });
+  index_field("shape.k", [](GemmPlan& p) -> index_t& { return p.shape.k; });
+  add("scalar", [](GemmPlan& p) { p.scalar = ScalarType::kF32; });
+  int_field("nthreads", [](GemmPlan& p) -> int& { return p.nthreads; });
+  add("conversion_outside_timing",
+      [](GemmPlan& p) { p.conversion_outside_timing = false; });
+  index_field("blocking.mc",
+              [](GemmPlan& p) -> index_t& { return p.blocking.mc; });
+  index_field("blocking.kc",
+              [](GemmPlan& p) -> index_t& { return p.blocking.kc; });
+  index_field("blocking.nc",
+              [](GemmPlan& p) -> index_t& { return p.blocking.nc; });
+  index_field("blocking.mr",
+              [](GemmPlan& p) -> index_t& { return p.blocking.mr; });
+  index_field("blocking.nr",
+              [](GemmPlan& p) -> index_t& { return p.blocking.nr; });
+  for (std::size_t b = 0; b < 3; ++b)
+    index_field("buffer decl " + std::to_string(b),
+                [b](GemmPlan& p) -> index_t& { return p.buffers[b].elems; });
+  add("buffer decl added", [](GemmPlan& p) { p.buffers.push_back({0}); });
+  for (std::size_t b = 0; b < 2; ++b)
+    int_field("barrier decl " + std::to_string(b), [b](GemmPlan& p) -> int& {
+      return p.barriers[b].participants;
+    });
+  add("barrier decl added", [](GemmPlan& p) { p.barriers.push_back({0}); });
+
+  // PackAOp (thread 0, op 0) and PackBOp (thread 0, op 1).
+  int_field("PackAOp.buffer",
+            [](GemmPlan& p) -> int& { return op_at<PackAOp>(p, 0, 0).buffer; });
+  for (const auto& [name, get] :
+       std::vector<std::pair<std::string, index_t PackAOp::*>>{
+           {"dst_offset", &PackAOp::dst_offset}, {"i0", &PackAOp::i0},
+           {"k0", &PackAOp::k0}, {"mc", &PackAOp::mc}, {"kc", &PackAOp::kc},
+           {"mr", &PackAOp::mr}})
+    index_field("PackAOp." + name, [get = get](GemmPlan& p) -> index_t& {
+      return op_at<PackAOp>(p, 0, 0).*get;
+    });
+  add("PackAOp.pad", [](GemmPlan& p) { op_at<PackAOp>(p, 0, 0).pad = false; });
+  for (std::size_t c = 0; c < 3; ++c)
+    index_field("PackAOp.chunks[" + std::to_string(c) + "]",
+                [c](GemmPlan& p) -> index_t& {
+                  return op_at<PackAOp>(p, 0, 0).chunks[c];
+                });
+  add("PackAOp.chunks added",
+      [](GemmPlan& p) { op_at<PackAOp>(p, 0, 0).chunks.push_back(0); });
+  int_field("PackBOp.buffer",
+            [](GemmPlan& p) -> int& { return op_at<PackBOp>(p, 0, 1).buffer; });
+  for (const auto& [name, get] :
+       std::vector<std::pair<std::string, index_t PackBOp::*>>{
+           {"dst_offset", &PackBOp::dst_offset}, {"k0", &PackBOp::k0},
+           {"j0", &PackBOp::j0}, {"kc", &PackBOp::kc}, {"nc", &PackBOp::nc},
+           {"nr", &PackBOp::nr}})
+    index_field("PackBOp." + name, [get = get](GemmPlan& p) -> index_t& {
+      return op_at<PackBOp>(p, 0, 1).*get;
+    });
+  add("PackBOp.pad", [](GemmPlan& p) { op_at<PackBOp>(p, 0, 1).pad = false; });
+  index_field("PackBOp.chunks[4]", [](GemmPlan& p) -> index_t& {
+    return op_at<PackBOp>(p, 0, 1).chunks[4];
+  });
+
+  // ConvertOp (thread 0, op 2).
+  add("ConvertOp.which", [](GemmPlan& p) {
+    op_at<ConvertOp>(p, 0, 2).which = ConvertOp::Which::kA;
+  });
+  int_field("ConvertOp.buffer", [](GemmPlan& p) -> int& {
+    return op_at<ConvertOp>(p, 0, 2).buffer;
+  });
+  index_field("ConvertOp.ps", [](GemmPlan& p) -> index_t& {
+    return op_at<ConvertOp>(p, 0, 2).ps;
+  });
+  add("ConvertOp.transpose",
+      [](GemmPlan& p) { op_at<ConvertOp>(p, 0, 2).transpose = false; });
+
+  // KernelOp (thread 0, op 3) and both of its OperandRefs.
+  int_field("KernelOp.kernel", [](GemmPlan& p) -> int& {
+    return op_at<KernelOp>(p, 0, 3).kernel;
+  });
+  for (const auto& [name, get] :
+       std::vector<std::pair<std::string, index_t KernelOp::*>>{
+           {"kc", &KernelOp::kc}, {"i0", &KernelOp::i0},
+           {"j0", &KernelOp::j0}, {"useful_m", &KernelOp::useful_m},
+           {"useful_n", &KernelOp::useful_n},
+           {"c_offset", &KernelOp::c_offset}, {"c_ld", &KernelOp::c_ld}})
+    index_field("KernelOp." + name, [get = get](GemmPlan& p) -> index_t& {
+      return op_at<KernelOp>(p, 0, 3).*get;
+    });
+  add("KernelOp.first_k_block", [](GemmPlan& p) {
+    op_at<KernelOp>(p, 0, 3).first_k_block = false;
+  });
+  int_field("KernelOp.c_buffer", [](GemmPlan& p) -> int& {
+    return op_at<KernelOp>(p, 0, 3).c_buffer;
+  });
+  for (const auto& [side, ref] :
+       std::vector<std::pair<std::string, OperandRef KernelOp::*>>{
+           {"a", &KernelOp::a}, {"b", &KernelOp::b}}) {
+    const std::string pre = "KernelOp." + side + ".";
+    add(pre + "kind", [ref = ref](GemmPlan& p) {
+      OperandRef& r = op_at<KernelOp>(p, 0, 3).*ref;
+      r.kind = r.kind == OperandRef::Kind::kDirectA
+                   ? OperandRef::Kind::kBuffer
+                   : OperandRef::Kind::kDirectA;
+    });
+    int_field(pre + "buffer", [ref = ref](GemmPlan& p) -> int& {
+      return (op_at<KernelOp>(p, 0, 3).*ref).buffer;
+    });
+    for (const auto& [name, get] :
+         std::vector<std::pair<std::string, index_t OperandRef::*>>{
+             {"offset", &OperandRef::offset}, {"ps", &OperandRef::ps},
+             {"pstride", &OperandRef::pstride},
+             {"kstride", &OperandRef::kstride}, {"row0", &OperandRef::row0},
+             {"col0", &OperandRef::col0}})
+      index_field(pre + name,
+                  [ref = ref, get = get](GemmPlan& p) -> index_t& {
+                    return (op_at<KernelOp>(p, 0, 3).*ref).*get;
+                  });
+  }
+
+  // BarrierOp (thread 0, op 4), ScaleCOp and ReduceCOp (thread 1).
+  int_field("BarrierOp.barrier", [](GemmPlan& p) -> int& {
+    return op_at<BarrierOp>(p, 0, 4).barrier;
+  });
+  for (const auto& [name, get] :
+       std::vector<std::pair<std::string, index_t ScaleCOp::*>>{
+           {"i0", &ScaleCOp::i0}, {"j0", &ScaleCOp::j0},
+           {"rows", &ScaleCOp::rows}, {"cols", &ScaleCOp::cols}})
+    index_field("ScaleCOp." + name, [get = get](GemmPlan& p) -> index_t& {
+      return op_at<ScaleCOp>(p, 1, 0).*get;
+    });
+  int_field("ReduceCOp.buffer", [](GemmPlan& p) -> int& {
+    return op_at<ReduceCOp>(p, 1, 1).buffer;
+  });
+  int_field("ReduceCOp.parts", [](GemmPlan& p) -> int& {
+    return op_at<ReduceCOp>(p, 1, 1).parts;
+  });
+  for (const auto& [name, get] :
+       std::vector<std::pair<std::string, index_t ReduceCOp::*>>{
+           {"i0", &ReduceCOp::i0}, {"j0", &ReduceCOp::j0},
+           {"rows", &ReduceCOp::rows}, {"cols", &ReduceCOp::cols},
+           {"ld", &ReduceCOp::ld}, {"offset", &ReduceCOp::offset},
+           {"part_stride", &ReduceCOp::part_stride}})
+    index_field("ReduceCOp." + name, [get = get](GemmPlan& p) -> index_t& {
+      return op_at<ReduceCOp>(p, 1, 1).*get;
+    });
+
+  // The op kind and the op lists themselves.
+  add("op kind", [](GemmPlan& p) {
+    const ScaleCOp sc = op_at<ScaleCOp>(p, 1, 0);
+    ReduceCOp rd;
+    rd.i0 = sc.i0;
+    rd.j0 = sc.j0;
+    rd.rows = sc.rows;
+    rd.cols = sc.cols;
+    p.thread_ops[1][0] = rd;
+  });
+  add("op dropped", [](GemmPlan& p) { p.thread_ops[1].pop_back(); });
+  add("op moved between threads", [](GemmPlan& p) {
+    p.thread_ops[0].push_back(p.thread_ops[1].back());
+    p.thread_ops[1].pop_back();
+  });
+
+  const GemmPlan base = every_op_kind_plan();
+  const std::uint64_t clean = integrity::plan_seal(base);
+  ASSERT_EQ(integrity::plan_seal(every_op_kind_plan()), clean);
+  for (const auto& [name, mutate] : cases) {
+    GemmPlan rotted = base;
+    mutate(rotted);
+    EXPECT_NE(integrity::plan_seal(rotted), clean)
+        << "a change to " << name << " left the seal unchanged";
+  }
+}
+
+TEST(SealLanes, EveryByteOfContentChangesTheChecksum) {
+  // Three whole four-word blocks plus a partial one: every lane, at every
+  // byte offset modulo the lane count, and the zero-padded tail.
+  std::vector<std::uint8_t> buf(3 * 32 + 13);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const std::uint64_t clean =
+      integrity::content_checksum(buf.data(), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (const std::uint8_t bit : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      buf[i] ^= bit;
+      EXPECT_NE(integrity::content_checksum(buf.data(), buf.size()), clean)
+          << "flip of byte " << i << " (lane " << i / 8 % 4 << ")";
+      buf[i] ^= bit;
+    }
+  }
+  // A zero byte appended is not the same content.
+  std::vector<std::uint8_t> longer = buf;
+  longer.push_back(0);
+  EXPECT_NE(integrity::content_checksum(longer.data(), longer.size()), clean);
 }
 
 // ---- verify_and_repair -----------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/matrix/compare.h"
 #include "src/matrix/matrix.h"
 #include "src/matrix/view.h"
@@ -71,6 +73,21 @@ TEST(Compare, MaxAbsDiff) {
   b(1, 0) = 1.5f;
   EXPECT_FLOAT_EQ(static_cast<float>(max_abs_diff(a.cview(), b.cview())),
                   0.5f);
+}
+
+TEST(Compare, NanDifferenceIsInfinite) {
+  // `d > worst` is false for NaN: a NaN element must not read as equal.
+  Matrix<float> a(2, 2), b(2, 2);
+  a.fill(1.0f);
+  b.fill(1.0f);
+  b(0, 1) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(max_abs_diff(a.cview(), b.cview()),
+            std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(gemm_allclose(a.cview(), b.cview(), 4));
+  // An all-NaN result fails too, whichever side holds the NaNs.
+  b.fill(std::numeric_limits<float>::quiet_NaN());
+  EXPECT_FALSE(gemm_allclose(b.cview(), a.cview(), 4));
+  EXPECT_FALSE(gemm_allclose(a.cview(), b.cview(), 4));
 }
 
 TEST(Compare, ShapeMismatchThrows) {

@@ -4,6 +4,7 @@
 // types and thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -14,6 +15,8 @@
 #include "src/libs/eigen_like/gemm_eigen_like.h"
 #include "src/libs/gemm_interface.h"
 #include "src/libs/openblas_like/gemm_openblas_like.h"
+#include "src/plan/exec_scratch.h"
+#include "src/plan/native_executor.h"
 #include "src/plan/plan_stats.h"
 #include "tests/test_helpers.h"
 
@@ -72,6 +75,37 @@ TEST_P(StrategyCorrectness, BetaZeroDoesNotReadC) {
   libs::run(*strategy, 2.0f, prob.a.cview(), prob.b.cview(), 0.0f,
             prob.c.view());
   EXPECT_TRUE(prob.check(k)) << name;
+}
+
+TEST_P(StrategyCorrectness, StaleScratchNeverReachesC) {
+  // The executor zero-fills only the scratch its plan reads before
+  // writing (ConvertOp padding, K-split slabs); packed panels are left as
+  // the last call left them. Poison the arena with NaN first, so a
+  // packed region some kernel reads before a pack op writes it shows up
+  // in C, on one thread and on two.
+  const auto& [name, shape] = GetParam();
+  const auto [m, n, k] = shape;
+  const libs::GemmStrategy* strategy = strategy_by_name(name);
+  ASSERT_NE(strategy, nullptr);
+  const int max_threads =
+      strategy->traits().parallel == libs::ParallelMethod::kSingleThread ? 1
+                                                                         : 2;
+  for (int threads = 1; threads <= max_threads; ++threads) {
+    {
+      constexpr index_t kPoison = index_t{1} << 20;
+      plan::ExecScratch::Lease<float> lease(plan::ExecScratch::local(),
+                                            {kPoison});
+      std::fill(lease.ptr(0), lease.ptr(0) + kPoison,
+                std::numeric_limits<float>::quiet_NaN());
+    }
+    test::GemmProblem<float> prob(m, n, k, /*seed=*/m + 7u * n + 13u * k);
+    prob.reference(1.0f, 0.5f);
+    const plan::GemmPlan p = strategy->make_plan(
+        GemmShape{m, n, k}, plan::ScalarType::kF32, threads);
+    plan::execute_plan(p, 1.0f, prob.a.cview(), prob.b.cview(), 0.5f,
+                       prob.c.view());
+    EXPECT_TRUE(prob.check(k)) << name << " on " << threads << " threads";
+  }
 }
 
 TEST_P(StrategyCorrectness, UsefulFlopsAccounted) {
