@@ -95,4 +95,12 @@ KernelChoice choose_host_tile(GemmShape shape, index_t elem_bytes,
   return best;
 }
 
+KernelChoice choose_host_family_tile(GemmShape shape) {
+  KernelChoice c;
+  c.mr = shape.m <= 8 ? 8 : 32;
+  c.nr = shape.m <= 8 ? 16 : 8;
+  c.reason = describe(c, shape) + " from the host family";
+  return c;
+}
+
 }  // namespace smm::core

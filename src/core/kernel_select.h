@@ -38,4 +38,14 @@ KernelChoice choose_main_tile(GemmShape shape);
 KernelChoice choose_host_tile(GemmShape shape, index_t elem_bytes,
                               int host_bits);
 
+/// The host-family main tile of a multi-thread native plan on a host with
+/// 32 512-bit registers (Eq. 4 with the host's register file): 32x8 —
+/// two zmm of f32 by 8 columns, 16 accumulators; f64 runs it as two 32x4
+/// column blocks of 16 — or 8x16 for m <= 8, whose rows fit one vector
+/// (16 accumulators), so a skinny M does not leave a tall tile empty.
+/// Fewer, fatter tiles cut the kernel ops of a plan 2-4x against the smm
+/// tiles; on the 4-vCPU AVX-512 host every compute_mid shape ran faster
+/// this way, cubes included (DESIGN.md section 6).
+KernelChoice choose_host_family_tile(GemmShape shape);
+
 }  // namespace smm::core

@@ -1,6 +1,7 @@
 #include "src/core/plan_builder.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "src/common/error.h"
 #include "src/libs/goto_common.h"
@@ -15,22 +16,31 @@ using libs::GotoConfig;
 using libs::PackedBlockRef;
 using libs::TileConfig;
 
-std::vector<index_t> chunk_sizes_below(index_t tile) {
-  std::vector<index_t> sizes;
-  for (const index_t s : {index_t{16}, index_t{12}, index_t{8}, index_t{4},
-                          index_t{2}, index_t{1}})
-    if (s <= tile) sizes.push_back(s);
-  return sizes;
+std::vector<index_t> sizes_up_to(std::initializer_list<index_t> sizes,
+                                 index_t tile) {
+  std::vector<index_t> out;
+  for (const index_t s : sizes)
+    if (s <= tile) out.push_back(s);
+  return out;
 }
 
 TileConfig smm_tiles(const BuildSpec& spec, bool packed_b) {
   TileConfig tiles;
-  tiles.family = packed_b ? "smm" : "smm-direct";
   tiles.mr = spec.mr;
   tiles.nr = spec.nr;
-  tiles.m_chunks = chunk_sizes_below(spec.mr);
-  tiles.n_chunks = chunk_sizes_below(std::min<index_t>(spec.nr, 4));
   tiles.edge = EdgeStrategy::kEdgeKernels;
+  if (spec.host_tiles) {
+    // Host kernels take any operand layout, so one family serves packed
+    // and direct B; edges come from its registered lattice.
+    tiles.family = "host";
+    tiles.m_chunks = sizes_up_to({16, 8, 4, 2, 1}, spec.mr);
+    tiles.n_chunks = sizes_up_to({8, 4, 2, 1}, spec.nr);
+    return tiles;
+  }
+  tiles.family = packed_b ? "smm" : "smm-direct";
+  tiles.m_chunks = sizes_up_to({16, 12, 8, 4, 2, 1}, spec.mr);
+  tiles.n_chunks = sizes_up_to({16, 12, 8, 4, 2, 1},
+                               std::min<index_t>(spec.nr, 4));
   return tiles;
 }
 
@@ -221,14 +231,18 @@ void build_smm_plan(plan::GemmPlan& plan, const BuildSpec& spec) {
     return;
   }
   if (spec.nthreads > 1) {
-    // Cooperative multi-thread path always packs (shared buffers are the
-    // point of the barriers); the thread cap has already trimmed cases
-    // where packing would not amortize.
+    // The cooperative multi-thread path packs both operands (shared
+    // buffers are the point of the barriers); the thread cap has already
+    // trimmed cases where packing would not amortize. A host-family plan
+    // packs only what its spec names (P2C): an operand read directly
+    // needs no buffer and no barrier.
     GotoConfig cfg;
     cfg.tiles = smm_tiles(spec, /*packed_b=*/true);
     cfg.mc = spec.mc;
     cfg.kc = spec.kc;
     cfg.nc = spec.nc;
+    cfg.pack_a = !spec.host_tiles || spec.pack_a;
+    cfg.pack_b = !spec.host_tiles || spec.pack_b;
     libs::build_ways_parallel(plan, cfg, spec.ways);
     return;
   }

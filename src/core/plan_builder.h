@@ -13,6 +13,10 @@ namespace smm::core {
 inline constexpr index_t kSmmMc = 240;
 inline constexpr index_t kSmmKc = 512;
 inline constexpr index_t kSmmNc = 480;
+/// mc of a host-family plan: 32 does not divide kSmmMc, so the largest
+/// multiple of both host main tile heights (32, 8) below it; kSmmNc
+/// already divides by both widths (8, 16).
+inline constexpr index_t kHostMc = 224;
 
 struct BuildSpec {
   index_t mr = 16;
@@ -30,6 +34,12 @@ struct BuildSpec {
   /// by a reduction — the only way to use many cores on deep-K SMM shapes
   /// (M, N small, K large) where the tile grid cannot feed them.
   int k_parts = 1;
+  /// Native plans only: the tiles come from the "host" kernel family
+  /// (tiles sized for an AVX-512 host's 32 registers, reading packed or
+  /// direct operands alike). A multi-thread host plan then packs only the
+  /// operands pack_a / pack_b name; every other multi-thread plan packs
+  /// both, whatever they say.
+  bool host_tiles = false;
 };
 
 /// Build the plan (thread_ops, buffers, barriers) into `plan`, whose

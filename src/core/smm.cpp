@@ -104,23 +104,48 @@ BuildSpec default_build_spec(GemmShape shape, plan::ScalarType scalar,
   ParallelChoice par_choice =
       choose_parallel(shape, max_threads, spec.mr, spec.nr, spec.mc,
                       spec.nc, 4, cost, spec.kc);
-  // A measured multi-thread plan runs packed panels through the width
-  // clones, so its tile is scored at the width its clone runs on this
-  // host (Eq. 4-5 with the host's lanes). The simulator's plans (no
-  // cost model) keep the ARMv8 choice, and so does a shape whose
-  // re-priced split falls back to one thread or a K split, which read
-  // their operands directly.
-  const auto runs_packed = [](const ParallelChoice& c) {
+  // A measured multi-thread plan runs on this host's kernels; the
+  // simulator's plans (no cost model) keep the ARMv8 choice, and so does
+  // a shape the model keeps on one thread or splits in K.
+  //  - On a 512-bit host it moves to the host kernel family
+  //    (choose_host_family_tile). Those kernels read unpacked operands at
+  //    kernel speed, so the plan packs only what decide_packing asks for
+  //    below — the one-thread path's P2C rule: an operand whose footprint
+  //    stays in L2 is reused from cache, and a copy buys nothing. The
+  //    thread count stays the one priced above; the host tile only
+  //    re-partitions it, and needs a tile per thread.
+  //  - Otherwise the plan runs packed panels through the width clones, so
+  //    its smm tile is scored at the width its clone runs on this host
+  //    (Eq. 4-5 with the host's lanes), unless the re-priced split falls
+  //    back to one thread or a K split.
+  const auto splits_tiles = [](const ParallelChoice& c) {
     return c.nthreads > 1 && c.k_parts == 1;
   };
-  if (cost != nullptr && options.adaptive_kernel && runs_packed(par_choice)) {
+  const bool measured_split =
+      cost != nullptr && options.adaptive_kernel && splits_tiles(par_choice);
+  bool host_family = false;
+  if (measured_split && kern::host_vector_bits() == 512) {
+    const KernelChoice host = choose_host_family_tile(shape);
+    const index_t tiles = ((shape.m + host.mr - 1) / host.mr) *
+                          ((shape.n + host.nr - 1) / host.nr);
+    host_family = tiles >= par_choice.nthreads;
+    if (host_family) {
+      spec.mr = host.mr;
+      spec.nr = host.nr;
+      spec.mc = kHostMc;
+      spec.host_tiles = true;
+      par_choice.ways = par::choose_ways(shape, par_choice.nthreads, spec.mr,
+                                         spec.nr, spec.mc, spec.nc);
+    }
+  }
+  if (!host_family && measured_split) {
     const KernelChoice host = choose_host_tile(
         shape, plan::elem_bytes(scalar), kern::host_vector_bits());
     if (host.mr != spec.mr || host.nr != spec.nr) {
       const ParallelChoice host_par =
           choose_parallel(shape, max_threads, host.mr, host.nr, spec.mc,
                           spec.nc, 4, cost, spec.kc);
-      if (runs_packed(host_par)) {
+      if (splits_tiles(host_par)) {
         spec.mr = host.mr;
         spec.nr = host.nr;
         par_choice = host_par;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/error.h"
+#include "src/kernels/tile_body.h"
 #include "src/simd/vec.h"
 
 namespace smm::kern {
@@ -113,60 +114,17 @@ const T* a_group_ptr(const KernelOperands<T>& ops, index_t r, index_t k) {
   return ops.a + a_offset(ops, r, k);
 }
 
-// Width of the column blocks the packed path splits an MR x NR tile into:
-// the largest divisor of NR whose accumulators, plus one A sliver and one
-// broadcast, fit kRegs vector registers (Eq. 4 with the build's count).
-template <index_t kRowVecs, int NR, int kRegs>
-constexpr int column_block() {
-  for (int nb = NR; nb > 1; --nb)
-    if (NR % nb == 0 && kRowVecs * nb + kRowVecs + 1 <= kRegs) return nb;
-  return 1;
-}
-
 // The packed path at kBytes-wide vectors: reads a[k*MR + i] and
-// b[k*NR + j], holds one column block of C in registers at a time. Per
+// b[k*NR + j], the constant-stride instance of the affine tile body. Per
 // element it performs the same k order, multiply-then-add and epilogue as
 // the runtime-stride loop, so the two paths agree bit for bit at every
-// width. Always inlined, so each clone compiles it for its own ISA; it
-// works on raw vectors and takes only pointers and scalars.
+// width.
 template <typename T, int MR, int NR, int kBytes, int kRegs>
 [[gnu::always_inline]] inline void packed_tile(index_t kc, T alpha, T beta,
                                                const T* a, const T* b, T* c,
                                                index_t ldc) {
-  using R = typename simd::Vec<T, kBytes>::Raw;
-  constexpr index_t kLanes = simd::kLanes<T, kBytes>;
-  static_assert(MR % kLanes == 0, "MR must be a multiple of vector width");
-  constexpr index_t kRowVecs = MR / kLanes;
-  constexpr int kNB = column_block<kRowVecs, NR, kRegs>();
-
-  for (int j0 = 0; j0 < NR; j0 += kNB) {
-    R acc[kRowVecs][kNB] = {};
-    for (index_t k = 0; k < kc; ++k) {
-      R av[kRowVecs];
-#pragma GCC unroll 16
-      for (index_t rv = 0; rv < kRowVecs; ++rv)
-        std::memcpy(&av[rv], &a[k * MR + rv * kLanes], sizeof(R));
-#pragma GCC unroll 16
-      for (int j = 0; j < kNB; ++j) {
-        const T bkj = b[k * NR + j0 + j];
-#pragma GCC unroll 16
-        for (index_t rv = 0; rv < kRowVecs; ++rv)
-          acc[rv][j] += av[rv] * bkj;
-      }
-    }
-
-#pragma GCC unroll 16
-    for (int j = 0; j < kNB; ++j) {
-#pragma GCC unroll 16
-      for (index_t rv = 0; rv < kRowVecs; ++rv) {
-        T* cp = c + rv * kLanes + (j0 + j) * ldc;
-        R old = {};
-        if (beta != T(0)) std::memcpy(&old, cp, sizeof(R));
-        const R out = alpha * acc[rv][j] + beta * old;
-        std::memcpy(cp, &out, sizeof(R));
-      }
-    }
-  }
+  detail::affine_tile<T, MR, NR, kBytes, kRegs>(kc, alpha, beta, a, MR, b, 1,
+                                                NR, c, ldc);
 }
 
 }  // namespace
@@ -212,8 +170,10 @@ void tile_microkernel(index_t kc, T alpha, T beta,
     if (c_col_contig) {
       for (index_t rv = 0; rv < kRowVecs; ++rv) {
         T* c = ops.c + (rv * kLanes) * ops.c_rs + j * ops.c_cs;
-        V old = (beta == T(0)) ? V::zero() : V::load(c);
-        V out = V::broadcast(alpha) * acc[rv][j] + V::broadcast(beta) * old;
+        // beta == 0 neither reads C nor adds a +0 (which would turn a
+        // -0 product into +0, off the per-element formula).
+        V out = V::broadcast(alpha) * acc[rv][j];
+        if (beta != T(0)) out = out + V::broadcast(beta) * V::load(c);
         out.store(c);
       }
     } else {
@@ -309,7 +269,10 @@ MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits) {
     case 104:  return &scalar_microkernel<T, 1, 4>;
     case 102:  return &scalar_microkernel<T, 1, 2>;
     case 101:  return &scalar_microkernel<T, 1, 1>;
-    default:   return &generic_microkernel<T>;
+    default:
+      if (max_bits == 512)
+        if (const MicroKernelFn<T> host = host_tile_fn<T>(mr, nr)) return host;
+      return &generic_microkernel<T>;
   }
 }
 

@@ -232,7 +232,9 @@ constexpr int tile_vector_bits(int mr, int max_bits) {
 /// vector is `max_bits`: the tile_microkernel clone built at
 /// tile_vector_bits<T>(mr, max_bits) (128 = tile_microkernel itself), the
 /// scalar_microkernel of a registered tile with no tile_microkernel
-/// instantiation, or generic_microkernel for an unregistered tile.
+/// instantiation, at max_bits == 512 the host_tile_fn kernel of a tile
+/// only the host family builds (32x8, 8x16, ...), or generic_microkernel
+/// for any other tile.
 /// A clone differs from the 128-bit build only in its packed path: wider
 /// lanes batch more rows, while each C element keeps the same k order,
 /// multiply-then-add and epilogue, so every clone is bit-identical to it.
@@ -240,5 +242,20 @@ constexpr int tile_vector_bits(int mr, int max_bits) {
 /// runs.
 template <typename T>
 MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits);
+
+/// The host family's kernel for an mr x nr tile (registry family "host",
+/// native plans only; src/kernels/host_kernels.cpp), or nullptr for a tile
+/// the family does not build and on a build that is not x86-64. It runs
+/// the affine tile body — A(i, k) = a[i + k * a_kstride],
+/// B(k, j) = b[j * bj + k * b_kstride], col-major C — on packed panels and
+/// direct col-major A and B or row-major B alike, at the widest vector up
+/// to 512 bits whose lane count divides mr, in 32 registers (AVX-512VL
+/// gives narrower vectors the same register file). It is built only for
+/// AVX-512F/VL: call it only when host_vector_bits() == 512. Masked
+/// updates and non-affine layouts run generic_microkernel. Each C element
+/// keeps the per-element formula's k order, multiply-then-add and
+/// epilogue, so it is bit-identical to it.
+template <typename T>
+MicroKernelFn<T> host_tile_fn(int mr, int nr);
 
 }  // namespace smm::kern

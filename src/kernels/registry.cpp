@@ -36,10 +36,23 @@ template MicroKernelFn<double> native_tile_fn<double>(int, int);
 
 KernelId KernelRegistry::add(KernelInfo info) {
   info.id = static_cast<KernelId>(kernels_.size());
-  info.f32 = native_tile_fn<float>(info.mr, info.nr);
-  info.f64 = native_tile_fn<double>(info.mr, info.nr);
+  if (info.f32 == nullptr) info.f32 = native_tile_fn<float>(info.mr, info.nr);
+  if (info.f64 == nullptr) info.f64 = native_tile_fn<double>(info.mr, info.nr);
+  if (tile_key(info.family, 1, 1) < 0) families_.push_back(info.family);
+  tile_index_.emplace_back(tile_key(info.family, info.mr, info.nr), info.id);
   kernels_.push_back(std::move(info));
   return kernels_.back().id;
+}
+
+std::int64_t KernelRegistry::tile_key(std::string_view family, int mr,
+                                      int nr) const {
+  for (std::size_t f = 0; f < families_.size(); ++f)
+    if (families_[f] == family)
+      return (static_cast<std::int64_t>(f) << 40) |
+             (static_cast<std::int64_t>(static_cast<std::uint32_t>(mr))
+              << 20) |
+             static_cast<std::uint32_t>(nr);
+  return -1;
 }
 
 KernelRegistry::KernelRegistry() {
@@ -120,6 +133,36 @@ KernelRegistry::KernelRegistry() {
                smm_direct_b_spec(mr, nr)));
     }
   }
+
+  // --- Host family (native plans only; registered last so no KernelId
+  // above moves, and only on a host with AVX-512F/VL, the one target it
+  // is built for): main tiles sized by Eq. 4 for 32 512-bit registers —
+  // 32x8 and, for m <= 8, 8x16 (choose_host_family_tile) — then every
+  // edge tile they decompose into. Each reads packed or direct operands
+  // alike (host_tile_fn). The schedule is the smm one of the same tile so
+  // KernelInfo stays uniform; no simulated plan names a host kernel, so
+  // it is never built.
+  if (host_vector_bits() == 512) {
+    const auto add_host = [&](int mr, int nr, bool edge) {
+      KernelInfo k = make("host", mr, nr, edge, smm_spec(mr, nr));
+      k.f32 = host_tile_fn<float>(mr, nr);
+      k.f64 = host_tile_fn<double>(mr, nr);
+      add(std::move(k));
+    };
+    add_host(32, 8, false);
+    add_host(8, 16, false);
+    for (int mr : {32, 16, 8, 4, 2, 1})
+      for (int nr : {8, 4, 2, 1})
+        if (mr != 32 || nr != 8) add_host(mr, nr, true);
+    for (int mr : {4, 2, 1}) add_host(mr, 16, true);
+  }
+
+  std::sort(tile_index_.begin(), tile_index_.end());
+  SMM_EXPECT(std::adjacent_find(tile_index_.begin(), tile_index_.end(),
+                                [](const auto& x, const auto& y) {
+                                  return x.first == y.first;
+                                }) == tile_index_.end(),
+             "tile registered twice in one family");
 }
 
 const KernelRegistry& KernelRegistry::instance() {
@@ -141,21 +184,29 @@ KernelId KernelRegistry::find(std::string_view name) const {
   return -1;
 }
 
+KernelId KernelRegistry::lookup_tile(std::string_view family, int mr,
+                                     int nr) const {
+  if (mr <= 0 || nr <= 0 || mr >= (1 << 20) || nr >= (1 << 20)) return -1;
+  const std::int64_t key = tile_key(family, mr, nr);
+  if (key < 0) return -1;
+  const auto it = std::lower_bound(
+      tile_index_.begin(), tile_index_.end(), key,
+      [](const auto& entry, std::int64_t k) { return entry.first < k; });
+  return it != tile_index_.end() && it->first == key ? it->second : -1;
+}
+
 KernelId KernelRegistry::find_tile(std::string_view family, int mr,
                                    int nr) const {
-  for (const auto& k : kernels_)
-    if (k.family == family && k.mr == mr && k.nr == nr) return k.id;
-  SMM_EXPECT(false, strprintf("no %dx%d kernel in family '%.*s'", mr, nr,
-                              static_cast<int>(family.size()),
-                              family.data()));
-  return -1;
+  const KernelId id = lookup_tile(family, mr, nr);
+  SMM_EXPECT(id >= 0, strprintf("no %dx%d kernel in family '%.*s'", mr, nr,
+                                static_cast<int>(family.size()),
+                                family.data()));
+  return id;
 }
 
 bool KernelRegistry::has_tile(std::string_view family, int mr,
                               int nr) const {
-  for (const auto& k : kernels_)
-    if (k.family == family && k.mr == mr && k.nr == nr) return true;
-  return false;
+  return lookup_tile(family, mr, nr) >= 0;
 }
 
 std::vector<KernelId> KernelRegistry::family(std::string_view family) const {

@@ -2,11 +2,15 @@
 // native implementation (for plan execution) and its schedule spec (for
 // pipeline-model pricing). Kernels are grouped into families matching the
 // paper's libraries ("openblas", "blis", "blasfeo", "eigen") plus "smm"
-// (the Section-IV reference implementation's kernel set).
+// (the Section-IV reference implementation's kernel set), "smm-direct"
+// (its direct-B variants) and "host" (tiles sized for the machine the
+// library runs on; native plans only).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -21,7 +25,8 @@ using KernelId = int;
 struct KernelInfo {
   KernelId id = -1;
   std::string name;        ///< e.g. "openblas/16x4"
-  std::string family;      ///< "openblas", "blis", "blasfeo", "eigen", "smm"
+  std::string family;      ///< "openblas", "blis", "blasfeo", "eigen",
+                           ///< "smm", "smm-direct" or "host"
   int mr = 0;
   int nr = 0;
   bool edge = false;       ///< true for dedicated edge-case kernels
@@ -52,8 +57,21 @@ class KernelRegistry {
  private:
   KernelRegistry();
   KernelId add(KernelInfo info);
+  /// Key of (family, mr, nr) in tile_index_, or -1 for an unknown family.
+  [[nodiscard]] std::int64_t tile_key(std::string_view family, int mr,
+                                      int nr) const;
+  /// -1 when absent.
+  [[nodiscard]] KernelId lookup_tile(std::string_view family, int mr,
+                                     int nr) const;
 
   std::vector<KernelInfo> kernels_;
+  /// Family names in registration order; a family's key prefix is its
+  /// index here.
+  std::vector<std::string> families_;
+  /// (tile_key, id) sorted by key, built once: find_tile costs a few
+  /// family-name compares and a binary search instead of a scan of every
+  /// kernel with a string compare each.
+  std::vector<std::pair<std::int64_t, KernelId>> tile_index_;
 };
 
 /// Native function for a kernel, selected by scalar type.

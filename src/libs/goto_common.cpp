@@ -386,8 +386,6 @@ void build_grid_parallel(GemmPlan& plan, const GotoConfig& cfg,
 
 void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
                          par::Ways ways) {
-  SMM_EXPECT(cfg.pack_a && cfg.pack_b,
-             "ways driver assumes cooperative packing of both operands");
   const GemmShape shape = plan.shape;
   const int nthreads = ways.total();
   plan.nthreads = nthreads;
@@ -406,14 +404,14 @@ void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
   // reads or overwrites it, so its barriers are elided entirely (a pure
   // jc decomposition synchronizes only at the fork-join edges). Table II
   // charges every crossing to Sync, so the builder emits none it can
-  // prove unnecessary.
-  const bool sync_b = group_b_threads > 1;
-  const bool sync_a = group_a_threads > 1;
+  // prove unnecessary. An operand read directly has no buffer to guard.
+  const bool sync_b = cfg.pack_b && group_b_threads > 1;
+  const bool sync_a = cfg.pack_a && group_a_threads > 1;
 
   // Buffers/barriers: one B per jc group, one A per (jc, ic) subgroup.
-  std::vector<int> buf_b(static_cast<std::size_t>(ways.jc));
+  std::vector<int> buf_b(static_cast<std::size_t>(ways.jc), -1);
   std::vector<int> bar_b(static_cast<std::size_t>(ways.jc), -1);
-  for (int jc = 0; jc < ways.jc; ++jc) {
+  for (int jc = 0; cfg.pack_b && jc < ways.jc; ++jc) {
     const par::Range cols =
         par::split_range_aligned(shape.n, ways.jc, jc, cfg.tiles.nr);
     const index_t width =
@@ -424,9 +422,9 @@ void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
       bar_b[static_cast<std::size_t>(jc)] =
           plan::add_barrier(plan, group_b_threads);
   }
-  std::vector<int> buf_a(static_cast<std::size_t>(ways.jc * ways.ic));
+  std::vector<int> buf_a(static_cast<std::size_t>(ways.jc * ways.ic), -1);
   std::vector<int> bar_a(static_cast<std::size_t>(ways.jc * ways.ic), -1);
-  for (int jc = 0; jc < ways.jc; ++jc) {
+  for (int jc = 0; cfg.pack_a && jc < ways.jc; ++jc) {
     for (int ic = 0; ic < ways.ic; ++ic) {
       const par::Range rows =
           par::split_range_aligned(shape.m, ways.ic, ic, cfg.tiles.mr);
@@ -472,17 +470,19 @@ void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
         const index_t kc_eff = std::min(cfg.kc, shape.k - kk);
         const bool first_k = kk == 0;
         PackedBlockRef b_blk;
-        b_blk.buffer = my_buf_b;
-        b_blk.chunk_offsets = chunk_elem_offsets(n_list, kc_eff);
-        const par::Range bchunks =
-            par::split_range(static_cast<index_t>(n_list.size()),
-                             group_b_threads, rank_in_b);
-        if (bchunks.size() > 0) {
-          ops.push_back(make_pack_b_op(
-              cfg.tiles, n_list, b_blk.chunk_offsets,
-              static_cast<std::size_t>(bchunks.begin),
-              static_cast<std::size_t>(bchunks.end), my_buf_b, kk, jj,
-              kc_eff));
+        if (cfg.pack_b) {
+          b_blk.buffer = my_buf_b;
+          b_blk.chunk_offsets = chunk_elem_offsets(n_list, kc_eff);
+          const par::Range bchunks =
+              par::split_range(static_cast<index_t>(n_list.size()),
+                               group_b_threads, rank_in_b);
+          if (bchunks.size() > 0) {
+            ops.push_back(make_pack_b_op(
+                cfg.tiles, n_list, b_blk.chunk_offsets,
+                static_cast<std::size_t>(bchunks.begin),
+                static_cast<std::size_t>(bchunks.end), my_buf_b, kk, jj,
+                kc_eff));
+          }
         }
         if (sync_b) ops.push_back(plan::BarrierOp{my_bar_b});
 
@@ -491,17 +491,19 @@ void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
           const auto m_list = chunk_dim(mc_eff, cfg.tiles.mr,
                                         cfg.tiles.edge, cfg.tiles.m_chunks);
           PackedBlockRef a_blk;
-          a_blk.buffer = my_buf_a;
-          a_blk.chunk_offsets = chunk_elem_offsets(m_list, kc_eff);
-          const par::Range achunks =
-              par::split_range(static_cast<index_t>(m_list.size()),
-                               group_a_threads, rank_in_a);
-          if (achunks.size() > 0) {
-            ops.push_back(make_pack_a_op(
-                cfg.tiles, m_list, a_blk.chunk_offsets,
-                static_cast<std::size_t>(achunks.begin),
-                static_cast<std::size_t>(achunks.end), my_buf_a, ii, kk,
-                kc_eff));
+          if (cfg.pack_a) {
+            a_blk.buffer = my_buf_a;
+            a_blk.chunk_offsets = chunk_elem_offsets(m_list, kc_eff);
+            const par::Range achunks =
+                par::split_range(static_cast<index_t>(m_list.size()),
+                                 group_a_threads, rank_in_a);
+            if (achunks.size() > 0) {
+              ops.push_back(make_pack_a_op(
+                  cfg.tiles, m_list, a_blk.chunk_offsets,
+                  static_cast<std::size_t>(achunks.begin),
+                  static_cast<std::size_t>(achunks.end), my_buf_a, ii, kk,
+                  kc_eff));
+            }
           }
           if (sync_a) ops.push_back(plan::BarrierOp{my_bar_a});
 
@@ -510,9 +512,10 @@ void build_ways_parallel(GemmPlan& plan, const GotoConfig& cfg,
               static_cast<index_t>(n_list.size()), ways.jr, wjr);
           const par::Range itiles = par::split_range(
               static_cast<index_t>(m_list.size()), ways.ir, wir);
-          emit_gebp_tiles(ops, cfg.tiles, kc_eff, first_k, &a_blk, &b_blk,
-                          ii, jj, kk, m_list, n_list,
-                          static_cast<std::size_t>(jtiles.begin),
+          emit_gebp_tiles(ops, cfg.tiles, kc_eff, first_k,
+                          cfg.pack_a ? &a_blk : nullptr,
+                          cfg.pack_b ? &b_blk : nullptr, ii, jj, kk, m_list,
+                          n_list, static_cast<std::size_t>(jtiles.begin),
                           static_cast<std::size_t>(jtiles.end),
                           static_cast<std::size_t>(itiles.begin),
                           static_cast<std::size_t>(itiles.end));

@@ -113,7 +113,9 @@ void build_grid_parallel(plan::GemmPlan& plan, const GotoConfig& cfg,
 /// the threads that share the buffer; 1-thread groups are provably
 /// race-free and emit no barrier at all, so a pure-jc decomposition
 /// (disjoint C columns, no K split) synchronizes only at the fork-join
-/// edges. Requires pack_a && pack_b.
+/// edges. An operand with pack_a / pack_b off is read directly by every
+/// kernel: it has no buffer and no barrier, so a plan that packs neither
+/// is barrier-free whatever its ways.
 void build_ways_parallel(plan::GemmPlan& plan, const GotoConfig& cfg,
                          par::Ways ways);
 

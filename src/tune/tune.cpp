@@ -127,7 +127,7 @@ bool same_spec(const core::BuildSpec& a, const core::BuildSpec& b) {
          a.edge_pack_b == b.edge_pack_b && a.nthreads == b.nthreads &&
          a.ways.jc == b.ways.jc && a.ways.ic == b.ways.ic &&
          a.ways.jr == b.ways.jr && a.ways.ir == b.ways.ir &&
-         a.k_parts == b.k_parts;
+         a.k_parts == b.k_parts && a.host_tiles == b.host_tiles;
 }
 
 }  // namespace
@@ -204,9 +204,12 @@ void Tuner::begin_explore_locked(const ShapeClass& sc, ClassState& st) {
   std::vector<Candidate> cands;
   const auto push = [&](core::BuildSpec spec) {
     if (same_spec(spec, base)) return;
-    // Cooperative multi-thread plans require packing (shared buffers);
-    // skip inconsistent candidates rather than build them (autotune.h).
-    if (spec.nthreads > 1 && spec.k_parts == 1 && !spec.pack_b) return;
+    // Cooperative multi-thread plans of the smm family require packing
+    // (shared buffers); skip inconsistent candidates rather than build
+    // them (autotune.h). Host-family plans read unpacked operands.
+    if (spec.nthreads > 1 && spec.k_parts == 1 && !spec.pack_b &&
+        !spec.host_tiles)
+      return;
     for (const Candidate& c : cands)
       if (same_spec(c.spec, spec)) return;
     Candidate cand;

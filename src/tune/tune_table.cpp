@@ -19,7 +19,8 @@ constexpr char kMagic[8] = {'S', 'M', 'M', 'T', 'U', 'N', 'E', '1'};
 /// dispatch_ns (measured on the parked condvar path, several times the
 /// spin handoff) would misprice every parallel split; such tables are
 /// refused and the process recalibrates.
-constexpr std::uint32_t kVersion = 2;
+/// 3: specs carry host_tiles.
+constexpr std::uint32_t kVersion = 3;
 
 /// First "model name" line of /proc/cpuinfo (x86) or the whole first
 /// block's identifying lines (ARM exposes "CPU part"/"CPU implementer").
@@ -86,6 +87,7 @@ void put_spec(std::string& buf, const core::BuildSpec& s) {
   put<std::int32_t>(buf, s.ways.jr);
   put<std::int32_t>(buf, s.ways.ir);
   put<std::int32_t>(buf, s.k_parts);
+  put<std::uint8_t>(buf, s.host_tiles ? 1 : 0);
 }
 
 core::BuildSpec get_spec(Reader& r) {
@@ -104,6 +106,7 @@ core::BuildSpec get_spec(Reader& r) {
   s.ways.jr = r.get<std::int32_t>();
   s.ways.ir = r.get<std::int32_t>();
   s.k_parts = r.get<std::int32_t>();
+  s.host_tiles = r.get<std::uint8_t>() != 0;
   return s;
 }
 

@@ -271,22 +271,69 @@ TEST(DefaultBuildSpec, OneThreadPlanIgnoresScaling) {
   }
 }
 
+// Op counts of the plan `spec` builds for `shape`.
+struct PlanCensus {
+  int packs = 0;
+  int barriers = 0;
+  int kernels = 0;
+  int host_kernels = 0;
+};
+
+PlanCensus census(GemmShape shape, plan::ScalarType scalar,
+                  const BuildSpec& spec) {
+  plan::GemmPlan p;
+  p.strategy = "census";
+  p.shape = shape;
+  p.scalar = scalar;
+  build_smm_plan(p, spec);
+  p.validate();
+  PlanCensus out;
+  const auto& reg = kern::KernelRegistry::instance();
+  for (const auto& ops : p.thread_ops) {
+    for (const auto& op : ops) {
+      if (std::holds_alternative<plan::PackAOp>(op) ||
+          std::holds_alternative<plan::PackBOp>(op))
+        ++out.packs;
+      if (std::holds_alternative<plan::BarrierOp>(op)) ++out.barriers;
+      if (const auto* k = std::get_if<plan::KernelOp>(&op)) {
+        ++out.kernels;
+        if (reg.info(k->kernel).family == "host") ++out.host_kernels;
+      }
+    }
+  }
+  return out;
+}
+
 TEST(DefaultBuildSpec, StaticAndOneThreadSpecsKeepTheArmTile) {
-  // Host-width scoring touches only measured multi-thread packed plans:
-  // the simulator's (kStatic) specs and one-thread specs keep
-  // choose_main_tile's tile and the split it prices.
+  // Host-width scoring and the host kernel family touch only measured
+  // multi-thread plans: over warm_tiny's and compute_mid's shapes and
+  // every serve_shared_b class (m, n, k in 4..40 step 4), the simulator's
+  // (kStatic) specs and one-thread specs keep choose_main_tile's tile,
+  // blocking and the split it prices, and their plans run no host-family
+  // kernel.
+  std::vector<GemmShape> shapes(std::begin(kPerfbenchShapes),
+                                std::end(kPerfbenchShapes));
+  for (index_t m = 4; m <= 40; m += 4)
+    for (index_t n = 4; n <= 40; n += 4)
+      for (index_t k = 4; k <= 40; k += 4) shapes.push_back({m, n, k});
   SmmOptions measured, fixed;
   measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
   fixed.thread_scaling = SmmOptions::ThreadScaling::kStatic;
-  for (const GemmShape& shape : kPerfbenchShapes) {
+  for (const GemmShape& shape : shapes) {
     for (const auto scalar : {plan::ScalarType::kF32, plan::ScalarType::kF64}) {
       SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n << "x"
                                       << shape.k);
       const KernelChoice arm = choose_main_tile(shape);
-      for (const int threads : {1, 2, 8}) {
-        const BuildSpec s = default_build_spec(shape, scalar, threads, fixed);
+      const auto keeps_arm_plan = [&](const BuildSpec& s) {
+        EXPECT_FALSE(s.host_tiles);
         EXPECT_EQ(s.mr, arm.mr);
         EXPECT_EQ(s.nr, arm.nr);
+        EXPECT_EQ(s.mc, kSmmMc);
+        EXPECT_EQ(census(shape, scalar, s).host_kernels, 0);
+      };
+      for (const int threads : {1, 2, 8}) {
+        const BuildSpec s = default_build_spec(shape, scalar, threads, fixed);
+        keeps_arm_plan(s);
         const ParallelChoice p = choose_parallel(shape, threads, arm.mr,
                                                  arm.nr, s.mc, s.nc, 4,
                                                  nullptr, s.kc);
@@ -294,8 +341,7 @@ TEST(DefaultBuildSpec, StaticAndOneThreadSpecsKeepTheArmTile) {
         EXPECT_EQ(s.k_parts, p.k_parts);
       }
       const BuildSpec one = default_build_spec(shape, scalar, 1, measured);
-      EXPECT_EQ(one.mr, arm.mr);
-      EXPECT_EQ(one.nr, arm.nr);
+      keeps_arm_plan(one);
       EXPECT_EQ(one.nthreads, 1);
     }
   }
@@ -328,12 +374,41 @@ TEST(DefaultBuildSpec, TwoThreadCubesRunTheHostWidthTileOnAvx512) {
     if (shape.m != shape.n || shape.n != shape.k) continue;
     const BuildSpec s =
         default_build_spec(shape, plan::ScalarType::kF32, 2, measured);
-    // Only a spec that runs packed on two threads takes the host tile; the
+    // Only a spec that runs on two threads takes a host tile; the
     // calibrated cost model may keep a small cube serial.
     if (s.nthreads < 2 || s.k_parts != 1) continue;
     EXPECT_EQ(kern::tile_vector_bits<float>(static_cast<int>(s.mr), 512),
               kern::host_vector_bits())
         << shape.m << "^3 runs " << s.mr << "x" << s.nr;
+  }
+}
+
+TEST(DefaultBuildSpec, TwoThreadSkinnyPlansReadOperandsDirectlyOnAvx512) {
+  if (kern::host_vector_bits() < 512)
+    GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family plans";
+  SmmOptions measured;
+  measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
+  // compute_mid's "one dimension much smaller" shapes: B read by at most
+  // 8 rows, or A by one column panel, and every operand L2-resident, so
+  // nothing is packed and nothing needs a barrier.
+  for (const GemmShape shape :
+       {GemmShape{8, 256, 128}, GemmShape{200, 8, 160},
+        GemmShape{4, 192, 256}}) {
+    for (const auto scalar : {plan::ScalarType::kF32, plan::ScalarType::kF64}) {
+      SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n << "x"
+                                      << shape.k);
+      const BuildSpec s = default_build_spec(shape, scalar, 2, measured);
+      // The calibrated cost model may keep a shape serial on a slow host.
+      if (s.nthreads < 2) continue;
+      EXPECT_TRUE(s.host_tiles);
+      EXPECT_FALSE(s.pack_a);
+      EXPECT_FALSE(s.pack_b);
+      const PlanCensus c = census(shape, scalar, s);
+      EXPECT_EQ(c.packs, 0);
+      EXPECT_EQ(c.barriers, 0);
+      EXPECT_GT(c.kernels, 0);
+      EXPECT_EQ(c.host_kernels, c.kernels);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -299,10 +300,13 @@ void check_dispatch() {
   }
   // No registered tile runs the runtime instance: every one in every
   // family, the smm and smm-direct lattices included, has a compile-time
-  // kernel.
+  // kernel. The host family binds its own kernels at the host's width.
   for (KernelId id = 0; id < static_cast<KernelId>(reg.size()); ++id) {
     const KernelInfo& k = reg.info(id);
-    EXPECT_EQ(kernel_fn<T>(id), native_tile_fn<T>(k.mr, k.nr)) << k.name;
+    const MicroKernelFn<T> rule = k.family == "host"
+                                      ? host_tile_fn<T>(k.mr, k.nr)
+                                      : native_tile_fn<T>(k.mr, k.nr);
+    EXPECT_EQ(kernel_fn<T>(id), rule) << k.name;
     EXPECT_NE(kernel_fn<T>(id), &generic_microkernel<T>) << k.name;
   }
   EXPECT_EQ(native_tile_fn<T>(3, 5), &generic_microkernel<T>);
@@ -319,6 +323,11 @@ TEST(KernelDispatch, NativeFnIsTheCloneTheRuleNames) {
   EXPECT_EQ(kernel_fn<float>(KernelRegistry::instance().find("eigen/12x4")),
             (&tile_microkernel<float, 12, 4>));
   EXPECT_EQ(native_tile_fn<float>(3, 5), &generic_microkernel<float>);
+  // At 512 bits a tile only the host family builds names that family's
+  // kernel; below, it has none.
+  EXPECT_EQ(tile_clone_fn<float>(32, 8, 512), host_tile_fn<float>(32, 8));
+  EXPECT_EQ(tile_clone_fn<double>(8, 16, 512), host_tile_fn<double>(8, 16));
+  EXPECT_EQ(tile_clone_fn<float>(32, 8, 256), &generic_microkernel<float>);
   EXPECT_THROW((void)tile_clone_fn<float>(8, 12, 1024), Error);
   // A compile-time kernel takes only its full tile; masked updates run
   // generic_microkernel.
@@ -445,19 +454,19 @@ std::vector<CLayout> c_layouts(index_t mr, index_t nr) {
           {"row-major C", nr + 2, 1, mr * (nr + 2)}};
 }
 
-// For an mr x nr tile: the kernel native_tile_fn binds and
-// generic_microkernel give the same bits on every A x B x C layout, and
-// generic_microkernel gives the bits of the per-element formula. Every
-// layout holds the same values, so all of them give the values of packed
-// A and B into col-major C. beta == 0 runs on a NaN-filled C, which must
-// never be read; C outside the tile stays untouched.
+// For an mr x nr tile: `fn` and generic_microkernel give the same bits on
+// every A x B x C layout, and generic_microkernel gives the bits of the
+// per-element formula. Every layout holds the same values, so all of them
+// give the values of packed A and B into col-major C. beta == 0 runs on a
+// NaN-filled C, which must never be read; C outside the tile stays
+// untouched.
 template <typename T>
-void check_scalar_tile(int mr, int nr) {
+void check_tile_bits(MicroKernelFn<T> fn, int mr, int nr,
+                     std::initializer_list<index_t> kcs) {
   const T nan = std::numeric_limits<T>::quiet_NaN();
   const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
-  const MicroKernelFn<T> fn = native_tile_fn<T>(mr, nr);
   const T alpha = T(-0.75);
-  for (index_t kc : {0, 1, 2, 7, 24}) {
+  for (index_t kc : kcs) {
     Rng rng(static_cast<std::uint64_t>(mr * 100000 + nr * 1000 + kc));
     std::vector<T> a(sz(mr * kc)), b(sz(nr * kc));
     for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
@@ -527,12 +536,14 @@ class ScalarTile : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF32) {
   const auto [mr, nr] = GetParam();
-  check_scalar_tile<float>(mr, nr);
+  check_tile_bits<float>(native_tile_fn<float>(mr, nr), mr, nr,
+                         {0, 1, 2, 7, 24});
 }
 
 TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF64) {
   const auto [mr, nr] = GetParam();
-  check_scalar_tile<double>(mr, nr);
+  check_tile_bits<double>(native_tile_fn<double>(mr, nr), mr, nr,
+                          {0, 1, 2, 7, 24});
 }
 
 // Every tile with a compile-time scalar kernel, plus the unregistered 3x5,
@@ -549,6 +560,61 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.first) + "x" +
              std::to_string(info.param.second);
     });
+
+// Every host-family tile: the same bit-identity on every layout, with
+// padded leading dimensions and kc up to 300. The family is built only
+// for AVX-512F/VL; other hosts skip by name.
+std::vector<std::pair<int, int>> host_tile_params() {
+  std::vector<std::pair<int, int>> out;
+  for (int mr = 1; mr <= 32; ++mr)
+    for (int nr = 1; nr <= 16; ++nr)
+      if (host_tile_fn<float>(mr, nr) != nullptr) out.emplace_back(mr, nr);
+  return out;
+}
+
+class HostTile : public ::testing::TestWithParam<std::pair<int, int>> {
+ protected:
+  template <typename T>
+  void check() {
+    if (host_vector_bits() < 512)
+      GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family kernels";
+    const auto [mr, nr] = GetParam();
+    check_tile_bits<T>(host_tile_fn<T>(mr, nr), mr, nr, {0, 1, 7, 24, 300});
+  }
+};
+
+TEST_P(HostTile, BitIdenticalOnEveryLayoutF32) { check<float>(); }
+TEST_P(HostTile, BitIdenticalOnEveryLayoutF64) { check<double>(); }
+
+INSTANTIATE_TEST_SUITE_P(HostTiles, HostTile,
+                         ::testing::ValuesIn(host_tile_params()),
+                         [](const auto& info) {
+                           return std::to_string(info.param.first) + "x" +
+                                  std::to_string(info.param.second);
+                         });
+// A build that is not x86-64 has no host family.
+GTEST_ALLOW_UNINSTANTIATED_PARAMETERIZED_TEST(HostTile);
+
+// Eq. 4 on the host for the precision the host family runs in f64 too:
+// the register tile each main tile's clone holds at once — a column block
+// of accumulators, one A sliver and one broadcast — fits 32 zmm, and f64
+// 32x8 splits into two 32x4 blocks of 16 accumulators.
+TEST(HostFamily, MainTilesFitThe512BitRegisterFile) {
+  const auto& reg = KernelRegistry::instance();
+  for (const KernelId id : reg.family("host")) {
+    const KernelInfo& k = reg.info(id);
+    if (k.edge) continue;
+    for (const int elem : {4, 8}) {
+      const int bits = elem == 4 ? tile_vector_bits<float>(k.mr, 512)
+                                 : tile_vector_bits<double>(k.mr, 512);
+      const int avec = k.mr / (bits / 8 / elem);
+      int nb = k.nr;
+      while (avec * nb + avec + 1 > 32) nb /= 2;
+      EXPECT_GE(avec * nb, 16) << k.name << " f" << 8 * elem;
+      EXPECT_LE(avec * nb + avec + 1, 32) << k.name << " f" << 8 * elem;
+    }
+  }
+}
 
 TEST(GenericKernel, StridedDirectB) {
   // Direct col-major B: b(k, j) = b[k + j*ldb].
