@@ -1,7 +1,6 @@
 #include "src/kernels/microkernel.h"
 
 #include <cstring>
-#include <utility>
 
 #include "src/common/error.h"
 #include "src/kernels/tile_body.h"
@@ -9,90 +8,14 @@
 
 namespace smm::kern {
 
-namespace {
-
-// Largest tile the runtime-bound scalar kernel takes.
-constexpr index_t kMaxScalarTile = 32;
-
-// Calls f(i) for i in [0, n): fully unrolled when kN > 0 (then n == kN), a
-// plain loop when kN == 0. The lambdas use the GNU attribute spelling: after
-// a lambda's parameter list, [[gnu::always_inline]] applies to its type, not
-// to its call operator, and the calls would stay.
-template <index_t kN, typename F>
-[[gnu::always_inline]] inline void for_index(index_t n, F&& f) {
-  if constexpr (kN > 0) {
-    [&]<index_t... I>(std::integer_sequence<index_t, I...>)
-        __attribute__((always_inline)) { (f(I), ...); }
-    (std::make_integer_sequence<index_t, kN>{});
-  } else {
-    for (index_t i = 0; i < n; ++i) f(i);
-  }
-}
-
-// The scalar tile kernel, at compile-time extents MR x NR, or at runtime
-// extents mr_eff x nr_eff <= kMaxScalarTile when MR == NR == 0. Since
-// a_offset(i, k) == a_offset(i, 0) + k * a_kstride (and likewise for B),
-// the row and column offsets are computed once per call and k steps by one
-// add: no integer division per multiply-add. Each C element keeps the k
-// order, multiply-then-add and epilogue of the per-element formula, so
-// every instance agrees bit for bit with it. At compile-time extents the
-// loops unroll and the accumulators stay in registers.
-template <typename T, int MR, int NR>
-[[gnu::always_inline]] inline void scalar_tile(index_t kc, T alpha, T beta,
-                                               const KernelOperands<T>& ops,
-                                               index_t mr, index_t nr) {
-  constexpr index_t kRows = MR > 0 ? MR : kMaxScalarTile;
-  constexpr index_t kCols = NR > 0 ? NR : kMaxScalarTile;
-  index_t a_row[kRows];
-  index_t b_col[kCols];
-  for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
-    a_row[i] = a_offset(ops, i, 0);
-  });
-  for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
-    b_col[j] = b_offset(ops, 0, j);
-  });
-
-  // Accumulate in a local tile so C is read/written exactly once
-  // (Algorithm 1, lines 3 and 11-13).
-  T acc[kRows][kCols];
-  for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
-    for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
-      acc[i][j] = T(0);
-    });
-  });
-
-  const T* a = ops.a;
-  const T* b = ops.b;
-  const index_t a_ks = ops.a_kstride;
-  const index_t b_ks = ops.b_kstride;
-  for (index_t k = 0, ak = 0, bk = 0; k < kc; ++k, ak += a_ks, bk += b_ks) {
-    for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
-      const T bkj = b[bk + b_col[j]];
-      for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
-        acc[i][j] += a[ak + a_row[i]] * bkj;
-      });
-    });
-  }
-
-  for_index<NR>(nr, [&](index_t j) __attribute__((always_inline)) {
-    for_index<MR>(mr, [&](index_t i) __attribute__((always_inline)) {
-      T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
-      // beta == 0 must not read C (it may hold uninitialized data).
-      *c = (beta == T(0)) ? alpha * acc[i][j] : alpha * acc[i][j] + beta * *c;
-    });
-  });
-}
-
-}  // namespace
-
 template <typename T>
 void generic_microkernel(index_t kc, T alpha, T beta,
                          const KernelOperands<T>& ops, index_t mr_eff,
                          index_t nr_eff) {
-  SMM_EXPECT(mr_eff >= 0 && mr_eff <= kMaxScalarTile && nr_eff >= 0 &&
-                 nr_eff <= kMaxScalarTile,
+  SMM_EXPECT(mr_eff >= 0 && mr_eff <= detail::kMaxScalarTile &&
+                 nr_eff >= 0 && nr_eff <= detail::kMaxScalarTile,
              "generic_microkernel: tile too large");
-  scalar_tile<T, 0, 0>(kc, alpha, beta, ops, mr_eff, nr_eff);
+  detail::scalar_tile<T, 0, 0>(kc, alpha, beta, ops, mr_eff, nr_eff);
 }
 
 template <typename T, int MR, int NR>
@@ -101,7 +24,7 @@ void scalar_microkernel(index_t kc, T alpha, T beta,
                         index_t nr_eff) {
   SMM_EXPECT(mr_eff == MR && nr_eff == NR,
              "scalar_microkernel handles only full tiles");
-  scalar_tile<T, MR, NR>(kc, alpha, beta, ops, MR, NR);
+  detail::scalar_tile<T, MR, NR>(kc, alpha, beta, ops, MR, NR);
 }
 
 namespace {

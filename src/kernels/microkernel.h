@@ -233,8 +233,8 @@ constexpr int tile_vector_bits(int mr, int max_bits) {
 /// tile_vector_bits<T>(mr, max_bits) (128 = tile_microkernel itself), the
 /// scalar_microkernel of a registered tile with no tile_microkernel
 /// instantiation, at max_bits == 512 the host_tile_fn kernel of a tile
-/// only the host family builds (32x8, 8x16, ...), or generic_microkernel
-/// for any other tile.
+/// only the host family builds (32x8, 8x16, ...; fused, so it follows the
+/// host family's formula), or generic_microkernel for any other tile.
 /// A clone differs from the 128-bit build only in its packed path: wider
 /// lanes batch more rows, while each C element keeps the same k order,
 /// multiply-then-add and epilogue, so every clone is bit-identical to it.
@@ -251,10 +251,13 @@ MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits);
 /// direct col-major A and B or row-major B alike, at the widest vector up
 /// to 512 bits whose lane count divides mr, in 32 registers (AVX-512VL
 /// gives narrower vectors the same register file). It is built only for
-/// AVX-512F/VL: call it only when host_vector_bits() == 512. Masked
-/// updates and non-affine layouts run generic_microkernel. Each C element
-/// keeps the per-element formula's k order, multiply-then-add and
-/// epilogue, so it is bit-identical to it.
+/// AVX-512F/VL with FMA: call it only when host_vector_bits() == 512.
+/// Masked updates and non-affine layouts run the scalar tile body. Each C
+/// element sums its products in k order with one fused multiply-add per
+/// step, acc = fma(a_ik, b_kj, acc), then applies the two-rounding
+/// epilogue of generic_microkernel, so every layout gives the same bits.
+/// The other kernels round each step twice; across families results agree
+/// within the componentwise forward-error bound, not bit for bit.
 template <typename T>
 MicroKernelFn<T> host_tile_fn(int mr, int nr);
 

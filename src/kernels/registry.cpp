@@ -13,11 +13,13 @@ int host_vector_bits() {
 #if defined(__x86_64__)
     // The registry may first be built from a static initializer, before
     // libgcc's constructor has read cpuid. __builtin_cpu_supports also
-    // checks (XGETBV) that the OS saves the ymm / zmm state.
+    // checks (XGETBV) that the OS saves the ymm / zmm state. 512 is the
+    // host family's target too, whose xmm and ymm tiles issue VEX FMA3
+    // instructions: a VM may mask FMA while exposing AVX-512F.
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
       if (__builtin_cpu_supports("avx512f") &&
-          __builtin_cpu_supports("avx512vl"))
+          __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("fma"))
         return 512;
       return 256;
     }
@@ -135,18 +137,19 @@ KernelRegistry::KernelRegistry() {
   }
 
   // --- Host family (native plans only; registered last so no KernelId
-  // above moves, and only on a host with AVX-512F/VL, the one target it
-  // is built for): main tiles sized by Eq. 4 for 32 512-bit registers —
-  // 32x8 and, for m <= 8, 8x16 (choose_host_family_tile) — then every
-  // edge tile they decompose into. Each reads packed or direct operands
-  // alike (host_tile_fn). The schedule is the smm one of the same tile so
-  // KernelInfo stays uniform; no simulated plan names a host kernel, so
-  // it is never built.
+  // above moves, and only on a host with AVX-512F/VL and FMA, the one
+  // target it is built for): main tiles sized by Eq. 4 for 32 512-bit
+  // registers — 32x8 and, for m <= 8, 8x16 (choose_host_family_tile) —
+  // then every edge tile they decompose into. Each reads packed or direct
+  // operands alike and takes masked updates itself (host_tile_fn). The
+  // schedule is the smm one of the same tile so KernelInfo stays uniform;
+  // no simulated plan names a host kernel, so it is never built.
   if (host_vector_bits() == 512) {
     const auto add_host = [&](int mr, int nr, bool edge) {
       KernelInfo k = make("host", mr, nr, edge, smm_spec(mr, nr));
       k.f32 = host_tile_fn<float>(mr, nr);
       k.f64 = host_tile_fn<double>(mr, nr);
+      k.any_layout = true;
       add(std::move(k));
     };
     add_host(32, 8, false);

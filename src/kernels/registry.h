@@ -30,6 +30,11 @@ struct KernelInfo {
   int mr = 0;
   int nr = 0;
   bool edge = false;       ///< true for dedicated edge-case kernels
+  /// True when f32/f64 take masked updates and any operand addressing
+  /// themselves (the host family, whose formula generic_microkernel does
+  /// not share); otherwise the executor runs those through
+  /// generic_microkernel.
+  bool any_layout = false;
   /// Schedule parameters with lanes for f32; kernel_spec<T>() rescales.
   ScheduleSpec sched;
   MicroKernelFn<float> f32 = nullptr;
@@ -91,8 +96,10 @@ std::vector<index_t> decompose_edge(index_t extent,
                                     const std::vector<index_t>& sizes);
 
 /// Widest vector, in bits, the CPU and OS support for the kernel clones:
-/// 512 with AVX2 + AVX-512F/VL, 256 with AVX2, else 128 (always on
-/// AArch64). Read from cpuid once per process; there is no override.
+/// 512 with AVX2 + AVX-512F/VL + FMA (the host family's target, so the
+/// host family is registered exactly when this is 512), 256 with AVX2,
+/// else 128 (always on AArch64). Read from cpuid once per process; there
+/// is no override.
 int host_vector_bits();
 
 /// Pick the native micro-kernel function for a tile: the register-blocked

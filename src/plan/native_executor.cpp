@@ -194,7 +194,8 @@ struct OpRunner {
                                       ctx.a.col_stride(), tile_extent);
         } else {
           // op(A) of a transposed input: rows strided, generic kernel
-          // territory (run() falls through to it below).
+          // territory unless the kernel takes any layout (operator()
+          // below).
           kern::set_direct_a_rowmajor(ops, &ctx.a(ref.row0, ref.col0),
                                       ctx.a.row_stride(), tile_extent);
         }
@@ -238,9 +239,11 @@ struct OpRunner {
     // Full tiles with contiguous A run the kernel's specialized
     // implementation; masked (edge) updates and strided-row A (transposed
     // direct input) fall back to the generic kernel, which honours any
-    // addressing. Numerically both compute the same values.
-    const bool tile_ok = op.useful_m == info.mr && op.useful_n == info.nr &&
-                         ops.a_istride == 1;
+    // addressing and computes the same bits. A kernel that takes any
+    // layout itself (the host family's fused formula) runs every update.
+    const bool tile_ok =
+        info.any_layout || (op.useful_m == info.mr &&
+                            op.useful_n == info.nr && ops.a_istride == 1);
     if (tile_ok) {
       kern::kernel_fn<T>(op.kernel)(op.kc, ctx.alpha, beta_call, ops,
                                     op.useful_m, op.useful_n);

@@ -367,7 +367,7 @@ TEST(DefaultBuildSpec, HostTileFillsTheHostVectorOnPackedCubes) {
 
 TEST(DefaultBuildSpec, TwoThreadCubesRunTheHostWidthTileOnAvx512) {
   if (kern::host_vector_bits() < 512)
-    GTEST_SKIP() << "host lacks AVX-512F/VL: no 512-bit clone to score for";
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no 512-bit clone to score for";
   SmmOptions measured;
   measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
   for (const GemmShape& shape : kPerfbenchShapes) {
@@ -385,7 +385,7 @@ TEST(DefaultBuildSpec, TwoThreadCubesRunTheHostWidthTileOnAvx512) {
 
 TEST(DefaultBuildSpec, TwoThreadSkinnyPlansReadOperandsDirectlyOnAvx512) {
   if (kern::host_vector_bits() < 512)
-    GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family plans";
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family plans";
   SmmOptions measured;
   measured.thread_scaling = SmmOptions::ThreadScaling::kMeasured;
   // compute_mid's "one dimension much smaller" shapes: B read by at most

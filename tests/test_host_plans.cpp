@@ -5,7 +5,6 @@
 // on a skinny shape whose plan has no PackB buffer.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -42,8 +41,9 @@ BuildSpec host_spec(GemmShape shape, bool pack_a, bool pack_b) {
 }
 
 // Runs `gemm` on views with padded leading dimensions into a copy of
-// c_init (NaN-filled when beta == 0) and checks it against naive_gemm:
-// within tolerance, no NaN in the result, padding rows untouched.
+// c_init (NaN-filled when beta == 0) and checks it against a wider-type
+// reference: within the componentwise forward-error bound, with no fudge
+// factor (so no NaN in the result), padding rows untouched.
 template <typename T, typename Gemm>
 void check_run(const Matrix<T>& a, const Matrix<T>& b,
                const Matrix<T>& c_init, GemmShape shape, T beta,
@@ -54,26 +54,16 @@ void check_run(const Matrix<T>& a, const Matrix<T>& b,
   Matrix<T> c = c_init.clone();
   if (beta == T(0)) c.fill(std::numeric_limits<T>::quiet_NaN());
   const Matrix<T> before = c.clone();
-  Matrix<T> expected = c.clone();
-  libs::naive_gemm(alpha, a_view, b_view, beta,
-                   expected.view().block(0, 0, shape.m, shape.n));
   gemm(alpha, a_view, b_view, beta,
        c.view().block(0, 0, shape.m, shape.n));
-  const double tol = gemm_tolerance<T>(shape.k) * 4.0;
-  for (index_t j = 0; j < shape.n; ++j) {
-    for (index_t i = 0; i < shape.m + kPad; ++i) {
-      if (i >= shape.m) {
-        ASSERT_EQ(std::memcmp(&c(i, j), &before(i, j), sizeof(T)), 0)
-            << "padding at " << i << ", " << j;
-        continue;
-      }
-      ASSERT_FALSE(std::isnan(c(i, j))) << i << ", " << j;
-      ASSERT_LE(std::abs(static_cast<double>(c(i, j)) -
-                         static_cast<double>(expected(i, j))),
-                tol)
-          << i << ", " << j;
-    }
-  }
+  for (index_t j = 0; j < shape.n; ++j)
+    for (index_t i = shape.m; i < shape.m + kPad; ++i)
+      ASSERT_EQ(std::memcmp(&c(i, j), &before(i, j), sizeof(T)), 0)
+          << "padding at " << i << ", " << j;
+  ASSERT_TRUE(test::within_forward_error_bound(
+      alpha, a_view, b_view, beta,
+      before.cview().block(0, 0, shape.m, shape.n),
+      c.cview().block(0, 0, shape.m, shape.n)));
 }
 
 // m 1..9 x n {64, 96, 131, 256} and n 1..9 x m {64, 131, 200}, k in
@@ -127,23 +117,135 @@ void check_skinny_lattice() {
   }
 }
 
-// The host family is registered only on a host with AVX-512F/VL; other
-// hosts skip, by name, the tests that build its plans by hand.
+// The host family is registered only on a host with AVX-512F/VL and FMA;
+// other hosts skip, by name, the tests that build its plans by hand.
 TEST(HostPlans, SkinnyLatticeMatchesNaiveF32) {
   if (kern::host_vector_bits() < 512)
-    GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family kernels";
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
   check_skinny_lattice<float>();
 }
 
 TEST(HostPlans, SkinnyLatticeMatchesNaiveF64) {
   if (kern::host_vector_bits() < 512)
-    GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family kernels";
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
   check_skinny_lattice<double>();
+}
+
+// The cross-family contract: a one-thread plan (smm family, two roundings
+// per k step) and a two-thread host-family plan (one fused rounding per k
+// step) differ in their low bits, and both stay within the forward-error
+// bound of the same wider-type reference, on the same seeded problems.
+template <typename T>
+void check_fused_and_unfused_within_bound() {
+  for (const GemmShape shape :
+       {GemmShape{64, 64, 64}, GemmShape{96, 80, 131}, GemmShape{160, 160, 160},
+        GemmShape{8, 256, 128}, GemmShape{200, 8, 160},
+        GemmShape{128, 128, 8}}) {
+    Rng rng(static_cast<std::uint64_t>(shape.m * 7919 + shape.n * 31 +
+                                       shape.k));
+    Matrix<T> a(shape.m + kPad, shape.k), b(shape.k + kPad, shape.n),
+        c_init(shape.m + kPad, shape.n);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    c_init.fill_random(rng);
+    plan::GemmPlan p;
+    p.strategy = "host";
+    p.shape = shape;
+    p.scalar = sizeof(T) == 4 ? plan::ScalarType::kF32 : plan::ScalarType::kF64;
+    build_smm_plan(p, host_spec(shape, shape.m > 8, shape.n > 8));
+    p.validate();
+    for (T beta : {T(0), T(1), T(-0.5)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape.m << "x" << shape.n << "x" << shape.k << " f"
+                   << 8 * sizeof(T) << " beta=" << beta);
+      check_run<T>(a, b, c_init, shape, beta,
+                   [](T al, auto av, auto bv, T be, auto cv) {
+                     smm_gemm(al, av, bv, be, cv, /*nthreads=*/1);
+                   });
+      check_run<T>(a, b, c_init, shape, beta,
+                   [&](T al, auto av, auto bv, T be, auto cv) {
+                     plan::execute_plan<T>(p, al, av, bv, be, cv);
+                   });
+    }
+  }
+}
+
+TEST(HostPlans, FusedAndUnfusedPlansWithinForwardErrorBound) {
+  if (kern::host_vector_bits() < 512)
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
+  check_fused_and_unfused_within_bound<float>();
+  check_fused_and_unfused_within_bound<double>();
+}
+
+// A host-family plan gives the same bits under every packing choice and
+// whatever the operands' storage order: direct row-major A has strided
+// rows, so its tiles reach the host kernel's scalar fallback instead of
+// the tile body, and both round each k step once.
+template <typename T>
+void check_layout_bits() {
+  const auto scalar =
+      sizeof(T) == 4 ? plan::ScalarType::kF32 : plan::ScalarType::kF64;
+  for (const GemmShape shape :
+       {GemmShape{64, 48, 40}, GemmShape{8, 256, 128}, GemmShape{200, 8, 160},
+        GemmShape{37, 29, 131}}) {
+    Rng rng(static_cast<std::uint64_t>(shape.m * 1009 + shape.n * 101 +
+                                       shape.k));
+    Matrix<T> a_cm(shape.m, shape.k), b_cm(shape.k, shape.n),
+        c_init(shape.m, shape.n);
+    a_cm.fill_random(rng);
+    b_cm.fill_random(rng);
+    c_init.fill_random(rng);
+    Matrix<T> a_rm(shape.m, shape.k, Layout::kRowMajor),
+        b_rm(shape.k, shape.n, Layout::kRowMajor);
+    for (index_t p = 0; p < shape.k; ++p) {
+      for (index_t i = 0; i < shape.m; ++i) a_rm(i, p) = a_cm(i, p);
+      for (index_t j = 0; j < shape.n; ++j) b_rm(p, j) = b_cm(p, j);
+    }
+    for (T beta : {T(0), T(1), T(-0.5)}) {
+      std::vector<T> first;
+      for (int packs = 0; packs < 4; ++packs) {
+        plan::GemmPlan p;
+        p.strategy = "host-layouts";
+        p.shape = shape;
+        p.scalar = scalar;
+        build_smm_plan(p, host_spec(shape, (packs & 1) != 0,
+                                    (packs & 2) != 0));
+        p.validate();
+        for (const Matrix<T>* a : {&a_cm, &a_rm}) {
+          for (const Matrix<T>* b : {&b_cm, &b_rm}) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape.m << "x" << shape.n << "x" << shape.k
+                         << " f" << 8 * sizeof(T) << " beta=" << beta
+                         << " packs=" << packs << " row-major A "
+                         << (a == &a_rm) << " row-major B " << (b == &b_rm));
+            Matrix<T> c = c_init.clone();
+            plan::execute_plan<T>(p, T(0.75), a->cview(), b->cview(), beta,
+                                  c.view());
+            std::vector<T> bits(static_cast<std::size_t>(shape.m * shape.n));
+            for (index_t j = 0; j < shape.n; ++j)
+              for (index_t i = 0; i < shape.m; ++i)
+                bits[static_cast<std::size_t>(i + j * shape.m)] = c(i, j);
+            if (first.empty()) first = bits;
+            ASSERT_EQ(std::memcmp(bits.data(), first.data(),
+                                  bits.size() * sizeof(T)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HostPlans, BitsIndependentOfPackingAndStorageOrder) {
+  if (kern::host_vector_bits() < 512)
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
+  check_layout_bits<float>();
+  check_layout_bits<double>();
 }
 
 TEST(HostPlans, DirectPlansBuildNoPackOrBarrier) {
   if (kern::host_vector_bits() < 512)
-    GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family kernels";
+    GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
   for (const GemmShape shape : {GemmShape{8, 256, 128}, GemmShape{200, 8, 160},
                                 GemmShape{4, 192, 256}}) {
     plan::GemmPlan p;

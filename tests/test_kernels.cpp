@@ -345,7 +345,7 @@ TEST_P(CloneWidth, HostRunsIt) {
   const int bits = GetParam();
   if (bits > host_vector_bits())
     GTEST_SKIP() << "host lacks the " << bits << "-bit clone ("
-                 << (bits == 512 ? "AVX-512F/VL" : "AVX2")
+                 << (bits == 512 ? "AVX-512F/VL/FMA" : "AVX2")
                  << "): PackedPathBitIdentical did not exercise it";
   std::printf("[  CLONE   ] %d-bit packed-panel clone exercised\n", bits);
 }
@@ -358,17 +358,20 @@ INSTANTIATE_TEST_SUITE_P(Widths, CloneWidth, ::testing::Values(128, 256, 512),
 // ---- Scalar tile kernels -----------------------------------------------------
 
 // The per-element formula every scalar kernel reproduces bit for bit: each
-// C element sums the a_offset / b_offset products in k order, then applies
-// the epilogue (this file is built with -ffp-contract=off, as the kernels
-// are).
-template <typename T>
+// C element sums the a_offset / b_offset products in k order, each step
+// multiply-then-add, then applies the epilogue in two roundings (this file
+// is built with -ffp-contract=off, as the kernels are). kFused is the host
+// family's formula: each k step one std::fma, the same epilogue.
+template <typename T, bool kFused = false>
 void formula_tile(index_t kc, T alpha, T beta, const KernelOperands<T>& ops,
                   index_t mr, index_t nr) {
   for (index_t j = 0; j < nr; ++j) {
     for (index_t i = 0; i < mr; ++i) {
       T acc = T(0);
-      for (index_t k = 0; k < kc; ++k)
-        acc += ops.a[a_offset(ops, i, k)] * ops.b[b_offset(ops, k, j)];
+      for (index_t k = 0; k < kc; ++k) {
+        const T a = ops.a[a_offset(ops, i, k)], b = ops.b[b_offset(ops, k, j)];
+        acc = kFused ? std::fma(a, b, acc) : acc + a * b;
+      }
       T* c = ops.c + i * ops.c_rs + j * ops.c_cs;
       *c = (beta == T(0)) ? alpha * acc : alpha * acc + beta * *c;
     }
@@ -454,15 +457,14 @@ std::vector<CLayout> c_layouts(index_t mr, index_t nr) {
           {"row-major C", nr + 2, 1, mr * (nr + 2)}};
 }
 
-// For an mr x nr tile: `fn` and generic_microkernel give the same bits on
-// every A x B x C layout, and generic_microkernel gives the bits of the
-// per-element formula. Every layout holds the same values, so all of them
-// give the values of packed A and B into col-major C. beta == 0 runs on a
-// NaN-filled C, which must never be read; C outside the tile stays
-// untouched.
+// For an mr x nr tile: `fn` gives the bits of `formula` on every A x B x C
+// layout, and generic_microkernel gives the bits of the unfused per-element
+// formula. Every layout holds the same values, so all of them give the
+// values of packed A and B into col-major C. beta == 0 runs on a NaN-filled
+// C, which must never be read; C outside the tile stays untouched.
 template <typename T>
-void check_tile_bits(MicroKernelFn<T> fn, int mr, int nr,
-                     std::initializer_list<index_t> kcs) {
+void check_tile_bits(MicroKernelFn<T> fn, MicroKernelFn<T> formula, int mr,
+                     int nr, std::initializer_list<index_t> kcs) {
   const T nan = std::numeric_limits<T>::quiet_NaN();
   const auto sz = [](index_t n) { return static_cast<std::size_t>(n); };
   const T alpha = T(-0.75);
@@ -473,7 +475,9 @@ void check_tile_bits(MicroKernelFn<T> fn, int mr, int nr,
     for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
     const auto as = a_layouts(a, mr, kc);
     const auto bs = b_layouts(b, nr, kc);
-    for (T beta : {T(0), T(1), T(-0.5)}) {
+    // beta * C is exact at 1 and -0.5 but not at 0.3, so an epilogue
+    // contracted into one fused rounding shows.
+    for (T beta : {T(0), T(1), T(-0.5), T(0.3)}) {
       // The initial C tile, (i, j) at i + j * mr; all NaN when beta == 0.
       std::vector<T> c_tile(sz(mr * nr), nan);
       if (beta != T(0))
@@ -498,13 +502,13 @@ void check_tile_bits(MicroKernelFn<T> fn, int mr, int nr,
             ops.b_jstride = bb.ops.b_jstride;
             ops.c_rs = cl.rs;
             ops.c_cs = cl.cs;
-            const auto runtime = run_into(&generic_microkernel<T>, kc, alpha,
-                                          beta, ops, c0, mr, nr);
             EXPECT_TRUE(same_bits(
-                runtime, run_into(fn, kc, alpha, beta, ops, c0, mr, nr)));
-            EXPECT_TRUE(same_bits(runtime, run_into(&formula_tile<T>, kc,
-                                                    alpha, beta, ops, c0, mr,
-                                                    nr)));
+                run_into(&generic_microkernel<T>, kc, alpha, beta, ops, c0, mr,
+                         nr),
+                run_into(&formula_tile<T>, kc, alpha, beta, ops, c0, mr, nr)));
+            const auto runtime = run_into(fn, kc, alpha, beta, ops, c0, mr, nr);
+            EXPECT_TRUE(same_bits(
+                runtime, run_into(formula, kc, alpha, beta, ops, c0, mr, nr)));
             std::vector<bool> in_tile(c0.size(), false);
             std::vector<T> tile(sz(mr * nr));
             for (index_t j = 0; j < nr; ++j) {
@@ -536,14 +540,14 @@ class ScalarTile : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF32) {
   const auto [mr, nr] = GetParam();
-  check_tile_bits<float>(native_tile_fn<float>(mr, nr), mr, nr,
-                         {0, 1, 2, 7, 24});
+  check_tile_bits<float>(native_tile_fn<float>(mr, nr), &formula_tile<float>,
+                         mr, nr, {0, 1, 2, 7, 24});
 }
 
 TEST_P(ScalarTile, BitIdenticalOnEveryLayoutF64) {
   const auto [mr, nr] = GetParam();
-  check_tile_bits<double>(native_tile_fn<double>(mr, nr), mr, nr,
-                          {0, 1, 2, 7, 24});
+  check_tile_bits<double>(native_tile_fn<double>(mr, nr),
+                          &formula_tile<double>, mr, nr, {0, 1, 2, 7, 24});
 }
 
 // Every tile with a compile-time scalar kernel, plus the unregistered 3x5,
@@ -561,9 +565,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.second);
     });
 
-// Every host-family tile: the same bit-identity on every layout, with
-// padded leading dimensions and kc up to 300. The family is built only
-// for AVX-512F/VL; other hosts skip by name.
+// Every host-family tile: bit-identity with the fused per-element formula
+// on every layout, the ones that reach its scalar fallback included, with
+// padded leading dimensions and kc up to 300. An unfused step anywhere, a
+// fused epilogue, or a layout that falls back to generic_microkernel breaks
+// it. The family is built only for AVX-512F/VL with FMA; other hosts skip
+// by name.
 std::vector<std::pair<int, int>> host_tile_params() {
   std::vector<std::pair<int, int>> out;
   for (int mr = 1; mr <= 32; ++mr)
@@ -577,9 +584,10 @@ class HostTile : public ::testing::TestWithParam<std::pair<int, int>> {
   template <typename T>
   void check() {
     if (host_vector_bits() < 512)
-      GTEST_SKIP() << "host lacks AVX-512F/VL: no host-family kernels";
+      GTEST_SKIP() << "host lacks AVX-512F/VL/FMA: no host-family kernels";
     const auto [mr, nr] = GetParam();
-    check_tile_bits<T>(host_tile_fn<T>(mr, nr), mr, nr, {0, 1, 7, 24, 300});
+    check_tile_bits<T>(host_tile_fn<T>(mr, nr), &formula_tile<T, true>, mr,
+                       nr, {0, 1, 7, 24, 300});
   }
 };
 

@@ -157,5 +157,20 @@ INSTANTIATE_TEST_SUITE_P(Registry, EveryKernel,
                            return name;
                          });
 
+// The host family's zmm tiles need AVX-512F/VL and its xmm and ymm tiles
+// issue VEX-encoded FMA3, which a VM may mask while exposing AVX-512F. So
+// the 512-bit target, and with it the family, needs all of them (and the
+// AVX2 every wider target builds on).
+TEST(HostFamily, RegisteredOnlyWithAvx512AndFma) {
+  bool rule = false;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  rule = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("fma");
+#endif
+  EXPECT_EQ(host_vector_bits() == 512, rule);
+  EXPECT_EQ(!KernelRegistry::instance().family("host").empty(), rule);
+}
+
 }  // namespace
 }  // namespace smm::kern
