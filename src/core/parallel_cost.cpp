@@ -26,21 +26,24 @@ double now_ns() {
           .count());
 }
 
-/// Best-of-reps mean: run `fn` once to warm, then `reps` batches of
-/// `iters` calls and return the fastest batch's per-call ns. The min
-/// discards scheduler preemptions, which on a timeshared host dwarf the
-/// quantities being measured.
-template <typename Fn>
-double min_of_reps_ns(int reps, int iters, Fn&& fn) {
-  fn();
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_ns();
-    for (int i = 0; i < iters; ++i) fn();
-    const double per_call = (now_ns() - t0) / iters;
-    if (r == 0 || per_call < best) best = per_call;
-  }
+/// The calibration's one sampling rule: one untimed warm sample, then
+/// `n` samples taken one call at a time, keeping the fastest. A
+/// scheduler preemption (on a timeshared host it dwarfs the quantities
+/// being measured) spoils only the sample it lands in, and the min drops
+/// that sample.
+template <typename Sample>
+double fastest_of(int n, Sample&& sample) {
+  sample();
+  double best = sample();
+  for (int i = 1; i < n; ++i) best = std::min(best, sample());
   return best;
+}
+
+template <typename Fn>
+double time_ns(Fn&& fn) {
+  const double t0 = now_ns();
+  fn();
+  return now_ns() - t0;
 }
 
 /// One measurement, guarded: calibration runs lazily on the first
@@ -79,62 +82,62 @@ double measure_flop_ns() {
   b.fill(0.5f);
   c.fill(0.0f);
   const double flops = 2.0 * shape.m * shape.n * shape.k;
-  const double ns = min_of_reps_ns(5, 8, [&] {
-    plan::execute_plan<float>(plan, 1.0f, a.view(), b.view(), 0.0f, c.view());
+  const double ns = fastest_of(5, [&] {
+    return time_ns([&] {
+      plan::execute_plan<float>(plan, 1.0f, a.view(), b.view(), 0.0f,
+                                c.view());
+    });
   });
   return std::max(1e-4, ns / flops);
 }
 
 double measure_pack_ns_per_elem() {
-  Matrix<float> b(256, 128);
+  // A 128x64 block: source and destination (64 KB) overflow L1 as a
+  // plan's operands do, yet fault in only 16 pages on first touch; each
+  // fault costs ~1.5 us on a VM, more than a sample of packing.
+  constexpr index_t kK = 128, kN = 64;
+  Matrix<float> b(kK, kN);
   b.fill(1.0f);
   std::vector<float> dst(
-      static_cast<std::size_t>(pack::packed_b_size(256, 128, 4, true)));
-  const double elems = 256.0 * 128.0;
-  const double ns = min_of_reps_ns(
-      5, 8, [&] { pack::pack_b<float>(b.view(), 4, true, dst.data()); });
-  return std::max(1e-3, ns / elems);
+      static_cast<std::size_t>(pack::packed_b_size(kK, kN, 4, true)));
+  const double ns = fastest_of(5, [&] {
+    return time_ns(
+        [&] { pack::pack_b<float>(b.view(), 4, true, dst.data()); });
+  });
+  return std::max(1e-3, ns / static_cast<double>(kK * kN));
 }
 
-double measure_dispatch_ns(int hw) {
+double measure_dispatch_ns() {
   // Empty 2-wide regions back to back: the warm fork-join handoff, which
   // the pool serves by spinning (no futex) when 2 threads fit the host.
   // A region after an idle gap longer than the pool's spin budget pays
   // the parked path instead, several times this; the model prices the
   // steady state of a caller that keeps issuing parallel calls.
-  // Oversubscribed hosts get fewer iterations — each region already
-  // costs context switches.
-  const int iters = hw >= 2 ? 32 : 8;
-  const double ns =
-      min_of_reps_ns(4, iters, [] { par::run_parallel(2, [](int) {}); });
+  const double ns = fastest_of(16, [] {
+    return time_ns([] { par::run_parallel(2, [](int) {}); });
+  });
   return std::max(50.0, ns);
 }
 
-double measure_barrier_ns(int hw, double dispatch_ns) {
-  const int rounds = hw >= 2 ? 256 : 32;
-  const double region_ns = min_of_reps_ns(3, 1, [&] {
+double measure_barrier_ns() {
+  // Timed inside the region by thread 0 from the round where both
+  // threads are present, so no dispatch estimate is subtracted and a
+  // slow dispatch reading cannot price a barrier as free.
+  constexpr int kRounds = 64;
+  return fastest_of(5, [] {
     par::Barrier bar(2);
-    par::run_parallel(2, [&](int) {
-      for (int r = 0; r < rounds; ++r) bar.arrive_and_wait();
-    });
+    double span = 0.0;
+    par::run_parallel(
+        2,
+        [&](int tid) {
+          bar.arrive_and_wait();
+          const double t0 = now_ns();
+          for (int r = 0; r < kRounds; ++r) bar.arrive_and_wait();
+          if (tid == 0) span = now_ns() - t0;
+        },
+        [&] { bar.poison(); });
+    return span / kRounds;
   });
-  return std::max(1.0, (region_ns - dispatch_ns) / rounds);
-}
-
-model::ParallelCostModel calibrate() {
-  const model::ParallelCostModel ref = model::reference_cost_model();
-  model::ParallelCostModel m;
-  m.hw_threads = par::native_threads_available();
-  m.flop_ns = measure_or(ref.flop_ns, measure_flop_ns);
-  m.pack_ns_per_elem =
-      measure_or(ref.pack_ns_per_elem, measure_pack_ns_per_elem);
-  m.dispatch_ns = measure_or(
-      ref.dispatch_ns, [&] { return measure_dispatch_ns(m.hw_threads); });
-  m.barrier_ns = measure_or(ref.barrier_ns, [&] {
-    return measure_barrier_ns(m.hw_threads, m.dispatch_ns);
-  });
-  m.measured = true;
-  return m;
 }
 
 /// Once-per-process slot the model is resolved into, either by measuring
@@ -155,12 +158,25 @@ ModelSlot& model_slot() {
 
 }  // namespace
 
+model::ParallelCostModel measure_cost_model() {
+  const model::ParallelCostModel ref = model::reference_cost_model();
+  model::ParallelCostModel m;
+  m.hw_threads = par::native_threads_available();
+  m.flop_ns = measure_or(ref.flop_ns, measure_flop_ns);
+  m.pack_ns_per_elem =
+      measure_or(ref.pack_ns_per_elem, measure_pack_ns_per_elem);
+  m.dispatch_ns = measure_or(ref.dispatch_ns, measure_dispatch_ns);
+  m.barrier_ns = measure_or(ref.barrier_ns, measure_barrier_ns);
+  m.measured = true;
+  return m;
+}
+
 const model::ParallelCostModel& calibrated_cost_model() {
   ModelSlot& slot = model_slot();
   if (!slot.ready.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(slot.mu);
     if (!slot.ready.load(std::memory_order_relaxed)) {
-      slot.model = calibrate();
+      slot.model = measure_cost_model();
       slot.ready.store(true, std::memory_order_release);
     }
   }

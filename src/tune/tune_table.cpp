@@ -20,7 +20,10 @@ constexpr char kMagic[8] = {'S', 'M', 'M', 'T', 'U', 'N', 'E', '1'};
 /// spin handoff) would misprice every parallel split; such tables are
 /// refused and the process recalibrates.
 /// 3: specs carry host_tiles.
-constexpr std::uint32_t kVersion = 3;
+/// 4: the model is calibrated from single-call minima with the barrier
+/// timed inside its region; a version-3 table's constants came from
+/// batch means and may hold the barrier_ns = 1 clamp (a free barrier).
+constexpr std::uint32_t kVersion = 4;
 
 /// First "model name" line of /proc/cpuinfo (x86) or the whole first
 /// block's identifying lines (ARM exposes "CPU part"/"CPU implementer").

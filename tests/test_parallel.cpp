@@ -6,7 +6,9 @@
 // SMMKIT_MAX_THREADS policy.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -19,6 +21,7 @@
 #include "src/matrix/matrix.h"
 #include "src/plan/native_executor.h"
 #include "src/plan/plan_stats.h"
+#include "src/robust/health.h"
 #include "src/threading/thread_pool.h"
 
 namespace smm {
@@ -88,6 +91,34 @@ TEST(ParallelCostModel, CalibratedModelIsSaneAndCached) {
   EXPECT_GT(a.pack_ns_per_elem, 0.0);
   EXPECT_GT(a.barrier_ns, 0.0);
   EXPECT_GT(a.dispatch_ns, 0.0);
+}
+
+TEST(ParallelCostModel, MeasurementIsBoundedAndNeverPricesABarrierFree) {
+  // One measurement opens a bounded number of pool regions (16 dispatch
+  // samples and 5 barrier samples, each after a warm one). Counts, not
+  // times, so the bound holds on any host.
+  const auto regions = [] { return robust::health().snapshot().pool_regions; };
+  const auto before = regions();
+  (void)core::measure_cost_model();
+  EXPECT_LE(regions() - before, 24u);
+
+  // Under load the barrier is still timed as a barrier: it never reads
+  // free, and dispatch keeps its floor.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> load;
+  for (int i = 0; i < 2; ++i)
+    load.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  std::vector<model::ParallelCostModel> loaded;
+  for (int i = 0; i < 10; ++i) loaded.push_back(core::measure_cost_model());
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : load) t.join();
+  for (const model::ParallelCostModel& m : loaded) {
+    EXPECT_GT(m.barrier_ns, 1.0);
+    EXPECT_GE(m.dispatch_ns, 50.0);
+  }
 }
 
 // ---- golden decisions (reference model, paper shape classes) ---------------

@@ -387,40 +387,48 @@ TEST_F(TableTest, CorruptTruncatedAndForeignTablesAreRejected) {
 }
 
 TEST_F(TableTest, VersionOneTableIsRefusedAndTheModelRecalibrated) {
-  // A version-1 table carries a dispatch_ns measured before the pool's
-  // spin handoff (the parked path, several times slower). Build one:
-  // write a current table around a recognizable stale constant, then
-  // rewrite the version field and reseal, so only the version is wrong.
+  // Every older version is refused: a version-1 table carries a
+  // dispatch_ns measured before the pool's spin handoff (the parked path,
+  // several times slower), a version-2 one specs without host tiles, and
+  // a version-3 one constants from batch means that may price a barrier
+  // at 1 ns. Build each: write a current table around a recognizable
+  // stale constant, then rewrite the version field and reseal, so only
+  // the version is wrong.
   const MachineFingerprint fp = machine_fingerprint();
   model::ParallelCostModel stale = model::reference_cost_model();
   stale.dispatch_ns = 18000.5;
+  stale.barrier_ns = 1.0;
   stale.measured = true;
-  ASSERT_TRUE(write_table(path_, fp, stale, {}));
-  std::string bytes = slurp(path_);
-  constexpr std::size_t kVersionOffset = 8;  // after the 8-byte magic
-  constexpr std::size_t kSealBytes = sizeof(std::uint64_t);
-  ASSERT_GT(bytes.size(),
-            kVersionOffset + sizeof(std::uint32_t) + kSealBytes);
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + kVersionOffset, &v1, sizeof(v1));
-  const std::size_t body = bytes.size() - kSealBytes;
-  const std::uint64_t seal = integrity::content_checksum(bytes.data(), body);
-  std::memcpy(bytes.data() + body, &seal, sizeof(seal));
-  dump(path_, bytes);
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
+    SCOPED_TRACE(version);
+    ASSERT_TRUE(write_table(path_, fp, stale, {}));
+    std::string bytes = slurp(path_);
+    constexpr std::size_t kVersionOffset = 8;  // after the 8-byte magic
+    constexpr std::size_t kSealBytes = sizeof(std::uint64_t);
+    ASSERT_GT(bytes.size(),
+              kVersionOffset + sizeof(std::uint32_t) + kSealBytes);
+    std::memcpy(bytes.data() + kVersionOffset, &version, sizeof(version));
+    const std::size_t body = bytes.size() - kSealBytes;
+    const std::uint64_t seal =
+        integrity::content_checksum(bytes.data(), body);
+    std::memcpy(bytes.data() + body, &seal, sizeof(seal));
+    dump(path_, bytes);
 
-  model::ParallelCostModel m;
-  std::vector<TableEntry> e;
-  EXPECT_EQ(read_table(path_, fp, &m, &e), TableStatus::kCorrupt);
-  EXPECT_FALSE(m.measured);
+    model::ParallelCostModel m;
+    std::vector<TableEntry> e;
+    EXPECT_EQ(read_table(path_, fp, &m, &e), TableStatus::kCorrupt);
+    EXPECT_FALSE(m.measured);
 
-  // The tuner refuses it as stale and never seeds the process model
-  // from it: the model in force is this process's own measurement.
-  Tuner t;
-  EXPECT_FALSE(t.load_table(path_));
-  EXPECT_EQ(t.table_stale(), 1u);
-  const model::ParallelCostModel& live = core::calibrated_cost_model();
-  EXPECT_TRUE(live.measured);
-  EXPECT_NE(live.dispatch_ns, stale.dispatch_ns);
+    // The tuner refuses it as stale and never seeds the process model
+    // from it: the model in force is this process's own measurement.
+    Tuner t;
+    EXPECT_FALSE(t.load_table(path_));
+    EXPECT_EQ(t.table_stale(), 1u);
+    const model::ParallelCostModel& live = core::calibrated_cost_model();
+    EXPECT_TRUE(live.measured);
+    EXPECT_NE(live.dispatch_ns, stale.dispatch_ns);
+    EXPECT_GT(live.barrier_ns, stale.barrier_ns);
+  }
 }
 
 TEST_F(TableTest, LoadRejectsBadTablesAndCountsThemStale) {
