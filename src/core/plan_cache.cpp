@@ -1,5 +1,6 @@
 #include "src/core/plan_cache.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/common/error.h"
@@ -26,11 +27,12 @@ std::shared_ptr<const plan::GemmPlan> PlanCache::get(
 
 std::shared_ptr<const plan::GemmPlan> PlanCache::get_or_build(
     GemmShape shape, plan::ScalarType scalar, int nthreads,
-    std::uint64_t fingerprint, const PlanBuilder& build) {
+    std::uint64_t fingerprint, FunctionRef<plan::GemmPlan()> build) {
   const Key key{shape.m, shape.n, shape.k, static_cast<int>(scalar),
                 nthreads, fingerprint};
   for (;;) {
-    std::promise<PlanPtr> promise;
+    // Built only on a miss: std::promise allocates its shared state.
+    std::optional<std::promise<PlanPtr>> promise;
     std::shared_future<PlanPtr> inflight;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -73,7 +75,8 @@ std::shared_ptr<const plan::GemmPlan> PlanCache::get_or_build(
         ++misses_;
         robust::health().plan_cache_misses.fetch_add(
             1, std::memory_order_relaxed);
-        inflight_.emplace(key, promise.get_future().share());
+        promise.emplace();
+        inflight_.emplace(key, promise->get_future().share());
       }
     }
 
@@ -106,7 +109,7 @@ std::shared_ptr<const plan::GemmPlan> PlanCache::get_or_build(
         std::lock_guard<std::mutex> lock(mu_);
         inflight_.erase(key);
       }
-      promise.set_exception(std::current_exception());
+      promise->set_exception(std::current_exception());
       throw;
     }
 
@@ -140,7 +143,7 @@ std::shared_ptr<const plan::GemmPlan> PlanCache::get_or_build(
             1, std::memory_order_relaxed);
       }
     }
-    promise.set_value(plan);
+    promise->set_value(plan);
     return plan;
   }
 }

@@ -8,13 +8,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "src/common/function_ref.h"
 #include "src/libs/gemm_interface.h"
 #include "src/plan/plan.h"
 
@@ -22,9 +22,6 @@ namespace smm::core {
 
 class PlanCache {
  public:
-  /// Builds the plan for a key on a miss; runs outside the cache lock.
-  using PlanBuilder = std::function<plan::GemmPlan()>;
-
   /// Caches plans produced by `strategy` (which must outlive the cache).
   explicit PlanCache(const libs::GemmStrategy& strategy,
                      std::size_t capacity = 256);
@@ -51,10 +48,12 @@ class PlanCache {
   /// builders themselves if needed), so one transient fault cannot fan
   /// out across every concurrent call, and a failed build is never
   /// cached. If inserting the freshly built plan fails (memory
-  /// pressure), the plan is served uncached instead of throwing.
+  /// pressure), the plan is served uncached instead of throwing. A hit
+  /// performs no heap allocation: the single-flight state is built only
+  /// on a miss. `build` runs outside the cache lock.
   std::shared_ptr<const plan::GemmPlan> get_or_build(
       GemmShape shape, plan::ScalarType scalar, int nthreads,
-      std::uint64_t fingerprint, const PlanBuilder& build);
+      std::uint64_t fingerprint, FunctionRef<plan::GemmPlan()> build);
 
   [[nodiscard]] std::size_t size() const;
   // Counters are read lock-free while writers hold the mutex, so they

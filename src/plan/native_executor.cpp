@@ -62,9 +62,9 @@ struct ExecContext {
   T beta;
   MatrixView<T> c;
   const PrepackedB<T>* prepacked;  // may be null
+  /// Base pointer per plan buffer and the plan's barriers, carved from
+  /// the calling thread's arena (no heap allocation on a warm call).
   ExecScratch::Lease<T> scratch;
-  std::vector<T*> buffers;  // base pointer per plan buffer
-  std::vector<std::unique_ptr<par::Barrier>> barriers;
 
   ExecContext(const GemmPlan& p, T al, ConstMatrixView<T> av,
               ConstMatrixView<T> bv, T be, MatrixView<T> cv,
@@ -76,17 +76,21 @@ struct ExecContext {
         beta(be),
         c(cv),
         prepacked(pre),
-        scratch(ExecScratch::local(), scratch_sizes(p, pre),
-                packed_only_buffers(p)) {
-    buffers.resize(plan.buffers.size(), nullptr);
-    for (std::size_t i = 0; i < plan.buffers.size(); ++i) {
-      buffers[i] = serves_buffer(i)
-                       ? const_cast<T*>(prepacked->prepacked_data(i))
-                       : scratch.ptr(i);
-    }
-    barriers.reserve(plan.barriers.size());
-    for (const auto& decl : plan.barriers)
-      barriers.push_back(std::make_unique<par::Barrier>(decl.participants));
+        // Prepacked buffers need no scratch at all.
+        scratch(ExecScratch::local(), p.buffers.size(),
+                [&p, pre](std::size_t i) {
+                  return pre != nullptr && pre->serves_buffer(i)
+                             ? index_t{0}
+                             : p.buffers[i].elems;
+                },
+                packed_only_buffers(p), p.barriers) {
+    for (std::size_t i = 0; prepacked != nullptr && i < scratch.size(); ++i)
+      if (serves_buffer(i))
+        scratch.bind(i, const_cast<T*>(prepacked->prepacked_data(i)));
+  }
+
+  [[nodiscard]] T* buffer(int i) const {
+    return scratch.ptr(static_cast<std::size_t>(i));
   }
 
   [[nodiscard]] bool serves_buffer(std::size_t i) const {
@@ -126,17 +130,6 @@ struct ExecContext {
     }
     return packed & ~other;
   }
-
-  /// Per-buffer element counts the arena must carve; prepacked buffers
-  /// need no scratch at all.
-  static std::vector<index_t> scratch_sizes(const GemmPlan& p,
-                                            const PrepackedB<T>* pre) {
-    std::vector<index_t> sizes(p.buffers.size(), 0);
-    for (std::size_t i = 0; i < p.buffers.size(); ++i)
-      sizes[i] =
-          (pre != nullptr && pre->serves_buffer(i)) ? 0 : p.buffers[i].elems;
-    return sizes;
-  }
 };
 
 template <typename T>
@@ -144,8 +137,7 @@ struct OpRunner {
   ExecContext<T>& ctx;
 
   void operator()(const PackAOp& op) const {
-    T* dst = ctx.buffers[static_cast<std::size_t>(op.buffer)] +
-             op.dst_offset;
+    T* dst = ctx.buffer(op.buffer) + op.dst_offset;
     const auto block = ctx.a.block(op.i0, op.k0, op.mc, op.kc);
     pack::pack_a(block, op.mr, op.pad, op.chunks, dst);
     // A bit flip in the scratch slab between pack and kernel: the packed
@@ -157,14 +149,14 @@ struct OpRunner {
   void operator()(const PackBOp& op) const {
     const auto buf = static_cast<std::size_t>(op.buffer);
     if (ctx.serves_buffer(buf)) return;  // packed once, up front
-    run_pack_b_op(op, ctx.b, ctx.buffers[buf]);
+    run_pack_b_op(op, ctx.b, ctx.buffer(op.buffer));
   }
 
   void operator()(const ConvertOp& op) const {
     const auto buf = static_cast<std::size_t>(op.buffer);
     const bool is_a = op.which == ConvertOp::Which::kA;
     if (!is_a && ctx.serves_buffer(buf)) return;  // converted up front
-    run_convert_op(op, is_a ? ctx.a : ctx.b, ctx.buffers[buf]);
+    run_convert_op(op, is_a ? ctx.a : ctx.b, ctx.buffer(op.buffer));
   }
 
   void bind_operand(const OperandRef& ref, bool is_a, index_t tile_extent,
@@ -172,8 +164,7 @@ struct OpRunner {
                     index_t anchor_col) const {
     switch (ref.kind) {
       case OperandRef::Kind::kBuffer: {
-        const T* base =
-            ctx.buffers[static_cast<std::size_t>(ref.buffer)] + ref.offset;
+        const T* base = ctx.buffer(ref.buffer) + ref.offset;
         if (is_a) {
           ops.a = base;
           ops.a_ps = ref.ps;
@@ -226,8 +217,7 @@ struct OpRunner {
     if (op.c_buffer >= 0) {
       // K-split: accumulate into the private slab; the caller's beta is
       // applied by the reduction, so a fresh tile starts from zero.
-      ops.c = ctx.buffers[static_cast<std::size_t>(op.c_buffer)] +
-              op.c_offset;
+      ops.c = ctx.buffer(op.c_buffer) + op.c_offset;
       ops.c_rs = 1;
       ops.c_cs = op.c_ld;
       beta_call = op.first_k_block ? T(0) : T(1);
@@ -258,7 +248,8 @@ struct OpRunner {
   }
 
   void operator()(const BarrierOp& op) const {
-    ctx.barriers[static_cast<std::size_t>(op.barrier)]->arrive_and_wait();
+    ctx.scratch.barrier(static_cast<std::size_t>(op.barrier))
+        .arrive_and_wait();
   }
 
   void operator()(const ScaleCOp& op) const {
@@ -271,8 +262,7 @@ struct OpRunner {
   }
 
   void operator()(const ReduceCOp& op) const {
-    const T* slabs =
-        ctx.buffers[static_cast<std::size_t>(op.buffer)] + op.offset;
+    const T* slabs = ctx.buffer(op.buffer) + op.offset;
     for (index_t j = 0; j < op.cols; ++j) {
       for (index_t i = 0; i < op.rows; ++i) {
         double acc = 0;
@@ -387,7 +377,8 @@ void execute_plan_impl(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
       // poison every plan barrier so peers fail instead of blocking
       // forever on an arrival that will never come.
       [&ctx] {
-        for (auto& barrier : ctx.barriers) barrier->poison();
+        for (std::size_t i = 0; i < ctx.plan.barriers.size(); ++i)
+          ctx.scratch.barrier(i).poison();
       });
 }
 

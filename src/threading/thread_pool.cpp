@@ -1,8 +1,11 @@
 #include "src/threading/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <exception>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,10 @@ namespace smm::par {
 
 namespace {
 
+/// Widest region whose per-thread error slots run_parallel keeps on the
+/// stack; wider ones allocate them.
+constexpr int kInlineErrorSlots = 16;
+
 [[noreturn]] void throw_injected_worker_fault(int tid) {
   throw Error(ErrorCode::kWorkerPanic,
               strprintf("smmkit: injected worker fault on thread %d", tid));
@@ -30,7 +37,7 @@ namespace {
 /// spawns failed), the aggregate keeps that code so callers like the
 /// guarded executor can still classify the fault; mixed failures
 /// aggregate as kWorkerPanic.
-void rethrow_failures(const std::vector<std::exception_ptr>& errors,
+void rethrow_failures(std::span<const std::exception_ptr> errors,
                       int nthreads) {
   std::vector<std::pair<int, std::exception_ptr>> failed;
   for (int t = 0; t < nthreads; ++t)
@@ -68,9 +75,9 @@ void rethrow_failures(const std::vector<std::exception_ptr>& errors,
 /// Spawn-per-call fallback: used when the pool is busy with another
 /// region, when the caller is itself a pool worker (nested region), or
 /// when the region is wider than the pool's cap.
-void run_spawned(int nthreads, const std::function<void(int)>& body,
-                 const std::function<void()>& on_worker_failure,
-                 std::vector<std::exception_ptr>& errors) {
+void run_spawned(int nthreads, FunctionRef<void(int)> body,
+                 FunctionRef<void()> on_worker_failure,
+                 std::span<std::exception_ptr> errors) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nthreads));
   for (int t = 0; t < nthreads; ++t) {
@@ -126,8 +133,8 @@ void run_spawned(int nthreads, const std::function<void(int)>& body,
 
 }  // namespace
 
-void run_parallel(int nthreads, const std::function<void(int)>& body,
-                  const std::function<void()>& on_worker_failure) {
+void run_parallel(int nthreads, FunctionRef<void(int)> body,
+                  FunctionRef<void()> on_worker_failure) {
   SMM_EXPECT(nthreads > 0, "run_parallel needs at least one thread");
   if (nthreads == 1) {
     // Single-thread bypass: no pool handshake, no spawn, no error vector.
@@ -136,7 +143,13 @@ void run_parallel(int nthreads, const std::function<void(int)>& body,
     body(0);
     return;
   }
-  std::vector<std::exception_ptr> errors(
+  std::array<std::exception_ptr, kInlineErrorSlots> inline_errors;
+  std::unique_ptr<std::exception_ptr[]> wide_errors;
+  if (nthreads > kInlineErrorSlots)
+    wide_errors = std::make_unique<std::exception_ptr[]>(
+        static_cast<std::size_t>(nthreads));
+  const std::span<std::exception_ptr> errors(
+      wide_errors ? wide_errors.get() : inline_errors.data(),
       static_cast<std::size_t>(nthreads));
   // current(): the thread's bound pool (a shard lane binds its own) or
   // the process-wide instance.

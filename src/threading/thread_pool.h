@@ -2,8 +2,8 @@
 //
 // Plans may contain inter-thread barriers, so all `nthreads` bodies must
 // run concurrently. Regions are served by the persistent WorkerPool
-// (worker_pool.h): workers are parked on a condvar and woken per region,
-// so the steady-state per-call cost is a dispatch handshake instead of
+// (worker_pool.h): workers spin, then park, between regions, so the
+// steady-state per-call cost is a dispatch handshake instead of
 // nthreads thread clones — the paper's Table II point that fixed
 // per-call costs dominate small-matrix work applies to thread spawns
 // more than to anything else on this path. Nested regions and callers
@@ -12,8 +12,7 @@
 // bypasses both paths and runs the body in place.
 #pragma once
 
-#include <functional>
-
+#include "src/common/function_ref.h"
 #include "src/common/types.h"
 
 namespace smm::par {
@@ -34,8 +33,12 @@ namespace smm::par {
 /// (plan barriers) use it to cancel those primitives so surviving peers
 /// fail instead of waiting forever for a worker that will never arrive.
 /// It must be thread-safe and idempotent, and must not throw.
-void run_parallel(int nthreads, const std::function<void(int)>& body,
-                  const std::function<void()>& on_worker_failure = {});
+///
+/// Both callables are taken by reference (FunctionRef) and must outlive
+/// the call, which a lambda argument does. A warm pool region of up to
+/// 16 threads performs no heap allocation.
+void run_parallel(int nthreads, FunctionRef<void(int)> body,
+                  FunctionRef<void()> on_worker_failure = {});
 
 /// Threads worth offering to callers: hardware concurrency clamped to
 /// [1, 256], further capped by the SMMKIT_MAX_THREADS environment

@@ -1,7 +1,9 @@
 #include "src/threading/worker_pool.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <system_error>
 
 #include "src/common/env.h"
@@ -16,6 +18,8 @@
 namespace smm::par {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 // Set while a thread executes a region body — on parked workers and on
 // the master for the body it runs in place. A nested run_parallel from
@@ -41,12 +45,85 @@ constexpr std::chrono::microseconds kHandoffSpin{50};
 /// spinner steals the timeslice of the thread it waits for.
 template <typename Done>
 bool spin_for_handoff(Done done) {
-  const auto until = std::chrono::steady_clock::now() + kHandoffSpin;
+  const auto until = Clock::now() + kHandoffSpin;
   for (;;) {
     if (done()) return true;
-    if (std::chrono::steady_clock::now() >= until) return false;
+    if (Clock::now() >= until) return false;
     cpu_relax();
   }
+}
+
+// Region word: sequence number in the high bits, width in the low ones.
+constexpr int kWidthBits = 16;
+constexpr std::uint64_t kWidthMask = (std::uint64_t{1} << kWidthBits) - 1;
+
+std::uint64_t region_word(std::uint64_t seq, int nthreads) {
+  return seq << kWidthBits | static_cast<std::uint64_t>(nthreads);
+}
+
+// Completion word: the workers of region `seq` that finished (count),
+// tagged with (the low bits of) that region's sequence number, plus
+// flags. The first worker to finish a region restarts the count at 1
+// under the new tag, so the master never writes the word on dispatch.
+constexpr int kSeqShift = 12;  // count bits: kMaxWorkers fits
+constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kSeqShift) - 1;
+constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 47) - 1;
+/// The roster is retired: its workers exit.
+constexpr std::uint64_t kRetired = std::uint64_t{1} << 59;
+/// A master or the watchdog waits on Roster::cv: finishing workers
+/// notify it.
+constexpr std::uint64_t kWaiters = std::uint64_t{1} << 60;
+/// The watchdog expired the region (sticky: the roster is retired next).
+constexpr std::uint64_t kTimedOut = std::uint64_t{1} << 61;
+/// The watchdog is calling the region's failure hook: the master must
+/// not return (the hook and what it touches live in the caller).
+constexpr std::uint64_t kPinned = std::uint64_t{1} << 62;
+/// The watchdog gave up on the region: workers that have not started
+/// their body never will, and the master returns without them.
+constexpr std::uint64_t kAbandoned = std::uint64_t{1} << 63;
+constexpr std::uint64_t kFlags =
+    kRetired | kWaiters | kTimedOut | kPinned | kAbandoned;
+
+std::uint64_t done_tag(std::uint64_t seq) {
+  return (seq & kSeqMask) << kSeqShift;
+}
+
+/// Whether every worker of region `seq` (of `nthreads`) has reported in,
+/// judged from completion word `v`. The word counts for the region it is
+/// tagged with: an older tag means none of this region's workers
+/// finished yet, a newer one that this region completed before it.
+bool region_complete(std::uint64_t v, std::uint64_t seq, int nthreads) {
+  if (nthreads <= 1) return true;
+  const std::uint64_t ahead = ((v >> kSeqShift) - seq) & kSeqMask;
+  if (ahead == 0)
+    return (v & kCountMask) == static_cast<std::uint64_t>(nthreads - 1);
+  return ahead < (kSeqMask >> 1);
+}
+
+/// The master may return: its workers all reported in and the watchdog
+/// is not inside the failure hook, or the watchdog abandoned the region.
+bool master_may_return(std::uint64_t v, std::uint64_t seq, int nthreads) {
+  return (v & kAbandoned) != 0 ||
+         ((v & kPinned) == 0 && region_complete(v, seq, nthreads));
+}
+
+/// Still in flight with workers outstanding, as the watchdog sees it.
+bool in_flight(std::uint64_t v, std::uint64_t seq, int nthreads) {
+  return (v & kAbandoned) == 0 && !region_complete(v, seq, nthreads);
+}
+
+constexpr std::int64_t kNoDeadline = 0;
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t to_ns(Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             t.time_since_epoch())
+      .count();
+}
+
+Clock::time_point from_ns(std::int64_t ns) {
+  return Clock::time_point(std::chrono::duration_cast<Clock::duration>(
+      std::chrono::nanoseconds(ns)));
 }
 
 }  // namespace
@@ -80,7 +157,8 @@ WorkerPool::CurrentPoolBinding::~CurrentPoolBinding() {
   tls_current_pool = previous_;
 }
 
-WorkerPool::WorkerPool(bool fork_guard) {
+WorkerPool::WorkerPool(bool fork_guard)
+    : watchdog_wake_ns_(kNever), roster_(make_roster()) {
   // Generous default: the watchdog exists to catch dead workers, not slow
   // ones — a false positive poisons a healthy region mid-computation.
   timeout_ms_.store(env::read_long("SMMKIT_POOL_TIMEOUT_MS", 30000),
@@ -92,8 +170,8 @@ WorkerPool::WorkerPool(bool fork_guard) {
   // but none of its threads — fork() copies only the calling thread. The
   // prepare handler holds both locks across the fork so the snapshot is
   // consistent (no region in flight, no half-grown roster); the child
-  // handler then discards every thread handle and resets the pool to
-  // empty, so the first post-fork region lazily spawns a fresh roster.
+  // handler then discards every thread handle and installs an empty
+  // roster, so the first post-fork region lazily spawns a fresh one.
   common::register_fork_handlers(common::ForkHandlers{
       /*prepare=*/[this] {
         region_mu_.lock();
@@ -110,18 +188,21 @@ WorkerPool::WorkerPool(bool fork_guard) {
         // this process; joining would hang, detaching passes a stale
         // descriptor to pthread_detach, and destruction would terminate().
         // Leak the handles — they are a few bytes, and fork-heavy callers
-        // fork from a warmed parent rarely.
+        // fork from a warmed parent rarely. The old roster is leaked with
+        // them: its slot mutexes may be held by threads that are gone.
         new std::vector<std::thread>(std::move(workers_));
         workers_.clear();
         if (watchdog_.joinable()) new std::thread(std::move(watchdog_));
-        ++generation_;
-        wake_spinners();
-        region_.reset();
-        spare_region_.reset();
-        task_nthreads_ = 0;
-        deadline_armed_ = false;
-        watchdog_wake_at_ = std::chrono::steady_clock::time_point::max();
-        quarantined_ = false;
+        for (const auto& slot : roster_->slots) {
+          retired_spin_handoffs_ +=
+              slot->spin_handoffs.load(std::memory_order_relaxed);
+          retired_parks_ += slot->parks.load(std::memory_order_relaxed);
+        }
+        new std::shared_ptr<Roster>(std::move(roster_));
+        roster_ = make_roster();
+        deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);
+        watchdog_wake_ns_.store(kNever, std::memory_order_relaxed);
+        quarantined_.store(false, std::memory_order_relaxed);
         watchdog_exit_ = false;
         // One increment per fork for the whole runtime (the plan caches
         // reset under the same atfork pass).
@@ -136,9 +217,8 @@ WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
-    wake_spinners();
+    retire_roster_locked();
   }
-  cv_work_.notify_all();
   watchdog_cv_.notify_all();
   for (auto& w : workers_) w.join();
   if (watchdog_.joinable()) watchdog_.join();
@@ -153,11 +233,29 @@ long WorkerPool::watchdog_timeout_ms() const {
 }
 
 bool WorkerPool::quarantined() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quarantined_;
+  return quarantined_.load(std::memory_order_acquire);
 }
 
-void WorkerPool::serve(const std::shared_ptr<Region>& r, int tid) {
+WorkerPool::Region WorkerPool::Roster::region_fields(
+    std::uint64_t word) const {
+  // Acquire loads pair with try_run's release stores: if a field read
+  // here already belongs to a later region, region `word` is over
+  // (completed or abandoned), and every completion-word load after this
+  // one sees that. On x86-64 and AArch64 (ldar) these cost what relaxed
+  // loads do on a line the worker already holds.
+  Region r;
+  r.seq = word >> kWidthBits;
+  r.nthreads = static_cast<int>(word & kWidthMask);
+  r.body = Body(body_object.load(std::memory_order_acquire),
+                body_thunk.load(std::memory_order_acquire));
+  r.on_failure = Hook(hook_object.load(std::memory_order_acquire),
+                      hook_thunk.load(std::memory_order_acquire));
+  r.errors = errors.load(std::memory_order_acquire);
+  return r;
+}
+
+void WorkerPool::serve(Roster& roster, Slot* slot, const Region& r,
+                       int tid) {
   tls_in_pool_region = true;
   std::exception_ptr err;
   try {
@@ -175,170 +273,223 @@ void WorkerPool::serve(const std::shared_ptr<Region>& r, int tid) {
       throw Error(ErrorCode::kWorkerPanic,
                   strprintf("smmkit: injected worker fault on thread %d",
                             tid));
-    bool run = true;
-    if (tid != 0) {
-      std::lock_guard<std::mutex> g(r->mu);
-      run = !r->abandoned;  // caller gone: its body may dangle
-    }
-    if (run) (*r->body)(tid);
+    // Exactly once against abandonment: a worker that finds the region
+    // abandoned never starts the caller's body, which may dangle by now.
+    if (tid == 0 ||
+        (roster.done.load(std::memory_order_acquire) & kAbandoned) == 0)
+      r.body(tid);
   } catch (...) {
     err = std::current_exception();
   }
   tls_in_pool_region = false;
-  {
-    std::lock_guard<std::mutex> g(r->mu);
-    // While !abandoned (the flag is only flipped under r->mu) the caller
-    // is still blocked inside try_run, so body/on_failure/errors are
-    // alive. tid 0 is the caller's own thread: its slot is always safe.
-    if (tid == 0 || !r->abandoned) {
-      if (err) {
-        r->errors[static_cast<std::size_t>(tid)] = err;
-        // Unblock peers immediately: a dead body can never reach the
-        // synchronization points the surviving bodies wait on.
-        if (r->on_failure != nullptr && *r->on_failure) (*r->on_failure)();
+  if (err) {
+    if (tid == 0) {
+      // The master's own slot: the caller is this thread.
+      r.errors[0] = err;
+      // Unblock peers immediately: a dead body can never reach the
+      // synchronization points the surviving bodies wait on.
+      if (r.on_failure) r.on_failure();
+    } else {
+      // Under Roster::mu, which abandonment also takes: while the region
+      // is not abandoned the caller is still blocked inside try_run, so
+      // the hook and the error slots are alive.
+      std::lock_guard<std::mutex> g(roster.mu);
+      if ((roster.done.load(std::memory_order_relaxed) & kAbandoned) == 0) {
+        r.errors[tid] = err;
+        if (r.on_failure) r.on_failure();
       }
-      r->finished[static_cast<std::size_t>(tid)] = 1;
+      // Drop the local reference under the mutex too: the caller's reads
+      // are ordered after it (by this mutex, or by the completion word
+      // below), so the exception's last release never races a reader
+      // (exception_ptr's refcount lives in uninstrumented libstdc++,
+      // invisible to TSan).
+      err = nullptr;
     }
-    // Drop the local reference while still holding r->mu. The caller
-    // both reads the exception and releases the region's reference under
-    // this mutex, so every release is mutex-ordered and the final delete
-    // can never race a reader (exception_ptr's refcount lives in
-    // uninstrumented libstdc++, invisible to TSan).
-    err = nullptr;
-    if (tid != 0) {
-      if (--r->pending == 0) r->done_cv.notify_all();
-      // Last write under r->mu: a spinning master takes r->mu as soon as
-      // it sees the mirror reach zero.
-      r->pending_spin.store(r->pending, std::memory_order_release);
-    }
+  }
+  if (tid == 0) return;
+  slot->finished_seq.store(r.seq, std::memory_order_relaxed);
+  // Report in: one compare-exchange on the completion word, which
+  // publishes the body's writes (and any error) to the master.
+  std::uint64_t v = roster.done.load(std::memory_order_relaxed);
+  std::uint64_t next;
+  do {
+    next = ((v >> kSeqShift) & kSeqMask) == (r.seq & kSeqMask)
+               ? v + 1
+               : (v & kFlags) | done_tag(r.seq) | 1;
+  } while (!roster.done.compare_exchange_weak(v, next,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed));
+  if ((v & kWaiters) != 0) {
+    { std::lock_guard<std::mutex> g(roster.mu); }
+    roster.cv.notify_all();
   }
 }
 
-void WorkerPool::worker_main(int wid, std::uint64_t seen,
-                             std::uint64_t generation) {
-  // `seen` was captured under mu_ at spawn registration, NOT read here:
-  // the spawning region bumps epoch_ right after ensure_workers returns,
-  // and a worker whose thread starts late must still see that bump as
-  // new work, or the region waits forever for it. A generation mismatch
-  // means the roster was rebuilt after a quarantine: this thread is no
-  // longer part of the pool and exits.
+void WorkerPool::worker_main(std::shared_ptr<Roster> roster_ref, Slot* slot,
+                             int wid, std::uint64_t seen) {
+  // `seen` is the region sequence number at spawn registration, NOT read
+  // here: the spawning region publishes right after ensure_workers
+  // returns, and a worker whose thread starts late must still see that
+  // region as new work, or the region waits forever for it.
   //
-  // After serving a region the worker spins on wake_seq_ (no mu_) before
-  // it parks, so a region dispatched right after the previous one is
-  // picked up without a futex wakeup on either side.
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto ready = [&] {
-    return stop_ || generation_ != generation || epoch_ != seen;
-  };
-  bool caught_spinning = false;
+  // After serving a region the worker spins on the region word before it
+  // parks, so a region dispatched right after the previous one is picked
+  // up without a futex wakeup on either side.
+  Roster& roster = *roster_ref;
+  bool spin = false;  // the last region served fits the host
   for (;;) {
+    std::uint64_t word = roster.region_word.load(std::memory_order_acquire);
     bool parked = false;
-    if (!ready()) {
-      cv_work_.wait(lock, ready);
+    if ((word >> kWidthBits) == seen &&
+        !(spin && spin_for_handoff([&] {
+          word = roster.region_word.load(std::memory_order_acquire);
+          return (word >> kWidthBits) != seen;
+        }))) {
+      // Park. Announce it first, then re-check: try_run publishes, then
+      // reads `parked` (both seq_cst), so one of the two sees the other.
+      std::unique_lock<std::mutex> lock(slot->mu);
+      slot->parked.store(true, std::memory_order_seq_cst);
+      while (((word = roster.region_word.load(std::memory_order_seq_cst)) >>
+              kWidthBits) == seen)
+        slot->cv.wait(lock);
+      slot->parked.store(false, std::memory_order_relaxed);
       parked = true;
     }
-    if (stop_ || generation_ != generation) return;
-    seen = epoch_;
-    if (wid >= task_nthreads_ - 1) {  // not part of this region
-      caught_spinning = false;
+    seen = word >> kWidthBits;
+    const Region r = roster.region_fields(word);
+    if ((roster.done.load(std::memory_order_acquire) & kRetired) != 0)
+      return;
+    if (wid >= r.nthreads - 1) {
+      // Not part of this region: park until a region names this worker.
+      spin = false;
       continue;
     }
-    if (parked)
-      ++parks_;
-    else if (caught_spinning)
-      ++spin_handoffs_;
-    const std::shared_ptr<Region> region = region_;
-    const bool spin = task_nthreads_ <= native_threads_available();
-    // Read under mu_, so it matches `seen`: any later change to the
-    // epoch or the roster moves it.
-    const std::uint64_t ticket = wake_seq_.load(std::memory_order_relaxed);
-    lock.unlock();
-    serve(region, /*tid=*/wid + 1);
-    caught_spinning = spin && spin_for_handoff([&] {
-      return wake_seq_.load(std::memory_order_acquire) != ticket;
-    });
-    lock.lock();
+    // A handoff needed no futex wakeup only if the worker was spinning.
+    std::atomic<std::size_t>& count =
+        spin && !parked ? slot->spin_handoffs : slot->parks;
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+    serve(roster, slot, r, /*tid=*/wid + 1);
+    spin = r.nthreads <= native_threads_available();
   }
 }
 
 void WorkerPool::watchdog_main() {
-  using Clock = std::chrono::steady_clock;
   std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t checked = 0;  // last epoch judged at its deadline
+  std::uint64_t checked = 0;  // last region judged at its deadline
+  // The region the watchdog should guard: in flight, timed, not judged.
+  const auto armable = [&](Region& r, std::int64_t& deadline) {
+    const std::uint64_t word =
+        roster_->region_word.load(std::memory_order_seq_cst);
+    deadline = deadline_ns_.load(std::memory_order_acquire);
+    r = roster_->region_fields(word);
+    return r.seq != checked && deadline != kNoDeadline &&
+           in_flight(roster_->done.load(std::memory_order_acquire), r.seq,
+                     r.nthreads);
+  };
   for (;;) {
     if (stop_ || watchdog_exit_) return;
-    if (region_ == nullptr || !deadline_armed_ || epoch_ == checked) {
-      // Idle: nothing in flight needs a deadline. The next timed region's
-      // try_run lowers watchdog_wake_at_ and notifies.
-      watchdog_wake_at_ = Clock::time_point::max();
+    Region r;
+    std::int64_t deadline = kNoDeadline;
+    if (!armable(r, deadline)) {
+      // Idle: announce it, then re-check (try_run publishes, then reads
+      // watchdog_wake_ns_, both seq_cst, so one side sees the other). The
+      // next timed region's try_run lowers watchdog_wake_ns_ and notifies.
+      watchdog_wake_ns_.store(kNever, std::memory_order_seq_cst);
+      if (armable(r, deadline)) continue;
       watchdog_cv_.wait(lock, [&] {
         return stop_ || watchdog_exit_ ||
-               watchdog_wake_at_ != Clock::time_point::max();
+               watchdog_wake_ns_.load(std::memory_order_relaxed) != kNever;
       });
       continue;
     }
     // Sleep until this region's deadline. Regions completing (or
     // starting) meanwhile do not wake the watchdog; only a try_run whose
-    // deadline is earlier does, by lowering watchdog_wake_at_.
-    const std::uint64_t epoch = epoch_;
-    const auto wake_at = region_deadline_;
-    watchdog_wake_at_ = wake_at;
-    if (watchdog_cv_.wait_until(lock, wake_at, [&] {
-          return stop_ || watchdog_exit_ || watchdog_wake_at_ != wake_at;
+    // deadline is earlier does, by lowering watchdog_wake_ns_.
+    watchdog_wake_ns_.store(deadline, std::memory_order_seq_cst);
+    if (watchdog_cv_.wait_until(lock, from_ns(deadline), [&] {
+          return stop_ || watchdog_exit_ ||
+                 watchdog_wake_ns_.load(std::memory_order_relaxed) !=
+                     deadline;
         }))
       continue;
-    // The deadline belongs to `epoch`: if that region is over, re-arm on
+    // The deadline belongs to region r: if it is over, re-arm on
     // whatever is in flight now instead of charging it to the next one.
-    if (epoch_ != epoch || region_ == nullptr) continue;
-    checked = epoch;
-    const std::shared_ptr<Region> region = region_;
+    if ((roster_->region_word.load(std::memory_order_acquire) >>
+         kWidthBits) != r.seq ||
+        !in_flight(roster_->done.load(std::memory_order_acquire), r.seq,
+                   r.nthreads))
+      continue;
+    checked = r.seq;
+    // The roster cannot change while r is in flight (retiring one needs
+    // region_mu_, which r's master holds).
+    const std::shared_ptr<Roster> roster = roster_;
     const long timeout = timeout_ms_.load(std::memory_order_relaxed);
     lock.unlock();
-
-    {
-      std::unique_lock<std::mutex> g(region->mu);
-      if (region->pending != 0) {
-        region->timed_out = true;
-        // Cancel the region: the caller's failure hook poisons the plan
-        // barriers, so every body that is still alive fails out of its
-        // next synchronization point instead of waiting forever for the
-        // dead worker.
-        if (region->on_failure != nullptr && *region->on_failure)
-          (*region->on_failure)();
-        g.unlock();
-        robust::cancel_injected_hangs();
-        g.lock();
-        // Grace period: poisoned bodies need a moment to unwind. A
-        // worker that still has not reported in is treated as lost —
-        // the region is abandoned (survivors skip the caller's body,
-        // which is about to go out of scope) and the master is released.
-        const auto grace = std::chrono::milliseconds(
-            std::clamp(timeout / 4, 10L, 1000L));
-        if (!region->done_cv.wait_for(
-                g, grace, [&] { return region->pending == 0; }))
-          region->abandoned = true;
-        region->done_cv.notify_all();
-      }
-    }
+    expire(*roster, r, timeout);
     lock.lock();
   }
 }
 
+void WorkerPool::expire(Roster& roster, const Region& r, long timeout) {
+  {
+    // Pin the region while it is still in flight: from here until the
+    // pin is cleared the master cannot return, so the caller's failure
+    // hook is safe to call.
+    std::lock_guard<std::mutex> g(roster.mu);
+    std::uint64_t v = roster.done.load(std::memory_order_acquire);
+    do {
+      if (!in_flight(v, r.seq, r.nthreads)) return;
+    } while (!roster.done.compare_exchange_weak(
+        v, v | kTimedOut | kPinned, std::memory_order_acq_rel,
+        std::memory_order_acquire));
+  }
+  // Cancel the region: the caller's failure hook poisons the plan
+  // barriers, so every body that is still alive fails out of its next
+  // synchronization point instead of waiting forever for the dead worker.
+  if (r.on_failure) r.on_failure();
+  robust::cancel_injected_hangs();
+  std::unique_lock<std::mutex> g(roster.mu);
+  roster.done.fetch_and(~kPinned, std::memory_order_acq_rel);
+  roster.done.fetch_or(kWaiters, std::memory_order_acq_rel);
+  roster.cv.notify_all();  // a parked master re-checks the pin
+  // Grace period: poisoned bodies need a moment to unwind. A worker that
+  // still has not reported in is treated as lost — the region is
+  // abandoned (survivors skip the caller's body, which is about to go
+  // out of scope) and the master is released.
+  const auto grace =
+      std::chrono::milliseconds(std::clamp(timeout / 4, 10L, 1000L));
+  if (!roster.cv.wait_for(g, grace, [&] {
+        return !in_flight(roster.done.load(std::memory_order_acquire),
+                          r.seq, r.nthreads);
+      })) {
+    std::uint64_t v = roster.done.load(std::memory_order_acquire);
+    while (in_flight(v, r.seq, r.nthreads) &&
+           !roster.done.compare_exchange_weak(v, v | kAbandoned,
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+    }
+  }
+  roster.cv.notify_all();
+}
+
 bool WorkerPool::ensure_workers(int count) {
+  // workers_ only changes under region_mu_, which the caller holds.
+  if (static_cast<int>(workers_.size()) >= count) return true;
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<int>(workers_.size()) < count &&
-      robust::should_fire(robust::FaultSite::kPoolSpawnFail)) {
+  if (robust::should_fire(robust::FaultSite::kPoolSpawnFail)) {
     robust::health().pool_spawn_failures.fetch_add(
         1, std::memory_order_relaxed);
     return false;
   }
   while (static_cast<int>(workers_.size()) < count) {
     const int wid = static_cast<int>(workers_.size());
-    const std::uint64_t spawn_epoch = epoch_;
-    const std::uint64_t generation = generation_;
     try {
-      workers_.emplace_back([this, wid, spawn_epoch, generation] {
-        worker_main(wid, spawn_epoch, generation);
+      if (static_cast<int>(roster_->slots.size()) <= wid)
+        roster_->slots.push_back(std::make_unique<Slot>());
+      Slot* slot = roster_->slots[static_cast<std::size_t>(wid)].get();
+      workers_.emplace_back([roster = roster_, slot, wid, seen = seq_] {
+        worker_main(roster, slot, wid, seen);
       });
     } catch (const std::system_error&) {
       // Resource exhaustion. The partial roster stays parked (it is
@@ -353,37 +504,51 @@ bool WorkerPool::ensure_workers(int count) {
   return true;
 }
 
-void WorkerPool::rebuild() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Retire the old roster: healthy parked workers wake on the generation
-  // bump and exit; a hung worker exits whenever its hang resolves. They
-  // are detached — joining would inherit the very hang the quarantine is
-  // escaping.
-  ++generation_;
-  wake_spinners();
-  for (auto& w : workers_) w.detach();
-  workers_.clear();
-  quarantined_ = false;
-  ++rebuilds_;
-  robust::health().pool_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  cv_work_.notify_all();
+void WorkerPool::retire_roster_locked() {
+  Roster& old = *roster_;
+  old.done.fetch_or(kRetired, std::memory_order_seq_cst);
+  // A region word naming nobody: spinning workers see it move, find the
+  // retire flag, and exit. Parked ones are woken below.
+  ++seq_;
+  old.region_word.store(region_word(seq_, 0), std::memory_order_seq_cst);
+  for (const auto& slot : old.slots) {
+    retired_spin_handoffs_ +=
+        slot->spin_handoffs.load(std::memory_order_relaxed);
+    retired_parks_ += slot->parks.load(std::memory_order_relaxed);
+    { std::lock_guard<std::mutex> g(slot->mu); }
+    slot->cv.notify_all();
+  }
+  roster_ = make_roster();
 }
 
-bool WorkerPool::try_run(int nthreads,
-                         const std::function<void(int)>& body,
-                         const std::function<void()>& on_worker_failure,
-                         std::vector<std::exception_ptr>& errors) {
+std::shared_ptr<WorkerPool::Roster> WorkerPool::make_roster() const {
+  auto roster = std::make_shared<Roster>();
+  roster->region_word.store(region_word(seq_, 0), std::memory_order_relaxed);
+  return roster;
+}
+
+void WorkerPool::rebuild() {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Retire the old roster: healthy workers wake on the retire and exit;
+  // a hung worker exits whenever its hang resolves. They are detached —
+  // joining would inherit the very hang the quarantine is escaping.
+  retire_roster_locked();
+  for (auto& w : workers_) w.detach();
+  workers_.clear();
+  quarantined_.store(false, std::memory_order_release);
+  ++rebuilds_;
+  robust::health().pool_rebuilds.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool WorkerPool::try_run(int nthreads, FunctionRef<void(int)> body,
+                         FunctionRef<void()> on_worker_failure,
+                         std::span<std::exception_ptr> errors) {
   if (nthreads - 1 > kMaxWorkers) return false;
   if (tls_in_pool_region) return false;
   std::unique_lock<std::mutex> region_lock(region_mu_, std::try_to_lock);
   if (!region_lock.owns_lock()) return false;
 
-  bool need_rebuild = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    need_rebuild = quarantined_;
-  }
-  if (need_rebuild) {
+  if (quarantined_.load(std::memory_order_relaxed)) {
     // Declining this one region lets the spawn fallback serve it while
     // the fresh roster spins up lazily on the next dispatch.
     rebuild();
@@ -392,110 +557,112 @@ bool WorkerPool::try_run(int nthreads,
 
   if (!ensure_workers(nthreads - 1)) return false;
 
+  // Publish. Each field is a release store, so a reader that sees one
+  // of them also sees everything before it — the previous region's
+  // completion above all (region_fields); the region word then
+  // publishes the fields themselves.
   const long timeout = timeout_ms_.load(std::memory_order_relaxed);
-  std::shared_ptr<Region> region;
-  bool wake_watchdog = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!spare_region_) spare_region_ = std::make_shared<Region>();
-    region = spare_region_;
-    {
-      std::lock_guard<std::mutex> g(region->mu);
-      region->body = &body;
-      region->on_failure = &on_worker_failure;
-      region->nthreads = nthreads;
-      region->pending = nthreads - 1;
-      region->pending_spin.store(nthreads - 1, std::memory_order_relaxed);
-      region->timed_out = false;
-      region->abandoned = false;
-      region->errors.assign(static_cast<std::size_t>(nthreads), nullptr);
-      region->finished.assign(static_cast<std::size_t>(nthreads), 0);
+  const std::int64_t deadline =
+      timeout > 0
+          ? to_ns(Clock::now() + std::chrono::milliseconds(timeout))
+          : kNoDeadline;
+  const std::uint64_t seq = ++seq_;
+  Roster& roster = *roster_;
+  roster.body_object.store(body.object(), std::memory_order_release);
+  roster.body_thunk.store(body.thunk(), std::memory_order_release);
+  roster.hook_object.store(on_worker_failure.object(),
+                           std::memory_order_release);
+  roster.hook_thunk.store(on_worker_failure.thunk(),
+                          std::memory_order_release);
+  roster.errors.store(errors.data(), std::memory_order_release);
+  deadline_ns_.store(deadline, std::memory_order_release);
+  roster.region_word.store(region_word(seq, nthreads),
+                           std::memory_order_seq_cst);
+
+  // Wake the participants that parked; spinning ones already saw the
+  // word. A parked worker announced it before re-checking the word.
+  for (int w = 0; w < nthreads - 1; ++w) {
+    Slot& slot = *roster.slots[static_cast<std::size_t>(w)];
+    if (slot.parked.load(std::memory_order_seq_cst)) {
+      { std::lock_guard<std::mutex> g(slot.mu); }
+      slot.cv.notify_one();
     }
-    region_ = region;
-    task_nthreads_ = nthreads;
-    ++regions_;
-    dispatches_ += static_cast<std::size_t>(nthreads - 1);
-    deadline_armed_ = timeout > 0;
-    if (timeout > 0) {
-      region_deadline_ = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeout);
-      if (!watchdog_.joinable()) {
-        try {
-          watchdog_ = std::thread([this] { watchdog_main(); });
-        } catch (const std::system_error&) {
-          // No watchdog thread available: the pool still works, it just
-          // cannot detect hangs. Deliberate best-effort.
-        }
-      } else if (region_deadline_ < watchdog_wake_at_) {
-        // Idle-parked watchdog (wake_at is max), or one sleeping toward
-        // a later deadline than this region's (the timeout shrank).
-        watchdog_wake_at_ = region_deadline_;
-        wake_watchdog = true;
-      }
-    }
-    ++epoch_;
-    wake_spinners();
   }
-  // No syscall when no worker is parked: spinning workers saw wake_seq_.
-  cv_work_.notify_all();
-  if (wake_watchdog) watchdog_cv_.notify_one();
+  if (timeout > 0 &&
+      (!watchdog_.joinable() ||
+       deadline < watchdog_wake_ns_.load(std::memory_order_seq_cst))) {
+    // Slow path: no watchdog yet, or it is idle-parked (wake time kNever)
+    // or sleeping toward a later deadline than this region's (the
+    // timeout shrank).
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!watchdog_.joinable()) {
+      try {
+        watchdog_ = std::thread([this] { watchdog_main(); });
+      } catch (const std::system_error&) {
+        // No watchdog thread available: the pool still works, it just
+        // cannot detect hangs. Deliberate best-effort.
+      }
+    } else if (deadline <
+               watchdog_wake_ns_.load(std::memory_order_relaxed)) {
+      watchdog_wake_ns_.store(deadline, std::memory_order_relaxed);
+      watchdog_cv_.notify_one();
+    }
+  }
+  regions_.fetch_add(1, std::memory_order_relaxed);
+  dispatches_.fetch_add(static_cast<std::size_t>(nthreads - 1),
+                        std::memory_order_relaxed);
   robust::health().pool_regions.fetch_add(1, std::memory_order_relaxed);
 
-  serve(region, /*tid=*/0);  // master participates instead of blocking
-  if (nthreads <= native_threads_available()) {
+  const Region mine{seq, nthreads, body, on_worker_failure, errors.data()};
+  serve(roster, nullptr, mine, /*tid=*/0);  // master runs body 0 in place
+
+  std::uint64_t v = roster.done.load(std::memory_order_acquire);
+  if (!master_may_return(v, seq, nthreads) &&
+      nthreads <= native_threads_available()) {
     spin_for_handoff([&] {
-      return region->pending_spin.load(std::memory_order_acquire) == 0;
+      v = roster.done.load(std::memory_order_acquire);
+      return master_may_return(v, seq, nthreads);
     });
   }
-
-  bool timed_out = false;
-  bool abandoned = false;
-  {
-    std::unique_lock<std::mutex> g(region->mu);
-    region->done_cv.wait(
-        g, [&] { return region->pending == 0 || region->abandoned; });
-    timed_out = region->timed_out;
-    abandoned = region->abandoned;
-    for (int t = 0; t < nthreads; ++t)
-      errors[static_cast<std::size_t>(t)] =
-          region->errors[static_cast<std::size_t>(t)];
-    if (timed_out) {
-      for (int t = 1; t < nthreads; ++t) {
-        auto& slot = errors[static_cast<std::size_t>(t)];
-        if (!region->finished[static_cast<std::size_t>(t)] && !slot)
-          slot = std::make_exception_ptr(Error(
-              ErrorCode::kPoolTimeout,
-              strprintf("smmkit: pool worker (thread %d) missed the "
-                        "%ld ms watchdog deadline",
-                        t, timeout)));
-      }
+  if (!master_may_return(v, seq, nthreads)) {
+    std::unique_lock<std::mutex> g(roster.mu);
+    v = roster.done.fetch_or(kWaiters, std::memory_order_acq_rel) |
+        kWaiters;
+    while (!master_may_return(v, seq, nthreads)) {
+      roster.cv.wait(g);
+      v = roster.done.load(std::memory_order_acquire);
     }
-    // Release the region's exception references here, on the caller's
-    // thread and under the region mutex — not when the next (possibly
-    // unrelated) caller recycles the region. The exception object must
-    // not be deleted on a thread that never synchronized with its
-    // readers: exception_ptr's refcount lives in uninstrumented
-    // libstdc++, so TSan cannot prove a cross-thread last release safe.
-    region->errors.assign(region->errors.size(), nullptr);
+    roster.done.fetch_and(~kWaiters, std::memory_order_relaxed);
   }
+  if ((v & kTimedOut) == 0) return true;
+
+  // Timed out (and maybe abandoned). Under Roster::mu a late worker's
+  // error write cannot interleave with these reads.
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    region_.reset();
-    if (abandoned) spare_region_.reset();  // the lost worker still owns it
-    if (timed_out) {
-      ++watchdog_timeouts_;
-      robust::health().pool_watchdog_timeouts.fetch_add(
-          1, std::memory_order_relaxed);
-      // Quarantine before releasing region_mu_: the next try_run must
-      // see it and rebuild, never dispatch onto a roster with a lost
-      // worker.
-      if (!quarantined_) {
-        quarantined_ = true;
-        ++quarantines_;
-        robust::health().pool_quarantines.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+    std::lock_guard<std::mutex> g(roster.mu);
+    for (int t = 1; t < nthreads; ++t) {
+      auto& slot = errors[static_cast<std::size_t>(t)];
+      const bool finished =
+          roster.slots[static_cast<std::size_t>(t - 1)]->finished_seq.load(
+              std::memory_order_acquire) == seq;
+      if (!finished && !slot)
+        slot = std::make_exception_ptr(Error(
+            ErrorCode::kPoolTimeout,
+            strprintf("smmkit: pool worker (thread %d) missed the "
+                      "%ld ms watchdog deadline",
+                      t, timeout)));
     }
+  }
+  roster.cv.notify_all();  // a watchdog still in its grace wait
+  watchdog_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  robust::health().pool_watchdog_timeouts.fetch_add(
+      1, std::memory_order_relaxed);
+  // Quarantine before releasing region_mu_: the next try_run must see it
+  // and rebuild, never dispatch onto a roster with a lost worker.
+  if (!quarantined_.exchange(true, std::memory_order_acq_rel)) {
+    quarantines_.fetch_add(1, std::memory_order_relaxed);
+    robust::health().pool_quarantines.fetch_add(1,
+                                                std::memory_order_relaxed);
   }
   return true;
 }
@@ -503,26 +670,24 @@ bool WorkerPool::try_run(int nthreads,
 void WorkerPool::release_threads() {
   // Exclusive with regions: holding region_mu_ guarantees nothing is in
   // flight while the roster is retired, so every healthy worker is
-  // parked on cv_work_ and exits promptly on the generation bump.
+  // spinning or parked and exits promptly on the retire.
   std::lock_guard<std::mutex> region_lock(region_mu_);
   std::vector<std::thread> retired;
   std::thread dog;
   bool join_workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++generation_;
     // A quarantined roster may hold a thread that is genuinely hung:
     // joining it would inherit the hang. Detach those (rebuild() does
     // the same); a healthy roster is joined so the no-live-threads
     // promise is real.
-    join_workers = !quarantined_;
-    quarantined_ = false;
+    join_workers = !quarantined_.load(std::memory_order_relaxed);
+    quarantined_.store(false, std::memory_order_release);
+    retire_roster_locked();
     retired.swap(workers_);
     dog = std::move(watchdog_);
     watchdog_exit_ = dog.joinable();
-    wake_spinners();
   }
-  cv_work_.notify_all();
   watchdog_cv_.notify_all();
   for (auto& w : retired) {
     if (join_workers)
@@ -534,7 +699,7 @@ void WorkerPool::release_threads() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     watchdog_exit_ = false;  // the next timed region respawns a watchdog
-    watchdog_wake_at_ = std::chrono::steady_clock::time_point::max();
+    watchdog_wake_ns_.store(kNever, std::memory_order_relaxed);
   }
 }
 
@@ -545,14 +710,20 @@ int WorkerPool::live_threads() const {
 
 WorkerPool::Stats WorkerPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Stats{static_cast<int>(workers_.size()),
-               regions_,
-               dispatches_,
-               watchdog_timeouts_,
-               quarantines_,
-               rebuilds_,
-               spin_handoffs_,
-               parks_};
+  Stats s;
+  s.workers = static_cast<int>(workers_.size());
+  s.regions = regions_.load(std::memory_order_relaxed);
+  s.dispatches = dispatches_.load(std::memory_order_relaxed);
+  s.watchdog_timeouts = watchdog_timeouts_.load(std::memory_order_relaxed);
+  s.quarantines = quarantines_.load(std::memory_order_relaxed);
+  s.rebuilds = rebuilds_;
+  s.spin_handoffs = retired_spin_handoffs_;
+  s.parks = retired_parks_;
+  for (const auto& slot : roster_->slots) {
+    s.spin_handoffs += slot->spin_handoffs.load(std::memory_order_relaxed);
+    s.parks += slot->parks.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 }  // namespace smm::par

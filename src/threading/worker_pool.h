@@ -4,19 +4,23 @@
 // multi-threaded SMM); spawning and joining OS threads per fork-join
 // region is exactly such a cost — microseconds of kernel work to execute
 // microseconds of FMAs. The pool keeps a set of workers and hands them
-// fork-join regions by epoch: dispatching a region is one mutex
-// acquisition plus an epoch bump, and completion is a counter.
+// fork-join regions.
 //
-// Even a condvar handoff costs two futex wakeups per region (worker on
-// dispatch, master on completion), each a scheduler round trip of
-// several microseconds on a virtualized host. So both sides spin before
-// they park: after serving a region a worker spins on an atomic wake
-// sequence (bumped with every epoch) for a bounded time, and the master,
-// after body 0, spins on an atomic mirror of the region's pending count.
-// Back-to-back regions — a caller looping over parallel GEMMs — are then
-// handed off with no syscall at all; a region after an idle gap pays the
-// parked path. Spinning only happens when the region's participants fit
-// the host (≤ native_threads_available(), Barrier's rule): an
+// The handoff is one cache-line round trip each way. The master writes
+// the region (body, failure hook, error slots) into the roster's region
+// line and publishes it with one store of the region word (sequence
+// number and width); a worker acquires that word, runs its body, and
+// records its completion with one compare-exchange on the roster's
+// completion word, which the master spins on. No mutex, reference count
+// or heap write sits on that path. Both sides spin before they park:
+// after serving a region a worker spins on the region word for a bounded
+// time, and the master, after body 0, spins on the completion word. Back-to-back regions — a
+// caller looping over parallel GEMMs — are handed off with no syscall at
+// all; a region after an idle gap pays the parked path, which waits on
+// the same two words through per-worker condvars (a worker parks only
+// after announcing it in its slot, so the master notifies only parked
+// participants). Spinning only happens when the region's participants
+// fit the host (≤ native_threads_available(), Barrier's rule): an
 // oversubscribed spinner would steal the timeslice of the very thread it
 // waits for.
 //
@@ -34,33 +38,36 @@
 // region waits on the dead thread forever. A dedicated watchdog thread
 // therefore puts a deadline on each in-flight region. It does not wake
 // per region: it sleeps until the deadline of the region it armed on,
-// and on waking checks whether that same epoch is still in flight with
+// and on waking checks whether that same region is still in flight with
 // workers outstanding; if not, it re-arms on the current region, or
 // parks idle until the next one. try_run notifies it only when it is
 // idle-parked or the new deadline is earlier than the one it sleeps
-// toward (a shortened timeout). On a real expiry it poisons the region
-// (the caller's on_worker_failure hook, which cancels plan barriers),
+// toward (a shortened timeout). On a real expiry it pins the region in
+// the completion word (the caller cannot return while pinned), poisons
+// it (the caller's on_worker_failure hook, which cancels plan barriers),
 // releases injected hangs, and — if workers still have not reported in
-// after a grace period — abandons the region (survivors skip the
-// caller's body, which may no longer exist) and quarantines the pool.
-// The timed-out call fails with ErrorCode::kPoolTimeout instead of
-// hanging. A quarantined pool rebuilds its roster (fresh generation,
-// old threads detached) on the next try_run, which is declined once so
-// the caller serves that region via spawn-per-call while the new roster
-// comes up.
+// after a grace period — abandons the region in the same word: a worker
+// that has not started its body by then never starts it, and the master
+// is released. The timed-out call fails with ErrorCode::kPoolTimeout
+// instead of hanging, and the pool is quarantined. A quarantined pool
+// retires its roster (fresh completion word, old threads detached) on
+// the next try_run, which is declined once so the caller serves that
+// region via spawn-per-call while the new roster comes up. A late worker
+// of the retired roster only ever touches that roster's own state.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <chrono>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
+
+#include "src/common/function_ref.h"
 
 namespace smm::par {
 
@@ -108,19 +115,20 @@ class WorkerPool {
   /// Try to run body(0..nthreads-1) as one pool region: workers execute
   /// tids 1..nthreads-1, the calling thread executes tid 0, and the call
   /// returns after every body finished. Exceptions are captured into
-  /// `errors[tid]` (never rethrown here); a capturing body invokes
-  /// on_worker_failure immediately, while peers still run. Returns false
-  /// without running anything when the pool cannot take the region (busy
-  /// with another region, called from inside a region, nthreads exceeds
-  /// kMaxWorkers + 1, the pool is quarantined and rebuilding, or growing
-  /// the roster failed) — the caller then spawns threads instead.
+  /// `errors[tid]` (never rethrown here; `errors` holds nthreads null
+  /// slots); a capturing body invokes on_worker_failure immediately,
+  /// while peers still run. Returns false without running anything when
+  /// the pool cannot take the region (busy with another region, called
+  /// from inside a region, nthreads exceeds kMaxWorkers + 1, the pool is
+  /// quarantined and rebuilding, or growing the roster failed) — the
+  /// caller then spawns threads instead.
   ///
   /// If the watchdog deadline expires mid-region, tids that never
   /// reported in get Error(kPoolTimeout) in their error slot and the
   /// call still returns true (the caller's aggregation raises it).
-  bool try_run(int nthreads, const std::function<void(int)>& body,
-               const std::function<void()>& on_worker_failure,
-               std::vector<std::exception_ptr>& errors);
+  bool try_run(int nthreads, FunctionRef<void(int)> body,
+               FunctionRef<void()> on_worker_failure,
+               std::span<std::exception_ptr> errors);
 
   /// Observability (relaxed counters; see robust::health() for the
   /// process-wide mirror).
@@ -134,9 +142,11 @@ class WorkerPool {
     /// Worker handoffs caught while the worker was still spinning after
     /// its previous region (no futex wakeup on either side).
     std::size_t spin_handoffs = 0;
-    /// Worker handoffs that had to wake a worker parked on the condvar
-    /// (idle gap longer than the spin budget, or an oversubscribed
-    /// region, which never spins).
+    /// Every other worker handoff: the worker was parked on its condvar
+    /// (idle gap longer than the spin budget), just spawned, or back
+    /// from an oversubscribed region, which never spins. spin_handoffs +
+    /// parks == dispatches once every dispatched worker has picked its
+    /// region up.
     std::size_t parks = 0;
   };
   [[nodiscard]] Stats stats() const;
@@ -167,92 +177,122 @@ class WorkerPool {
   /// the immortal instance(); private pools must pass false.
   explicit WorkerPool(bool fork_guard);
 
-  /// One fork-join region's shared state. Heap-held behind shared_ptr:
-  /// an abandoned worker may outlive the try_run call that created the
-  /// region, so nothing it touches may live on the caller's stack.
-  struct Region {
-    const std::function<void(int)>* body = nullptr;
-    const std::function<void()>* on_failure = nullptr;
-    int nthreads = 0;
+  using Body = FunctionRef<void(int)>;
+  using Hook = FunctionRef<void()>;
 
-    std::mutex mu;
-    std::condition_variable done_cv;
-    int pending = 0;       ///< workers (not the master) still running
-    /// Mirror of `pending` the master spins on before parking on
-    /// done_cv; written under `mu` together with `pending`.
-    std::atomic<int> pending_spin{0};
-    bool timed_out = false;
-    /// Watchdog gave up waiting: the caller will return, so body /
-    /// on_failure / the error slots must no longer be touched by late
-    /// workers (except the master's own slot 0 — the master IS the
-    /// caller).
-    bool abandoned = false;
-    std::vector<std::exception_ptr> errors;
-    std::vector<unsigned char> finished;
+  /// One region as a participant sees it: what the region line held
+  /// when the participant acquired the region word.
+  struct Region {
+    std::uint64_t seq = 0;
+    int nthreads = 0;
+    Body body;
+    Hook on_failure;
+    std::exception_ptr* errors = nullptr;
   };
 
-  /// `start_epoch` is the epoch at spawn registration (captured under
-  /// mu_), so a late-starting thread still treats the spawning region's
-  /// epoch bump as new work. `generation` pins the thread to one roster:
-  /// a rebuild bumps the generation and the old roster exits.
-  void worker_main(int wid, std::uint64_t start_epoch,
-                   std::uint64_t generation);
-  /// Bump wake_seq_ so spinning workers re-check the pool state. Callers
-  /// hold mu_ and have just changed epoch_, stop_, generation_ or
-  /// watchdog_exit_.
-  void wake_spinners() { wake_seq_.fetch_add(1, std::memory_order_release); }
+  /// One worker. The parking line is read by the master at every
+  /// dispatch (a cache hit unless the worker parked since) and written
+  /// only when the worker parks; the record line is written by the
+  /// worker once per region it serves and read only by stats() and by a
+  /// timed-out master.
+  struct Slot {
+    alignas(64) std::atomic<bool> parked{false};
+    std::mutex mu;
+    std::condition_variable cv;
+    alignas(64) std::atomic<std::uint64_t> finished_seq{0};
+    std::atomic<std::size_t> spin_handoffs{0};
+    std::atomic<std::size_t> parks{0};
+  };
+
+  /// The workers of one generation and the two lines they share with
+  /// the master. Retired (never reused) after a quarantine, on
+  /// release_threads and at destruction: a late worker of a timed-out
+  /// region may still write the completion word, so a fresh roster gets
+  /// fresh lines. Workers hold it by shared_ptr and touch nothing else of
+  /// the pool, so a detached one may outlive the pool itself.
+  struct Roster {
+    /// Region line, written by the master, read by workers: sequence
+    /// number (high 48 bits) and width (low 16) of the region last
+    /// published, and that region's fields.
+    alignas(64) std::atomic<std::uint64_t> region_word{0};
+    std::atomic<void*> body_object{nullptr};
+    std::atomic<Body::Thunk> body_thunk{nullptr};
+    std::atomic<void*> hook_object{nullptr};
+    std::atomic<Hook::Thunk> hook_thunk{nullptr};
+    std::atomic<std::exception_ptr*> errors{nullptr};
+    /// Completion line, written by workers, read by the master (see the
+    /// k* bits in worker_pool.cpp): which region its count belongs to,
+    /// how many of that region's workers finished, and the waiter /
+    /// timeout / pin / abandon / retire flags.
+    alignas(64) std::atomic<std::uint64_t> done{0};
+    /// Slow path only: a parked master or watchdog, error capture, and
+    /// abandonment (which must exclude a late worker's error write).
+    alignas(64) std::mutex mu;
+    std::condition_variable cv;
+    /// Grown by ensure_workers under region_mu_ and mu_.
+    std::vector<std::unique_ptr<Slot>> slots;
+
+    /// The region line's fields for region word `word` (which the caller
+    /// loaded with acquire).
+    Region region_fields(std::uint64_t word) const;
+  };
+
+  /// A fresh roster whose region word names region `seq_` with no
+  /// participants.
+  std::shared_ptr<Roster> make_roster() const;
+  static void worker_main(std::shared_ptr<Roster> roster, Slot* slot,
+                          int wid, std::uint64_t seen);
   void watchdog_main();
-  /// Execute body `tid` of `region` with capture/poison/accounting.
-  void serve(const std::shared_ptr<Region>& region, int tid);
+  /// Execute body `tid` of `r` with capture/poison/accounting.
+  static void serve(Roster& roster, Slot* slot, const Region& r, int tid);
+  /// Watchdog expiry of region `r` on `roster`: pin, poison, grace, and
+  /// abandonment if workers still have not reported in.
+  void expire(Roster& roster, const Region& r, long timeout);
   /// Grow the roster to `count` workers. Returns false when thread
   /// creation failed (injected kPoolSpawnFail or std::system_error);
   /// callers then decline the region. Callers hold region_mu_.
   bool ensure_workers(int count);
   /// Start a fresh roster after quarantine. Callers hold region_mu_.
   void rebuild();
+  /// Retire the current roster and install an empty one: its workers see
+  /// a region word with no participants and the retire flag, and exit.
+  /// Callers hold region_mu_ and mu_; the threads stay in workers_.
+  void retire_roster_locked();
 
+  // ---- master line: written by the master, read by the watchdog ----------
+  /// Steady-clock deadline (ns since epoch) of the published region;
+  /// kNoDeadline when its watchdog is off.
+  alignas(64) std::atomic<std::int64_t> deadline_ns_{0};
+  /// When the watchdog next wakes on its own; kNever while it is parked
+  /// idle. try_run notifies it only for a deadline earlier than this.
+  std::atomic<std::int64_t> watchdog_wake_ns_{0};
+  std::atomic<long> timeout_ms_;
+  std::atomic<bool> quarantined_{false};
+  std::atomic<std::size_t> regions_{0};
+  std::atomic<std::size_t> dispatches_{0};
+  std::atomic<std::size_t> watchdog_timeouts_{0};
+  std::atomic<std::size_t> quarantines_{0};
+  /// Last region sequence number; the master owns it under region_mu_.
+  std::uint64_t seq_ = 0;
+
+  // ---- slow path -----------------------------------------------------------
   // Serializes regions; try_run holds it for the whole region.
-  std::mutex region_mu_;
+  alignas(64) std::mutex region_mu_;
 
-  // Protects the epoch/region handoff and the worker roster.
+  // Protects the roster, the threads and the watchdog's state.
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;
   std::condition_variable watchdog_cv_;
+  std::shared_ptr<Roster> roster_;
   std::vector<std::thread> workers_;
   std::thread watchdog_;
-  std::shared_ptr<Region> region_;  ///< in-flight region (null when idle)
-  std::chrono::steady_clock::time_point region_deadline_{};
-  bool deadline_armed_ = false;  ///< region_deadline_ applies to region_
-  /// When the watchdog next wakes on its own; time_point::max() while it
-  /// is parked idle. try_run notifies it only for a deadline earlier than
-  /// this (idle, or a shrunken timeout).
-  std::chrono::steady_clock::time_point watchdog_wake_at_ =
-      std::chrono::steady_clock::time_point::max();
-  std::uint64_t epoch_ = 0;
-  /// What spinning workers watch instead of taking mu_: bumped (under
-  /// mu_) with every epoch_, stop_, generation_ and watchdog_exit_
-  /// change.
-  std::atomic<std::uint64_t> wake_seq_{0};
-  std::uint64_t generation_ = 0;
-  int task_nthreads_ = 0;
+  /// Handoff counts of retired rosters (stats() adds the live slots').
+  std::size_t retired_spin_handoffs_ = 0;
+  std::size_t retired_parks_ = 0;
+  std::size_t rebuilds_ = 0;
   bool stop_ = false;
   /// release_threads() asks the current watchdog thread (only it) to
   /// exit; unlike stop_, the pool keeps serving and respawns one later.
   bool watchdog_exit_ = false;
-  bool quarantined_ = false;
-  std::size_t regions_ = 0;
-  std::size_t dispatches_ = 0;
-  std::size_t watchdog_timeouts_ = 0;
-  std::size_t quarantines_ = 0;
-  std::size_t rebuilds_ = 0;
-  std::size_t spin_handoffs_ = 0;
-  std::size_t parks_ = 0;
-  std::atomic<long> timeout_ms_;
-
-  /// Reused across regions (regions are serialized, so between regions
-  /// the master owns it exclusively); replaced after an abandonment —
-  /// the hung worker still holds a reference to the old one.
-  std::shared_ptr<Region> spare_region_;
 };
 
 }  // namespace smm::par

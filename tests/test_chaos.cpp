@@ -383,7 +383,7 @@ TEST_F(ChaosTest, SingleFlightBuildFailureDoesNotPoisonCacheOrWaiters) {
   std::atomic<int> throwers{0};
   std::atomic<int> served{0};
   std::atomic<int> bad_plan{0};
-  const core::PlanCache::PlanBuilder builder = [&]() -> plan::GemmPlan {
+  const auto builder = [&]() -> plan::GemmPlan {
     if (builds.fetch_add(1) < kFailures)
       throw Error(ErrorCode::kAlloc, "injected build failure");
     return core::reference_smm().make_plan(shape, plan::ScalarType::kF32, 1);

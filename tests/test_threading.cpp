@@ -4,12 +4,14 @@
 #include <chrono>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/error.h"
+#include "src/robust/fault_injection.h"
 #include "src/threading/barrier.h"
 #include "src/threading/partition.h"
 #include "src/threading/thread_pool.h"
@@ -137,6 +139,87 @@ TEST(PoolHandoff, FailuresInBackToBackRegionsAggregateExactly) {
   EXPECT_EQ(bodies.load(), static_cast<long>(kRegions) * kThreads);
   EXPECT_EQ(pool.stats().regions - regions_before,
             static_cast<std::size_t>(kRegions));
+}
+
+TEST(PoolHandoff, HundredThousandRegionsRunEachBodyOnceThroughFaultsAndAHang) {
+  // Back-to-back two-thread regions on a private pool, a third of them
+  // empty, with injected worker faults every 997th region and one
+  // injected hang. Every body runs exactly once per region (a faulted
+  // body not at all), every worker handoff is counted once as a spin
+  // handoff or a park, and the hang ends in kPoolTimeout, quarantine and
+  // a rebuild, after which the pool serves again.
+  using robust::FaultSite;
+  using robust::ScopedFault;
+  auto pool = WorkerPool::create_private();
+  const WorkerPool::CurrentPoolBinding bind(*pool);
+  constexpr int kRegions = 100000;
+  constexpr int kHangAt = kRegions / 2;
+  robust::reset_injected_hangs();
+  int wrong = 0;
+  int faulted = 0;
+  int timed_out = 0;
+  std::atomic<long> work{0};
+  for (int i = 0; i < kRegions; ++i) {
+    const bool hang = i == kHangAt;
+    const bool fault = !hang && i % 997 == 0;
+    std::atomic<int> ran[2] = {0, 0};
+    std::optional<ScopedFault> armed;
+    if (hang) {
+      // Short deadline for this region only: the watchdog is sleeping
+      // toward a far one and must be woken for the shorter deadline.
+      pool->set_watchdog_timeout_ms(100);
+      armed.emplace(FaultSite::kWorkerHang,
+                    robust::FaultSpec{.fire_after = 0, .max_fires = 1});
+    } else if (fault) {
+      armed.emplace(FaultSite::kWorkerThrow,
+                    robust::FaultSpec{.fire_after = 0, .max_fires = 1});
+    }
+    try {
+      run_parallel(2, [&](int tid) {
+        ran[tid].fetch_add(1, std::memory_order_relaxed);
+        if (i % 3 != 0)
+          for (int k = 0; k < 64; ++k)
+            work.fetch_add(k, std::memory_order_relaxed);
+      });
+      if (hang || fault) ++wrong;
+    } catch (const Error& e) {
+      if (hang && e.code() == ErrorCode::kPoolTimeout) {
+        ++timed_out;
+      } else if (fault && e.code() == ErrorCode::kWorkerPanic) {
+        ++faulted;
+      } else {
+        ++wrong;
+      }
+    }
+    armed.reset();
+    const int r0 = ran[0].load();
+    const int r1 = ran[1].load();
+    if (hang) {
+      // The hung worker never started its body; the master ran its own.
+      if (r0 != 1 || r1 != 0) ++wrong;
+      EXPECT_TRUE(pool->quarantined());
+      robust::reset_injected_hangs();
+      pool->set_watchdog_timeout_ms(30000);
+    } else if (fault) {
+      // Whichever thread hit the site first skipped its body.
+      if (r0 + r1 != 1) ++wrong;
+    } else if (r0 != 1 || r1 != 1) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(timed_out, 1);
+  EXPECT_EQ(faulted, kRegions / 997 + 1 - (kHangAt % 997 == 0 ? 1 : 0));
+  EXPECT_FALSE(pool->quarantined());
+  const WorkerPool::Stats stats = pool->stats();
+  EXPECT_EQ(stats.watchdog_timeouts, 1u);
+  EXPECT_EQ(stats.quarantines, 1u);
+  EXPECT_EQ(stats.rebuilds, 1u);
+  // The region after the hang was declined (served by the spawn
+  // fallback while the roster was rebuilt); every other one was pooled.
+  EXPECT_EQ(stats.regions, static_cast<std::size_t>(kRegions - 1));
+  EXPECT_EQ(stats.dispatches, static_cast<std::size_t>(kRegions - 1));
+  EXPECT_EQ(stats.spin_handoffs + stats.parks, stats.dispatches);
 }
 
 TEST(SplitRange, CoversWithoutOverlap) {
