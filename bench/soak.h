@@ -1,5 +1,5 @@
-// Shared machinery of the five soaks (overload, failover, retry-storm,
-// chaos, corruption): the Zipfian shape pool, the terminal classifier,
+// Shared machinery of the four soaks (overload, failover, chaos,
+// corruption): the Zipfian shape pool, the terminal classifier,
 // synchronous calibration, paced producers, the zero-deadlock monitor,
 // gate printing and the one-domain perf-parity leg. Each soak keeps only
 // its own traffic shape, fault schedule, gates and JSON fields.

@@ -47,8 +47,6 @@ const char* to_string(ErrorCode code) {
       return "shutting-down";
     case ErrorCode::kNonFinite:
       return "non-finite";
-    case ErrorCode::kRetryBudgetExhausted:
-      return "retry-budget-exhausted";
   }
   return "?";
 }

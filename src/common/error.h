@@ -38,17 +38,14 @@ enum class ErrorCode {
                        ///< quarantined)
   kShuttingDown,       ///< the service is draining; no new work admitted
   kNonFinite,          ///< an input operand contains NaN/Inf
-  // Caller-side resilience (DESIGN.md §16).
-  kRetryBudgetExhausted,  ///< the process-wide retry budget is dry; the
-                          ///< resilient client fails fast instead of
-                          ///< resubmitting and amplifying the outage
 };
 
 /// Number of ErrorCode values. Keep in sync with the last enumerator; the
-/// resilient layer's classification table static_asserts exhaustiveness
-/// against this so an unclassified new code fails to compile.
+/// guarded executor's classification table (robust/retry_class.h)
+/// static_asserts exhaustiveness against this so an unclassified new code
+/// fails to compile.
 inline constexpr int kErrorCodeCount =
-    static_cast<int>(ErrorCode::kRetryBudgetExhausted) + 1;
+    static_cast<int>(ErrorCode::kNonFinite) + 1;
 
 const char* to_string(ErrorCode code);
 

@@ -8,9 +8,9 @@
 #include "src/core/smm.h"
 #include "src/libs/naive.h"
 #include "src/plan/native_executor.h"
-#include "src/resilient/retry_class.h"
 #include "src/robust/abft.h"
 #include "src/robust/health.h"
+#include "src/robust/retry_class.h"
 
 namespace smm::robust {
 
@@ -214,13 +214,11 @@ RunReport GuardedExecutor::run(T alpha, ConstMatrixView<T> a,
           finish(Outcome::kRecovered, "none", nullptr);
         return report;
       }
-      // Shared classification (src/resilient/retry_class.h): a fatal
-      // failure is deterministic — re-running the identical plan would
-      // fail identically, so spend the remaining retries on the rebuild
-      // and naive stages instead of burning them here.
-      if (resilient::classify(report.last_error) ==
-          resilient::RetryClass::kFatal)
-        break;
+      // Classification (retry_class.h): a fatal failure is deterministic
+      // — re-running the identical plan would fail identically, so spend
+      // the remaining retries on the rebuild and naive stages instead of
+      // burning them here.
+      if (classify(report.last_error) == RetryClass::kFatal) break;
     }
   }
 

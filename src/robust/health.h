@@ -111,14 +111,7 @@
   X(tune_samples)             /* timed warm calls fed to the tuner */          \
   X(tune_replans)             /* epoch bumps (plan installs/reverts) */        \
   X(tune_table_hits)          /* classes warm-started from disk */             \
-  X(tune_table_stale)         /* tables rejected (corrupt/foreign) */          \
-  /* Caller-side resilience (DESIGN.md §16): the retry budget and the          \
-     adaptive concurrency limiter. Invariant: a retry succeeds only after      \
-     its attempt bump — retry_successes <= retry_attempts. */                  \
-  X(retry_attempts)           /* resubmissions by the resilient client */      \
-  X(retry_successes)          /* retries that reached ok */                    \
-  X(retry_budget_exhausted)   /* dry-bucket fast-fails */                      \
-  X(limiter_dips)             /* AIMD multiplicative decreases */
+  X(tune_table_stale)         /* tables rejected (corrupt/foreign) */
 
 namespace smm::robust {
 

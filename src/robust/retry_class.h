@@ -1,66 +1,49 @@
-// ErrorCode -> RetryClass classification shared by the caller-side
-// resilient client and robust::GuardedExecutor (DESIGN.md §16). The table
-// is a constexpr switch with NO default: classify_raw returns -1 for an
-// unhandled code, and the static_assert below walks every value in
-// [0, kErrorCodeCount), so adding an ErrorCode without classifying it here
-// fails to compile instead of silently becoming retryable.
+// ErrorCode -> RetryClass: the one question robust::GuardedExecutor asks
+// after a failed attempt of its cached plan — would re-running the same
+// plan fail the same way? The table is a constexpr switch with NO default:
+// classify_raw returns -1 for an unhandled code, and the static_assert
+// below walks every value in [0, kErrorCodeCount), so adding an ErrorCode
+// without classifying it here fails to compile instead of silently
+// becoming retryable.
 #pragma once
 
 #include "src/common/error.h"
 
-namespace smm::resilient {
+namespace smm::robust {
 
 enum class RetryClass {
-  /// Transient one-off (worker panic, flipped bit): retry immediately —
-  /// the failure says nothing about system load.
+  /// Transient or capacity failure (worker panic, flipped bit, allocation
+  /// pressure, shed): the same plan may succeed when run again.
   kRetryable = 0,
-  /// Capacity signal (shed, allocation pressure, spawn failure): retrying
-  /// immediately adds load to an overloaded system; back off first.
-  kRetryableAfterBackoff,
   /// Deterministic or terminal: the same call will fail the same way
   /// (bad arguments), or retrying is semantically wrong (cancelled,
-  /// deadline passed, shutting down, budget dry). Never retry.
+  /// deadline passed, shutting down). Never re-run the same plan.
   kFatal,
 };
-
-constexpr const char* to_string(RetryClass c) {
-  switch (c) {
-    case RetryClass::kRetryable:
-      return "retryable";
-    case RetryClass::kRetryableAfterBackoff:
-      return "retryable-after-backoff";
-    case RetryClass::kFatal:
-      return "fatal";
-  }
-  return "?";
-}
 
 namespace detail {
 
 constexpr int classify_raw(ErrorCode code) {
   switch (code) {
     // Transient infrastructure faults: the request was unlucky, not the
-    // system unhealthy. Immediate retry is cheap and usually succeeds
-    // (the guarded executor's stage-1 experience, DESIGN.md §8).
+    // system unhealthy (the guarded executor's stage 1, DESIGN.md §7).
     case ErrorCode::kKernelFault:
     case ErrorCode::kChecksumMismatch:
     case ErrorCode::kWorkerPanic:
     case ErrorCode::kPoolTimeout:
     case ErrorCode::kDataCorrupted:
     case ErrorCode::kCacheCorrupted:
-      return static_cast<int>(RetryClass::kRetryable);
-    // Capacity/pressure signals: the system is telling the caller to slow
-    // down. Retries must wait out the backoff or they amplify the spike.
+    // Capacity/pressure signals: a later attempt may find the memory or
+    // the thread it lacked.
     case ErrorCode::kOverloaded:
     case ErrorCode::kAlloc:
     case ErrorCode::kArenaExhausted:
     case ErrorCode::kCacheInsertFail:
     case ErrorCode::kPrepackFallback:
     case ErrorCode::kPoolSpawnFail:
-      return static_cast<int>(RetryClass::kRetryableAfterBackoff);
+      return static_cast<int>(RetryClass::kRetryable);
     // Deterministic failures (same inputs -> same outcome) and terminal
-    // lifecycle states. kRetryBudgetExhausted is fatal by construction:
-    // it exists precisely so a dry budget cannot re-enter the retry loop.
+    // lifecycle states.
     case ErrorCode::kUnknown:
     case ErrorCode::kPrecondition:
     case ErrorCode::kBadShape:
@@ -69,7 +52,6 @@ constexpr int classify_raw(ErrorCode code) {
     case ErrorCode::kCancelled:
     case ErrorCode::kDeadlineExceeded:
     case ErrorCode::kShuttingDown:
-    case ErrorCode::kRetryBudgetExhausted:
       return static_cast<int>(RetryClass::kFatal);
   }
   return -1;  // unclassified: trips the exhaustiveness static_assert
@@ -95,4 +77,4 @@ constexpr RetryClass classify(ErrorCode code) {
   return raw < 0 ? RetryClass::kFatal : static_cast<RetryClass>(raw);
 }
 
-}  // namespace smm::resilient
+}  // namespace smm::robust

@@ -22,6 +22,7 @@
 #include "src/robust/fault_injection.h"
 #include "src/robust/guarded_executor.h"
 #include "src/robust/health.h"
+#include "src/robust/retry_class.h"
 #include "src/service/smm_service.h"
 #include "src/threading/thread_pool.h"
 #include "src/threading/worker_pool.h"
@@ -123,6 +124,47 @@ TEST_F(RobustTest, ErrorCodesHaveNames) {
     EXPECT_STRNE(to_string(code), "?");
   const Error e(ErrorCode::kAlias, "boom");
   EXPECT_EQ(e.code(), ErrorCode::kAlias);
+}
+
+// ---- retry classification --------------------------------------------------
+
+// classify is constexpr and total over the enum (retry_class.h
+// static_asserts exhaustiveness against kErrorCodeCount, so an
+// unclassified new code fails the build).
+static_assert(robust::classify(ErrorCode::kWorkerPanic) ==
+              robust::RetryClass::kRetryable);
+static_assert(robust::classify(ErrorCode::kBadShape) ==
+              robust::RetryClass::kFatal);
+
+TEST(RetryClassTest, EveryCodeHasAClass) {
+  for (int i = 0; i < kErrorCodeCount; ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    const robust::RetryClass c = robust::classify(code);
+    EXPECT_TRUE(c == robust::RetryClass::kRetryable ||
+                c == robust::RetryClass::kFatal)
+        << "code " << to_string(code);
+    EXPECT_STRNE(to_string(code), "?") << "code " << i;
+  }
+}
+
+TEST(RetryClassTest, SemanticsSpotChecks) {
+  using robust::classify;
+  using robust::RetryClass;
+  // Transient one-offs and capacity signals: the same plan may succeed
+  // on a second run.
+  EXPECT_EQ(classify(ErrorCode::kWorkerPanic), RetryClass::kRetryable);
+  EXPECT_EQ(classify(ErrorCode::kPoolTimeout), RetryClass::kRetryable);
+  EXPECT_EQ(classify(ErrorCode::kChecksumMismatch), RetryClass::kRetryable);
+  EXPECT_EQ(classify(ErrorCode::kOverloaded), RetryClass::kRetryable);
+  EXPECT_EQ(classify(ErrorCode::kAlloc), RetryClass::kRetryable);
+  EXPECT_EQ(classify(ErrorCode::kArenaExhausted), RetryClass::kRetryable);
+  // Deterministic/terminal: re-running the same plan fails the same way.
+  EXPECT_EQ(classify(ErrorCode::kPrecondition), RetryClass::kFatal);
+  EXPECT_EQ(classify(ErrorCode::kAlias), RetryClass::kFatal);
+  EXPECT_EQ(classify(ErrorCode::kNonFinite), RetryClass::kFatal);
+  EXPECT_EQ(classify(ErrorCode::kCancelled), RetryClass::kFatal);
+  EXPECT_EQ(classify(ErrorCode::kDeadlineExceeded), RetryClass::kFatal);
+  EXPECT_EQ(classify(ErrorCode::kShuttingDown), RetryClass::kFatal);
 }
 
 TEST_F(RobustTest, ChecksumAcceptsCleanRejectsCorrupt) {
@@ -517,7 +559,6 @@ static_assert(below(H::rebuild_fallbacks, H::retries));
 static_assert(below(H::naive_fallbacks, H::retries));
 static_assert(below(H::failures, H::retries));
 static_assert(below(H::tune_replans, H::tune_samples));
-static_assert(below(H::retry_successes, H::retry_attempts));
 static_assert(below(H::service_coalesced_groups, H::service_coalesced_items));
 static_assert(below(H::service_admitted, H::service_submitted));
 static_assert(below(H::service_rejected, H::service_submitted));
