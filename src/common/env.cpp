@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 
 namespace smm::env {
 
@@ -40,11 +39,6 @@ long read_positive_long(const char* name, long fallback) {
 
 double read_fraction(const char* name, double fallback) {
   return parse_double(std::getenv(name), fallback, 0.0, 1.0);
-}
-
-double read_double(const char* name, double fallback) {
-  return parse_double(std::getenv(name), fallback, 0.0,
-                      std::numeric_limits<double>::infinity());
 }
 
 std::string read_string(const char* name, const std::string& fallback) {

@@ -20,9 +20,6 @@ long read_positive_long(const char* name, long fallback);
 /// Read a fraction knob in [0, 1], else `fallback`.
 double read_fraction(const char* name, double fallback);
 
-/// Read a non-negative floating-point knob (v >= 0), else `fallback`.
-double read_double(const char* name, double fallback);
-
 /// Read a string knob verbatim; unset or empty yields `fallback`.
 std::string read_string(const char* name, const std::string& fallback);
 

@@ -1,9 +1,7 @@
 #include "src/core/parallel_cost.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <vector>
 
 #include "src/core/kernel_select.h"
@@ -140,22 +138,6 @@ double measure_barrier_ns() {
   });
 }
 
-/// Once-per-process slot the model is resolved into, either by measuring
-/// (calibrated_cost_model) or by seeding from a persisted tune table
-/// (set_calibrated_model) — whichever happens first pins it for the
-/// process lifetime, so every consumer prices against one set of
-/// constants.
-struct ModelSlot {
-  std::mutex mu;
-  std::atomic<bool> ready{false};
-  model::ParallelCostModel model;
-};
-
-ModelSlot& model_slot() {
-  static ModelSlot* slot = new ModelSlot;  // immortal: fork/exit safe
-  return *slot;
-}
-
 }  // namespace
 
 model::ParallelCostModel measure_cost_model() {
@@ -172,25 +154,12 @@ model::ParallelCostModel measure_cost_model() {
 }
 
 const model::ParallelCostModel& calibrated_cost_model() {
-  ModelSlot& slot = model_slot();
-  if (!slot.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    if (!slot.ready.load(std::memory_order_relaxed)) {
-      slot.model = measure_cost_model();
-      slot.ready.store(true, std::memory_order_release);
-    }
-  }
-  return slot.model;
-}
-
-bool set_calibrated_model(const model::ParallelCostModel& m) {
-  ModelSlot& slot = model_slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.ready.load(std::memory_order_relaxed)) return false;
-  slot.model = m;
-  slot.model.measured = true;
-  slot.ready.store(true, std::memory_order_release);
-  return true;
+  // Immortal (fork/exit safe). The function-local static runs
+  // measure_cost_model() once; concurrent first callers wait for it, so
+  // every consumer prices against one set of constants.
+  static const auto* model =
+      new model::ParallelCostModel(measure_cost_model());
+  return *model;
 }
 
 }  // namespace smm::core

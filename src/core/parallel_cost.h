@@ -18,8 +18,8 @@
 
 namespace smm::core {
 
-/// Measure this host's cost model now, uncached: what the process-wide
-/// slot below runs once. Any individual measurement that fails (e.g. an
+/// Measure this host's cost model now, uncached: what
+/// calibrated_cost_model() below runs once. Any individual measurement that fails (e.g. an
 /// injected fault fires mid-calibration) falls back to the corresponding
 /// reference_cost_model() constant; hw_threads always reflects
 /// native_threads_available() and `measured` is always true.
@@ -29,11 +29,5 @@ model::ParallelCostModel measure_cost_model();
 /// process lifetime (thread-safe): measure_cost_model() runs at most
 /// once, so a reading taken under load stays pinned.
 const model::ParallelCostModel& calibrated_cost_model();
-
-/// Seed the process cost model from a persisted table (smm::tune warm
-/// start) instead of measuring. Only effective before the first
-/// calibrated_cost_model() call — returns false (and changes nothing)
-/// once the model is pinned, measured or seeded. Thread-safe.
-bool set_calibrated_model(const model::ParallelCostModel& m);
 
 }  // namespace smm::core

@@ -47,9 +47,7 @@ struct BuildSpec {
 void build_smm_plan(plan::GemmPlan& plan, const BuildSpec& spec);
 
 /// The spec ReferenceSmm::make_plan would build for this call — the
-/// default plan as a value, exposed so smm::tune can use it as the
-/// analytic prior (candidate "keep the default") and price TuneSpace
-/// alternatives against it. Deterministic for a fixed options set except
+/// default plan as a value. Deterministic for a fixed options set except
 /// through the kMeasured thread-scaling path, exactly like make_plan.
 BuildSpec default_build_spec(GemmShape shape, plan::ScalarType scalar,
                              int nthreads, const SmmOptions& options);

@@ -6,7 +6,6 @@
 
 #include "src/common/error.h"
 #include "src/common/str.h"
-#include "src/core/autotune.h"
 #include "src/core/kernel_select.h"
 #include "src/core/parallel_cost.h"
 #include "src/core/parallel_select.h"
@@ -240,13 +239,12 @@ SmmOptions resolve_runtime_scaling(const SmmOptions& options) {
   return resolved;
 }
 
-/// Whether the tuner may speak for this (already resolved) option set:
-/// only when every plan-shaping field is at its runtime default. An
-/// explicit pack/tile/thread option is the caller overruling the
-/// heuristics, and a tuned spec overruling the caller back would break
-/// it; and a sample taken under exotic options would pollute the class
-/// posterior the default-options traffic is keyed on. check_finite and
-/// abft ride along freely — they never change the built plan.
+/// Whether the tuner may sample a call under this (already resolved)
+/// option set: only when every plan-shaping field is at its runtime
+/// default. A sample taken under an explicit pack/tile/thread option
+/// would pollute the class EWMA the default-options traffic is keyed on.
+/// check_finite and abft ride along freely — they never change the
+/// built plan.
 bool tuner_applies(const SmmOptions& resolved) {
   static const SmmOptions defaults =
       resolve_runtime_scaling(SmmOptions{});
@@ -263,23 +261,11 @@ std::shared_ptr<const plan::GemmPlan> cached_smm_plan(
     PlanCache& cache, GemmShape shape, plan::ScalarType scalar,
     int nthreads, const SmmOptions& options) {
   const SmmOptions resolved = resolve_runtime_scaling(options);
-  std::uint64_t fingerprint = options_fingerprint(resolved);
-  // The tuner's say (DESIGN.md §14): in adapt mode an installed winner
-  // (or exploration candidate) overrides the default spec, keyed by an
-  // epoch-bumped fingerprint — a re-plan is an ordinary cache miss under
-  // a new key, so stale plans age out of the LRU without a flush. kOff
-  // skips even the lookup; the zero PlanChoice leaves the key unchanged.
-  tune::PlanChoice choice;
-  if (tune::mode() != tune::Mode::kOff && tuner_applies(resolved)) {
-    choice = tune::tuner().plan_choice(tune::ShapeClass{
-        shape.m, shape.n, shape.k, static_cast<int>(scalar), nthreads});
-    fingerprint ^= choice.fingerprint;
-  }
-  return cache.get_or_build(shape, scalar, nthreads, fingerprint, [&] {
-    if (choice.has_spec)
-      return build_tuned_plan(shape, scalar, choice.spec);
-    return ReferenceSmm{resolved}.make_plan(shape, scalar, nthreads);
-  });
+  return cache.get_or_build(shape, scalar, nthreads,
+                            options_fingerprint(resolved), [&] {
+                              return ReferenceSmm{resolved}.make_plan(
+                                  shape, scalar, nthreads);
+                            });
 }
 
 /// check_finite screen: one pass over each operand before any plan work.
@@ -342,30 +328,30 @@ void smm_gemm_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
   // shapes the build costs more than the multiply it describes.
   PlanCache& plans = cache != nullptr ? *cache : smm_plan_cache();
   const auto p = cached_smm_plan(plans, shape, scalar, nthreads, options);
-  // 1-in-N sampling for the autotuner: two clock reads bracket the plain
-  // executor. Deliberately NOT execute_plan_timed here — its per-op
-  // instrumentation costs roughly a clock read per op, which both
-  // inflates small-shape observations and biases candidate trials toward
-  // plans with fewer, larger ops (a small-tile plan would look slower
-  // than it is). The per-op Table II breakdown stays a diagnosis path
-  // (table2_breakdown, execute_plan_timed); the posterior needs only the
-  // end-to-end wall. The unsampled path pays one relaxed load + branch.
+  // 1-in-N sampling for the observed-cost EWMA: two clock reads bracket
+  // the plain executor. Deliberately NOT execute_plan_timed here — its
+  // per-op instrumentation costs roughly a clock read per op, which
+  // inflates small-shape observations. The per-op Table II breakdown
+  // stays a diagnosis path (table2_breakdown, execute_plan_timed); the
+  // EWMA needs only the end-to-end wall. The unsampled path pays one
+  // relaxed load + branch.
   if (tune::mode() != tune::Mode::kOff &&
       tuner_applies(resolve_runtime_scaling(options))) {
-    const tune::ShapeClass sc{shape.m, shape.n, shape.k,
-                              static_cast<int>(scalar), nthreads};
-    const tune::SampleToken token = tune::tuner().sample_token(sc);
+    const tune::SampleToken token = tune::tuner().sample_token();
     if (token.sample) {
       const auto t0 = std::chrono::steady_clock::now();
       plan::execute_plan(*p, alpha, a, b, beta, c, cancel);
       // Reached only on a clean run: a cancel unwind throws past the
-      // record, so a truncated call never pollutes the posterior.
+      // record, so a truncated call never pollutes the EWMA.
       const double wall_ns =
           static_cast<double>(std::chrono::duration_cast<
                                   std::chrono::nanoseconds>(
                                   std::chrono::steady_clock::now() - t0)
                                   .count());
-      tune::tuner().record(sc, token, wall_ns, {});
+      tune::tuner().record(tune::ShapeClass{shape.m, shape.n, shape.k,
+                                            static_cast<int>(scalar),
+                                            nthreads},
+                           token, wall_ns);
       return;
     }
   }

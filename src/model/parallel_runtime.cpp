@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace smm::model {
 
@@ -103,33 +102,6 @@ double predict_parallel_ns(const ParallelCostModel& m, GemmShape shape,
   ns += 2.0 * jj_steps * kk_steps * barrier_crossing_ns(m, group_b);
   ns += 2.0 * jj_steps * kk_steps * ii_steps * barrier_crossing_ns(m, group_a);
   return ns;
-}
-
-std::uint64_t cost_model_digest(const ParallelCostModel& m) {
-  // FNV-1a over exact bit patterns: two models digest equal iff every
-  // constant is bit-identical, which is the binding a persisted table
-  // needs (a "close enough" match would hide a half-updated file).
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= kPrime;
-    }
-  };
-  const auto mix_double = [&](double d) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  mix_double(m.flop_ns);
-  mix_double(m.pack_ns_per_elem);
-  mix_double(m.barrier_ns);
-  mix_double(m.dispatch_ns);
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.hw_threads)));
-  mix(m.measured ? 1u : 0u);
-  return h;
 }
 
 }  // namespace smm::model

@@ -16,8 +16,6 @@
 // reference_cost_model() so decisions stay deterministic.
 #pragma once
 
-#include <cstdint>
-
 #include "src/common/types.h"
 #include "src/threading/partition.h"
 
@@ -62,10 +60,5 @@ double predict_parallel_ns(const ParallelCostModel& m, GemmShape shape,
 /// than the host's concurrency (parked waiters context-switch per
 /// round). 1-participant barriers are free — the builders elide them.
 double barrier_crossing_ns(const ParallelCostModel& m, int participants);
-
-/// FNV-1a digest over the model's constants (exact double bit patterns,
-/// hw_threads, measured). Binds a persisted tune table's header to the
-/// calibrated constants it was built against (smm::tune).
-std::uint64_t cost_model_digest(const ParallelCostModel& m);
 
 }  // namespace smm::model

@@ -47,10 +47,9 @@ void execute_plan(const GemmPlan& plan, T alpha, ConstMatrixView<T> a,
 /// resized to plan.nthreads and overwritten. Each op is bracketed by two
 /// clock reads, so per-call overhead is higher than execute_plan — this
 /// is the diagnosis path (table2_breakdown, ablate_parallel_v2), not the
-/// production one. Note the autotuner does NOT sample through this path
-/// — per-op instrumentation inflates small-shape wall times and biases
-/// plans with fewer, larger ops (smm.cpp); tuning samples bracket the
-/// plain executor instead. `cancel` behaves as in execute_plan; on a
+/// production one. Note the tuner does NOT sample through this path —
+/// per-op instrumentation inflates small-shape wall times (smm.cpp); its
+/// samples bracket the plain executor instead. `cancel` behaves as in execute_plan; on a
 /// cancel unwind `timings` holds the partial breakdown, which callers
 /// must discard — a cancelled call is not a cost observation.
 template <typename T>

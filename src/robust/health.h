@@ -105,13 +105,11 @@
   X(prepack_repacks)          /* PrepackedB seal mismatch -> repacked */       \
   X(plan_seal_rebuilds)       /* PlanCache seal mismatch -> rebuilt */         \
   X(corrected_runs)           /* guarded runs served via in-place repair */    \
-  /* Online autotuning (DESIGN.md §14): the observe/adapt feedback loop.       \
-     Invariant: a re-plan is installed only inside record(), after its         \
-     sample bump — tune_replans <= tune_samples. */                            \
+  /* Observed cost (DESIGN.md §14): the sampler behind the service's cost      \
+     estimates. Nothing installs plans any more, so tune_replans stays 0;      \
+     the row is kept for readers that check it does not move. */               \
   X(tune_samples)             /* timed warm calls fed to the tuner */          \
-  X(tune_replans)             /* epoch bumps (plan installs/reverts) */        \
-  X(tune_table_hits)          /* classes warm-started from disk */             \
-  X(tune_table_stale)         /* tables rejected (corrupt/foreign) */
+  X(tune_replans)             /* always 0: the tuner never re-plans */
 
 namespace smm::robust {
 

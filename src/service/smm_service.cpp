@@ -177,7 +177,7 @@ double SmmService::static_cost_ns(index_t m, index_t n, index_t k) const {
 }
 
 double SmmService::estimate_cost_ns(index_t m, index_t n, index_t k) const {
-  // Cost estimates track reality: once the autotuner has a steady
+  // Cost estimates track reality: once the tuner has a steady
   // per-shape-class EWMA (either scalar type — the estimate runs before
   // T is known), it replaces the construction-time constants here, so
   // the coalescing cost bucket prices requests at what they actually
@@ -192,7 +192,7 @@ double SmmService::estimate_cost_ns(index_t m, index_t n, index_t k) const {
 
 int SmmService::route_shard(index_t m, index_t n, index_t k,
                             int scalar_id) const {
-  // Routing stays on the static estimate on purpose: a tuned cost that
+  // Routing stays on the static estimate on purpose: an observed cost that
   // drifts across a log2 bucket boundary would re-home a hot shape mid-
   // run, abandoning its shard-local plan cache and warm pool (§13/§14).
   return shard::route(shard::shape_class_hash({m, n, k, scalar_id}),
@@ -1083,10 +1083,10 @@ Ticket SmmService::submit_batch(T alpha, std::vector<BatchItem<T>> items,
   batch->reserve(items.size());
   const int scalar_id = sizeof(T) == 4 ? 0 : 1;
   // Batch submissions route by a combined hash of their item shapes and
-  // their static cost (as route_shard does, so tuning never re-homes a
-  // batch): identical batches stay shard-local; they never coalesce with
-  // other requests (the batch is already amortized). Admission prices
-  // the batch at the tuned estimate.
+  // their static cost (as route_shard does, so an observed cost never
+  // re-homes a batch): identical batches stay shard-local; they never
+  // coalesce with other requests (the batch is already amortized).
+  // Admission prices the batch at the observed estimate.
   std::uint64_t h = 1469598103934665603ull;
   double est = 0.0;
   double static_est = 0.0;

@@ -335,7 +335,7 @@ class SmmService {
 
   /// Predicted single-lane cost (ns) of one m×n×k request — the unit of
   /// the coalescing cost bucket and the retry deadline pricing (exposed
-  /// so benches can size an overload factor). Serves the autotuner's
+  /// so benches can size an overload factor). Serves the tuner's
   /// observed per-shape-class EWMA once a class has enough samples
   /// (smm::tune, DESIGN.md §14), so long-lived services re-read their
   /// cost estimates from reality instead of trusting the constants

@@ -58,8 +58,8 @@ std::uint64_t shape_class_hash(const ShapeClass& sc);
 ///
 /// Stability contract (DESIGN.md §14): callers must feed a cost estimate
 /// that is constant for a shape's lifetime — the service passes its
-/// *static* model estimate, never the autotuner's revised one. A tuned
-/// cost that crossed a log2 bucket boundary would silently re-home the
+/// *static* model estimate, never the tuner's observed one. An
+/// observed cost that crossed a log2 bucket boundary would silently re-home the
 /// shape, abandoning its shard-local plan cache and warm pool.
 int route(std::uint64_t shape_hash, double est_cost_ns, int nshards);
 

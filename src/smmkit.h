@@ -10,7 +10,6 @@
 // builds.
 #pragma once
 
-#include "src/core/autotune.h"
 #include "src/core/batched.h"
 #include "src/core/plan_cache.h"
 #include "src/core/smm.h"

@@ -217,6 +217,15 @@ TEST(KSplit, BetaZeroDoesNotReadC) {
   EXPECT_TRUE(prob.check(512));
 }
 
+TEST(KSplit, DeepKDefaultSpecSplitsK) {
+  // The reference SMM's own spec for a deep-K shape at 8 threads is a K
+  // split: an 8x8 output has too few tiles to feed 8 threads; K does.
+  const BuildSpec spec = default_build_spec({8, 8, 4096},
+                                            plan::ScalarType::kF32, 8, {});
+  EXPECT_GT(spec.k_parts, 1);
+  EXPECT_EQ(spec.nthreads, spec.k_parts);
+}
+
 TEST(KSplit, EndToEndThroughSmmGemm) {
   // The auto path must route (8, 8, 4096) x 8 threads through the K
   // split and stay correct.

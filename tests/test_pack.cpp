@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/core/autotune.h"
 #include "src/core/kernel_select.h"
 #include "src/core/plan_builder.h"
 #include "src/core/smm.h"
@@ -219,8 +218,12 @@ std::set<std::vector<index_t>> smm_chunk_lists(bool a_side) {
         spec.pack_a = spec.pack_b = true;
         spec.nthreads = threads;
         spec.ways.jr = threads;
-        const plan::GemmPlan plan = core::build_tuned_plan(
-            GemmShape{e, e, 8}, plan::ScalarType::kF32, spec);
+        plan::GemmPlan plan;
+        plan.strategy = "smm-ref";
+        plan.shape = GemmShape{e, e, 8};
+        plan.scalar = plan::ScalarType::kF32;
+        core::build_smm_plan(plan, spec);
+        plan.validate();
         for (const auto& ops : plan.thread_ops)
           for (const auto& op : ops) {
             if (const auto* pa = std::get_if<plan::PackAOp>(&op);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/common/str.h"
-#include "src/core/autotune.h"
 #include "src/core/batched.h"
 #include "src/core/smm.h"
 #include "src/libs/naive.h"
@@ -374,9 +373,6 @@ TEST_F(RobustTest, EntryPointValidation) {
       libs::run(core::reference_smm(), 1.0f, a.cview(), b.cview(), 0.0f,
                 c.view(), 0),
       Error);
-  EXPECT_THROW(core::autotune({8, 8, 8}, plan::ScalarType::kF32, 0,
-                              sim::phytium2000p()),
-               Error);
 }
 
 TEST_F(RobustTest, RunParallelAggregatesAllWorkerFailures) {

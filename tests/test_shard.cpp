@@ -136,12 +136,8 @@ TEST(ShardService, BatchHomeSurvivesTunedCost) {
     const int home = home_of(p, cs);
     const tune::ShapeClass sc{n, n, n, /*scalar=*/1, threads};
     const double base = svc.estimate_cost_ns(n, n, n);
-    for (int i = 0; i < 8; ++i) {
-      std::uint32_t epoch = 0;
-      for (const auto& snap : tune::tuner().snapshot_classes())
-        if (snap.key == sc) epoch = snap.epoch;
-      tune::tuner().record(sc, {true, epoch}, 50.0 * base, {});
-    }
+    for (int i = 0; i < 8; ++i)
+      tune::tuner().record(sc, {true}, 50.0 * base);
     ASSERT_GT(svc.estimate_cost_ns(n, n, n), 10.0 * base) << "n=" << n;
     EXPECT_EQ(home_of(p, cs), home) << "n=" << n;
   }

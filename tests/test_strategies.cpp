@@ -202,17 +202,16 @@ TEST_P(TransposeCorrectness, MatchesNaive) {
                           ta == Trans::kTrans ? m : k);
     Matrix<float> b_store(tb == Trans::kTrans ? n : k,
                           tb == Trans::kTrans ? k : n);
-    Matrix<float> c(m, n), c_ref(m, n);
+    Matrix<float> c(m, n);
     a_store.fill_random(rng);
     b_store.fill_random(rng);
     c.fill_random(rng);
-    c_ref = c.clone();
-    libs::naive_gemm(1.25f, apply_trans(ta, a_store.cview()),
-                     apply_trans(tb, b_store.cview()), 0.5f, c_ref.view());
+    const Matrix<float> c0 = c.clone();
     libs::run(*strategy, ta, tb, 1.25f, a_store.cview(), b_store.cview(),
               0.5f, c.view());
-    EXPECT_LE(max_abs_diff(c.cview(), c_ref.cview()),
-              gemm_tolerance<float>(k) * 4)
+    EXPECT_TRUE(test::within_forward_error_bound(
+        1.25f, apply_trans(ta, a_store.cview()),
+        apply_trans(tb, b_store.cview()), 0.5f, c0.cview(), c.cview()))
         << name << " " << to_string(ta) << to_string(tb) << " " << m << "x"
         << n << "x" << k;
   }
@@ -236,17 +235,15 @@ TEST(TransposeApi, SmmGemmOpOverload) {
   // C = A^T * B with A stored k x m.
   const index_t m = 21, n = 33, k = 27;
   Rng rng(4);
-  Matrix<float> a(k, m), b(k, n), c(m, n), c_ref(m, n);
+  Matrix<float> a(k, m), b(k, n), c(m, n);
   a.fill_random(rng);
   b.fill_random(rng);
   c.fill(0.0f);
-  c_ref.fill(0.0f);
-  libs::naive_gemm(1.0f, transposed(a.cview()), b.cview(), 0.0f,
-                   c_ref.view());
+  const Matrix<float> c0 = c.clone();
   core::smm_gemm(Trans::kTrans, Trans::kNoTrans, 1.0f, a.cview(), b.cview(),
                  0.0f, c.view());
-  EXPECT_LE(max_abs_diff(c.cview(), c_ref.cview()),
-            gemm_tolerance<float>(k) * 4);
+  EXPECT_TRUE(test::within_forward_error_bound(
+      1.0f, transposed(a.cview()), b.cview(), 0.0f, c0.cview(), c.cview()));
 }
 
 TEST(TransposeApi, TransposedViewIsAView) {
@@ -306,17 +303,12 @@ TEST(StrategyEdgeCases, StridedViews) {
   auto a = big_a.cview().block(3, 5, m, k);
   auto b = big_b.cview().block(11, 2, k, n);
   auto c = big_c.view().block(7, 9, m, n);
-  Matrix<float> expected(m, n);
+  Matrix<float> c0(m, n);
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < m; ++i) expected(i, j) = c(i, j);
-  libs::naive_gemm(1.0f, a, b, 1.0f, expected.view());
+    for (index_t i = 0; i < m; ++i) c0(i, j) = c(i, j);
   libs::run(core::reference_smm(), 1.0f, a, b, 1.0f, c);
-  double worst = 0;
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < m; ++i)
-      worst = std::max(worst, std::abs(static_cast<double>(c(i, j)) -
-                                       expected(i, j)));
-  EXPECT_LE(worst, gemm_tolerance<float>(k) * 4);
+  EXPECT_TRUE(test::within_forward_error_bound(
+      1.0f, a, b, 1.0f, c0.cview(), ConstMatrixView<float>(c)));
 }
 
 }  // namespace
