@@ -207,7 +207,9 @@ std::vector<BatchItemStatus> batched_smm_each(
   }
 
   // One plan per distinct shape — a coalesced group is normally a single
-  // shape, so this is one cache lookup for the whole call.
+  // shape, so this is one cache lookup for the whole call. A tiny item
+  // (tiny_path_applies) needs none: its plan stays null and it runs
+  // tiny_gemm, as smm_gemm would.
   std::vector<std::shared_ptr<const plan::GemmPlan>> plans(items.size());
   struct Resolved {
     GemmShape shape;
@@ -218,6 +220,7 @@ std::vector<BatchItemStatus> batched_smm_each(
     if (!runnable[i]) continue;
     const GemmShape shape{items[i].c.rows(), items[i].c.cols(),
                           items[i].a.cols()};
+    if (options != nullptr && tiny_path_applies(shape, *options)) continue;
     const auto it = std::find_if(
         resolved.begin(), resolved.end(), [&](const Resolved& r) {
           return r.shape.m == shape.m && r.shape.n == shape.n &&
@@ -260,7 +263,7 @@ std::vector<BatchItemStatus> batched_smm_each(
       uniform = plans[i] == plans[first] &&
                 identical_view(items[i].b, items[first].b);
     }
-    if (uniform && nrun >= 2) {
+    if (uniform && nrun >= 2 && plans[first] != nullptr) {
       try {
         auto candidate = std::make_shared<plan::PrepackedB<T>>(
             plans[first], items[first].b);
@@ -291,7 +294,10 @@ std::vector<BatchItemStatus> batched_smm_each(
       // already stopped fails only its own item, C untouched.
       const CancelToken* token = tokens != nullptr ? (*tokens)[i] : nullptr;
       try {
-        if (packed) {
+        if (plans[i] == nullptr) {  // runnable and planless: tiny
+          if (token != nullptr) token->throw_if_stopped();
+          tiny_gemm(alpha, item.a, item.b, beta, item.c);
+        } else if (packed) {
           packed->run(alpha, item.a, beta, item.c, token);
         } else {
           plan::execute_plan(*plans[i], alpha, item.a, item.b, beta,

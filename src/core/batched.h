@@ -73,8 +73,10 @@ void batched_smm(T alpha, const std::vector<GemmBatchItem<T>>& items,
 /// items.size() long (null entries = not cancellable) and each token is
 /// consulted at its item's op boundaries, on the pack-once path too.
 ///
-/// Plans are resolved once per distinct shape. Fast path: when every
-/// runnable item shares one shape AND literally the same B view, B is
+/// Plans are resolved once per distinct shape. Under explicit options a
+/// tiny item (tiny_path_applies) resolves no plan and runs tiny_gemm, its
+/// token checked once before it starts. Fast path: when every runnable
+/// item shares one planned shape AND literally the same B view, B is
 /// packed once into a PrepackedB handle replayed across the group
 /// (health counter batched_prepack_reuse counts the items served this
 /// way).

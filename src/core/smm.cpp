@@ -1,8 +1,10 @@
 #include "src/core/smm.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/error.h"
 #include "src/common/str.h"
@@ -11,6 +13,7 @@
 #include "src/core/parallel_select.h"
 #include "src/core/plan_builder.h"
 #include "src/core/plan_cache.h"
+#include "src/kernels/microkernel.h"
 #include "src/kernels/registry.h"
 #include "src/plan/native_executor.h"
 #include "src/robust/fault_injection.h"
@@ -239,20 +242,20 @@ SmmOptions resolve_runtime_scaling(const SmmOptions& options) {
   return resolved;
 }
 
-/// Whether the tuner may sample a call under this (already resolved)
-/// option set: only when every plan-shaping field is at its runtime
-/// default. A sample taken under an explicit pack/tile/thread option
-/// would pollute the class EWMA the default-options traffic is keyed on.
-/// check_finite and abft ride along freely — they never change the
-/// built plan.
-bool tuner_applies(const SmmOptions& resolved) {
-  static const SmmOptions defaults =
-      resolve_runtime_scaling(SmmOptions{});
-  return resolved.pack_a == defaults.pack_a &&
-         resolved.pack_b == defaults.pack_b &&
-         resolved.edge_pack == defaults.edge_pack &&
-         resolved.adaptive_kernel == defaults.adaptive_kernel &&
-         resolved.thread_scaling == defaults.thread_scaling;
+/// Whether every plan-shaping option is at its runtime default: kAuto or
+/// kMeasured thread scaling (the runtime entry points resolve one to the
+/// other) and default pack, edge and tile options. Only such calls take
+/// the tiny path or feed the tuner: a sample taken under an explicit
+/// pack/tile/thread option would pollute the class EWMA the
+/// default-options traffic is keyed on. check_finite and abft ride along
+/// freely — they never change the built plan.
+bool plan_options_at_defaults(const SmmOptions& options) {
+  const SmmOptions defaults;
+  return options.pack_a == defaults.pack_a &&
+         options.pack_b == defaults.pack_b &&
+         options.edge_pack == defaults.edge_pack &&
+         options.adaptive_kernel == defaults.adaptive_kernel &&
+         options.thread_scaling != SmmOptions::ThreadScaling::kStatic;
 }
 
 }  // namespace
@@ -301,6 +304,90 @@ template void screen_finite(ConstMatrixView<double>,
                             ConstMatrixView<double>, double,
                             ConstMatrixView<double>);
 
+bool tiny_path_applies(GemmShape shape, const SmmOptions& options) {
+  const auto tiny = [](index_t d) { return d >= 1 && d <= kTinyMaxDim; };
+  static const bool host_family = kern::host_vector_bits() == 512;
+  return tiny(shape.m) && tiny(shape.n) && tiny(shape.k) &&
+         plan_options_at_defaults(options) && host_family;
+}
+
+namespace {
+
+/// The host family's full tiles a tiny product is covered with, indexed
+/// by log2 of the tile's rows (16, 8, 4, 2, 1) and columns (8, 4, 2, 1).
+template <typename T>
+struct TinyTiles {
+  static constexpr int kRowSizes = 5;
+  static constexpr int kColSizes = 4;
+  kern::MicroKernelFn<T> fn[kRowSizes][kColSizes];
+
+  TinyTiles() {
+    for (int r = 0; r < kRowSizes; ++r)
+      for (int c = 0; c < kColSizes; ++c)
+        fn[r][c] = kern::host_tile_fn<T>(1 << r, 1 << c);
+  }
+};
+
+/// Extent of the next tile along a dimension with `left` elements to
+/// cover: the largest power of two up to `cap`, so every tile is full.
+inline index_t next_chunk(index_t left, index_t cap) {
+  return std::min<index_t>(
+      cap, static_cast<index_t>(
+               std::bit_floor(static_cast<std::uint64_t>(left))));
+}
+
+}  // namespace
+
+template <typename T>
+void tiny_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
+               MatrixView<T> c) {
+  static const TinyTiles<T> tiles;
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = a.cols();
+  // The executor's direct-operand addressing, one panel per tile:
+  // A(i, k) = a[i * a_rs + k * a_cs], B(k, j) = b[j * b_cs + k * b_rs].
+  // A col-major A and C run the tiles' vector body; any other layout runs
+  // their scalar body, with the same bits.
+  const index_t a_rs = a.row_stride(), a_cs = a.col_stride();
+  const index_t b_rs = b.row_stride(), b_cs = b.col_stride();
+  const index_t c_rs = c.row_stride(), c_cs = c.col_stride();
+  for (index_t j0 = 0; j0 < n;) {
+    const index_t nr = next_chunk(n - j0, 8);
+    for (index_t i0 = 0; i0 < m;) {
+      const index_t mr = next_chunk(m - i0, 16);
+      // Every field set: a partly set struct costs a memset per call.
+      const kern::KernelOperands<T> ops{.a = a.data() + i0 * a_rs,
+                                        .a_ps = mr,
+                                        .a_pstride = 0,
+                                        .a_kstride = a_cs,
+                                        .a_istride = a_rs,
+                                        .b = b.data() + j0 * b_cs,
+                                        .b_ps = 1,
+                                        .b_pstride = b_cs,
+                                        .b_kstride = b_rs,
+                                        .b_jstride = 1,
+                                        .c = c.data() + i0 * c_rs + j0 * c_cs,
+                                        .c_rs = c_rs,
+                                        .c_cs = c_cs};
+      tiles.fn[std::countr_zero(static_cast<std::uint64_t>(mr))]
+              [std::countr_zero(static_cast<std::uint64_t>(nr))](
+                  k, alpha, beta, ops, mr, nr);
+      // The executor's fault-injection point: a miscomputing kernel
+      // corrupts its own tile anchor.
+      robust::maybe_corrupt(robust::FaultSite::kKernelMiscompute, ops.c,
+                            index_t{1});
+      i0 += mr;
+    }
+    j0 += nr;
+  }
+}
+
+template void tiny_gemm(float, ConstMatrixView<float>, ConstMatrixView<float>,
+                        float, MatrixView<float>);
+template void tiny_gemm(double, ConstMatrixView<double>,
+                        ConstMatrixView<double>, double, MatrixView<double>);
+
 namespace {
 
 template <typename T>
@@ -322,6 +409,11 @@ void smm_gemm_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
   // even looked up — C untouched.
   if (cancel != nullptr) cancel->throw_if_stopped();
   const GemmShape shape{c.rows(), c.cols(), a.cols()};
+  // A tiny product costs less than its plan lookup: no plan at all.
+  if (tiny_path_applies(shape, options)) {
+    tiny_gemm(alpha, a, b, beta, c);
+    return;
+  }
   const auto scalar = sizeof(T) == 4 ? plan::ScalarType::kF32
                                      : plan::ScalarType::kF64;
   // Warm path: the plan is a cache lookup, not a rebuild — on SMM-sized
@@ -335,8 +427,7 @@ void smm_gemm_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
   // stays a diagnosis path (table2_breakdown, execute_plan_timed); the
   // EWMA needs only the end-to-end wall. The unsampled path pays one
   // relaxed load + branch.
-  if (tune::mode() != tune::Mode::kOff &&
-      tuner_applies(resolve_runtime_scaling(options))) {
+  if (tune::mode() != tune::Mode::kOff && plan_options_at_defaults(options)) {
     const tune::SampleToken token = tune::tuner().sample_token();
     if (token.sample) {
       const auto t0 = std::chrono::steady_clock::now();

@@ -71,6 +71,8 @@ const libs::GemmStrategy& reference_smm();
 std::unique_ptr<libs::GemmStrategy> make_reference_smm(SmmOptions options);
 
 /// Convenience one-call API: C = alpha*A*B + beta*C with the reference SMM.
+/// A tiny product (tiny_path_applies) runs as one sweep of host tiles
+/// with no plan; every other call runs its cached plan.
 ///
 /// Failure semantics (DESIGN.md §10): memory-pressure trouble on the warm
 /// path degrades instead of throwing — a full scratch arena falls back to
@@ -88,8 +90,9 @@ void smm_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
 /// Cancellable smm_gemm (DESIGN.md §11): `cancel` is consulted at op
 /// boundaries inside the plan — a stop observed before the first op
 /// leaves C untouched; a mid-plan stop unwinds with kCancelled /
-/// kDeadlineExceeded and may leave C partial. The serving layer threads
-/// each request's token through here.
+/// kDeadlineExceeded and may leave C partial. A tiny product, which has
+/// no plan, consults it once, at entry. The serving layer threads each
+/// request's token through here.
 template <typename T>
 void smm_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
               MatrixView<T> c, int nthreads, const SmmOptions& options,
@@ -139,6 +142,31 @@ plan::PrepackedB<T> smm_prepack_b(ConstMatrixView<T> b, index_t m,
 std::shared_ptr<const plan::GemmPlan> cached_smm_plan(
     PlanCache& cache, GemmShape shape, plan::ScalarType scalar,
     int nthreads, const SmmOptions& options);
+
+/// Largest m, n and k of a tiny product (DESIGN.md §8): every shape of
+/// perfbench's warm_tiny workload.
+inline constexpr index_t kTinyMaxDim = 24;
+
+/// Whether smm_gemm, and batched_smm_each under explicit options, compute
+/// this product without a plan, through tiny_gemm: 1 <= m, n, k <=
+/// kTinyMaxDim, every plan-shaping option at its runtime default (so no
+/// kStatic scaling and no explicit pack or tile option), and a host that
+/// registers the host kernel family (AVX-512F/VL with FMA). The thread
+/// budget does not matter: such a product takes less time than one empty
+/// fork-join. Every other call keeps its plan.
+bool tiny_path_applies(GemmShape shape, const SmmOptions& options);
+
+/// The tiny path: covers C with the host family's full tiles, 16/8/4/2/1
+/// rows by 8/4/2/1 columns, reading the views in place (any layout,
+/// padded leading dimensions), with k as the only runtime loop. No plan,
+/// no scratch, no pool and no heap allocation. Each C element gets the
+/// host family's formula, so C is bit-identical to a one-thread
+/// host-family plan's. The kKernelMiscompute fault site follows each tile,
+/// as it follows each kernel op in the executor. Requires
+/// tiny_path_applies and conforming shapes; checks neither.
+template <typename T>
+void tiny_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
+               MatrixView<T> c);
 
 /// The check_finite screen smm_gemm applies: one pass over A, B (and C
 /// when beta != 0), throwing kNonFinite and bumping the health counter on

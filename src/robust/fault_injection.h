@@ -104,6 +104,8 @@ void maybe_corrupt_f64(FaultSite site, double* buf, index_t count);
 
 template <typename T>
 inline void maybe_corrupt(FaultSite site, T* buf, index_t count) {
+  // Disarmed: one relaxed load, no call.
+  if (detail::g_armed_sites.load(std::memory_order_relaxed) == 0) return;
   if constexpr (sizeof(T) == 4) {
     maybe_corrupt_f32(site, reinterpret_cast<float*>(buf), count);
   } else {

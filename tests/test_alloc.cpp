@@ -92,14 +92,29 @@ long warm_execute_allocations(GemmShape shape, int nthreads) {
   });
 }
 
+/// perfbench's warm_tiny shapes (m, n, k): every one takes the tiny path
+/// on a host with the host kernel family.
+constexpr GemmShape kWarmTiny[] = {
+    {2, 2, 2},    {4, 4, 4},    {5, 5, 5},    {8, 8, 8},   {12, 12, 12},
+    {16, 16, 16}, {20, 20, 20}, {24, 24, 24}, {7, 9, 11},  {13, 5, 17},
+    {23, 19, 21}, {9, 24, 6},   {17, 3, 22},  {11, 14, 3}, {24, 24, 2},
+    {24, 2, 24},  {2, 24, 24},  {20, 20, 4},  {4, 20, 20}, {20, 4, 20},
+    {24, 3, 16},  {3, 24, 16},  {16, 16, 3},  {6, 18, 10},
+};
+
 template <typename T>
-long warm_smm_gemm_allocations(index_t d, int nthreads) {
-  Matrix<T> a(d, d), b(d, d), c(d, d);
+long warm_smm_gemm_allocations(GemmShape shape, int nthreads) {
+  Matrix<T> a(shape.m, shape.k), b(shape.k, shape.n), c(shape.m, shape.n);
   a.fill(T(1));
   b.fill(T(1));
   return allocations_over_warm_calls([&] {
     core::smm_gemm(T(1), a.cview(), b.cview(), T(0), c.view(), nthreads);
   });
+}
+
+template <typename T>
+long warm_smm_gemm_allocations(index_t d, int nthreads) {
+  return warm_smm_gemm_allocations<T>(GemmShape{d, d, d}, nthreads);
 }
 
 TEST(WarmAllocations, CountingOperatorNewSeesAllocations) {
@@ -156,6 +171,28 @@ TEST(WarmAllocations, WarmSmmGemmAllocatesNothing) {
   EXPECT_EQ(f64_1, 0);
   EXPECT_EQ(f32_2, 0);
   EXPECT_EQ(f64_2, 0);
+}
+
+TEST(WarmAllocations, TinySmmGemmAllocatesNothing) {
+  // The tiny path (DESIGN.md §8), at one and two threads; without the
+  // host kernel family the same calls run their cached plans.
+  for (const GemmShape& shape : kWarmTiny) {
+    for (const int nthreads : {1, 2}) {
+      EXPECT_EQ(warm_smm_gemm_allocations<float>(shape, nthreads), 0)
+          << shape.m << "x" << shape.n << "x" << shape.k << " f32 "
+          << nthreads << "t";
+      EXPECT_EQ(warm_smm_gemm_allocations<double>(shape, nthreads), 0)
+          << shape.m << "x" << shape.n << "x" << shape.k << " f64 "
+          << nthreads << "t";
+    }
+  }
+}
+
+TEST(WarmAllocations, OneThreadPlannedSmmGemmAllocatesNothing) {
+  // Past kTinyMaxDim: the cached one-thread plan, through smm_gemm.
+  EXPECT_EQ(warm_smm_gemm_allocations<float>(32, 1), 0);
+  EXPECT_EQ(warm_smm_gemm_allocations<double>(32, 1), 0);
+  EXPECT_EQ(warm_smm_gemm_allocations<float>(GemmShape{25, 8, 8}, 1), 0);
 }
 
 }  // namespace

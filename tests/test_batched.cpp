@@ -63,7 +63,7 @@ TEST(PlanCache, EvictedPlanStaysUsable) {
   prob.reference(1.0f, 0.0f);
   plan::execute_plan(*plan, 1.0f, prob.a.cview(), prob.b.cview(), 0.0f,
                      prob.c.view());
-  EXPECT_TRUE(prob.check(12));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST(PlanCache, ConcurrentGetIsSafe) {
@@ -100,7 +100,7 @@ TEST(Batched, UniformShapesCorrect) {
     items.push_back({p.a.cview(), p.b.cview(), p.c.view()});
   }
   batched_smm(2.0f, items, 1.0f, cache, /*nworkers=*/1);
-  for (auto& p : probs) EXPECT_TRUE(p.check(k));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   EXPECT_EQ(cache.misses(), 1u);  // one shape, one plan
   EXPECT_EQ(cache.hits(), 0u);    // resolved once per shape, not per item
 }
@@ -118,7 +118,7 @@ TEST(Batched, MixedShapesAndWorkers) {
   }
   batched_smm(1.0f, items, 0.0f, cache, /*nworkers=*/4);
   for (std::size_t i = 0; i < probs.size(); ++i)
-    EXPECT_TRUE(probs[i].check(probs[i].a.cols())) << i;
+    EXPECT_TRUE(probs[i].check()) << i;
   EXPECT_EQ(cache.misses(), 3u);  // three distinct shapes
 }
 
@@ -167,7 +167,7 @@ TEST(Batched, SharedBPacksOnceAcrossItems) {
   const std::size_t reuse_before =
       robust::health().snapshot().batched_prepack_reuse;
   batched_smm(1.0, items, 0.0, cache, /*nworkers=*/1);
-  for (auto& p : probs) EXPECT_TRUE(p.check(k));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   EXPECT_EQ(cache.misses(), 1u);  // one shape, one plan build
   // The pack-once hit: all kBatch items were served off one packed B.
   EXPECT_EQ(robust::health().snapshot().batched_prepack_reuse,
@@ -217,7 +217,7 @@ TEST(Batched, SharedBPacksOnceWithLiveToken) {
   const CancelToken token = src.token();
   const std::size_t reuse_before = prepack_reuse();
   batched_smm(1.0, batch.items, 0.0, cache, /*nworkers=*/1, &token);
-  for (auto& p : batch.probs) EXPECT_TRUE(p.check(SharedBBatch::k));
+  for (auto& p : batch.probs) EXPECT_TRUE(p.check());
   EXPECT_EQ(prepack_reuse(), reuse_before + SharedBBatch::kBatch);
 }
 
@@ -392,8 +392,8 @@ TEST(Batched, EachIsolatesNeighborFailures) {
   EXPECT_EQ(statuses[3].code, ErrorCode::kBadShape);
   // Healthy members produced the right numbers; the cancelled member's C
   // is untouched.
-  EXPECT_TRUE(probs[0].check(k));
-  EXPECT_TRUE(probs[2].check(k));
+  EXPECT_TRUE(probs[0].check());
+  EXPECT_TRUE(probs[2].check());
   EXPECT_EQ(max_abs_diff(probs[1].c.cview(), c1_before.cview()), 0.0);
   // The three runnable members still shared one packed B (the cancelled
   // one stopped at the packed replay's first op boundary).

@@ -133,7 +133,7 @@ TEST_F(ChaosTest, WatchdogDetectsHungWorkerQuarantinesAndRecovers) {
   prob.reference(1.0f, 1.0f);
   core::smm_gemm(1.0f, prob.a.cview(), prob.b.cview(), 1.0f, prob.c.view(),
                  4);
-  EXPECT_TRUE(prob.check(48));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST_F(ChaosTest, DeadlineSleepingWatchdogNeverChargesARegionToTheNext) {
@@ -252,7 +252,7 @@ TEST_F(ChaosTest, GuardedExecutorRebuildsSerialOnPoolFault) {
       << report.summary();
   const auto after = robust::health().snapshot();
   EXPECT_GE(after.pool_watchdog_timeouts, before.pool_watchdog_timeouts + 1);
-  EXPECT_TRUE(prob.check(kShape.k));
+  EXPECT_TRUE(prob.check());
 }
 
 // ---- memory-pressure degradations ------------------------------------------
@@ -268,7 +268,7 @@ TEST_F(ChaosTest, ArenaExhaustionDegradesToPerCallBuffers) {
                     {.fire_after = 0, .max_fires = 1});
   core::smm_gemm(1.5f, prob.a.cview(), prob.b.cview(), 0.5f, prob.c.view(),
                  1, opts);
-  EXPECT_TRUE(prob.check(64));
+  EXPECT_TRUE(prob.check());
   EXPECT_GE(FaultInjector::instance().fired_count(FaultSite::kArenaExhausted),
             1u);
   const auto after = robust::health().snapshot();
@@ -293,7 +293,7 @@ TEST_F(ChaosTest, CacheInsertFailureServesThePlanUncached) {
     prob.reference(1.0f, 0.0f);
     plan::execute_plan(*plan, 1.0f, prob.a.cview(), prob.b.cview(), 0.0f,
                        prob.c.view());
-    EXPECT_TRUE(prob.check(32));
+    EXPECT_TRUE(prob.check());
   }
 
   // The site is exhausted: the same key now builds and caches normally.
@@ -320,7 +320,7 @@ TEST_F(ChaosTest, PrepackAllocFallsBackToPackOnTheFly) {
       core::smm_prepack_b<float>(prob.b.cview(), /*m=*/24, 1, opts);
   EXPECT_FALSE(handle.materialized());
   handle.run(1.0f, prob.a.cview(), 2.0f, prob.c.view());
-  EXPECT_TRUE(prob.check(12));
+  EXPECT_TRUE(prob.check());
   const auto after = robust::health().snapshot();
   EXPECT_GE(after.prepack_fallbacks, before.prepack_fallbacks + 1);
 }
@@ -368,7 +368,7 @@ TEST_F(ChaosTest, BarrierTripFailsStopWithoutStrandingPeers) {
   prob.reference(1.0f, 0.0f);
   plan::execute_plan(plan, 1.0f, prob.a.cview(), prob.b.cview(), 0.0f,
                      prob.c.view());
-  EXPECT_TRUE(prob.check(64));
+  EXPECT_TRUE(prob.check());
 }
 
 // ---- plan-cache single flight under concurrent failure ---------------------
@@ -548,7 +548,7 @@ TEST_F(ChaosTest, ConcurrentSoakSurvivesEveryFaultSite) {
   test::GemmProblem<float> fin(96, 64, 48, 0xF1A7);
   fin.reference(1.0f, 1.0f);
   core::smm_gemm(1.0f, fin.a.cview(), fin.b.cview(), 1.0f, fin.c.view(), 4);
-  EXPECT_TRUE(fin.check(48));
+  EXPECT_TRUE(fin.check());
 }
 
 }  // namespace

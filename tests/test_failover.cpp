@@ -362,7 +362,7 @@ TEST_F(FailoverTest, QuarantinedHomeDivertsAlongTheRing) {
   const Result& r =
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(p.check(k));
+  EXPECT_TRUE(p.check());
 
   SmmService::Stats s = svc.stats();
   EXPECT_GE(s.rerouted, 1u);
@@ -563,7 +563,7 @@ TEST_F(FailoverTest, MajorityQuarantineEntersAndExitsBrownout) {
   const Result& normal =
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   ASSERT_TRUE(normal.ok) << normal.message;
-  EXPECT_TRUE(p.check(24));
+  EXPECT_TRUE(p.check());
   EXPECT_GE(svc.stats().brownouts, 1u);
   EXPECT_GE(svc.stats().shed, 1u);
 
@@ -727,7 +727,7 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
   const Result& probe =
       svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()).wait();
   ASSERT_TRUE(probe.ok) << probe.message;
-  EXPECT_TRUE(p.check(24));
+  EXPECT_TRUE(p.check());
   EXPECT_EQ(svc.shard_state(0), ShardState::kHealthy);
 
   // kHigh with deadline slack runs like any other request.
@@ -736,7 +736,7 @@ TEST_F(FailoverTest, SingleShardRunsTheFullFailureDomainLifecycle) {
                            Priority::kHigh, /*deadline_ms=*/2000)
                     .wait()
                     .ok);
-  EXPECT_TRUE(p.check(24));
+  EXPECT_TRUE(p.check());
   s = svc.stats();
   EXPECT_EQ(s.rerouted, 0u);
   EXPECT_EQ(s.shard_quarantines, 1u);
@@ -794,7 +794,7 @@ TEST_F(FailoverTest, AnotherServicesPoolQuarantineLeavesASingleShardAlone) {
             .wait();
     EXPECT_TRUE(r.ok) << r.message;
   }
-  EXPECT_TRUE(p.check(24));
+  EXPECT_TRUE(p.check());
   EXPECT_EQ(single.shard_state(0), ShardState::kHealthy);
   EXPECT_EQ(single.stats().quarantine_rejections, 0u);
   check_accounting(single, /*mirrors=*/false);  // `sharded` counts too
@@ -810,7 +810,7 @@ TEST_F(FailoverTest, ForkedChildRunsGemmAndMultiShardService) {
   test::GemmProblem<double> p(32, 32, 32, 103);
   p.reference(1.0, 0.0);
   core::smm_gemm(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(), 2);
-  ASSERT_TRUE(p.check(32));
+  ASSERT_TRUE(p.check());
   {
     SmmService warm(failover_options(2));
     ASSERT_TRUE(
@@ -831,7 +831,7 @@ TEST_F(FailoverTest, ForkedChildRunsGemmAndMultiShardService) {
       test::GemmProblem<double> q(32, 32, 32, 103);
       q.reference(1.0, 0.0);
       core::smm_gemm(1.0, q.a.cview(), q.b.cview(), 0.0, q.c.view(), 2);
-      if (!q.check(32)) status |= 1;
+      if (!q.check()) status |= 1;
       ServiceOptions options;
       options.shards = 2;
       options.lanes = 1;
@@ -844,7 +844,7 @@ TEST_F(FailoverTest, ForkedChildRunsGemmAndMultiShardService) {
                .wait()
                .ok)
         status |= 2;
-      if (!r.check(24)) status |= 4;
+      if (!r.check()) status |= 4;
       svc.shutdown();
     } catch (...) {
       status |= 8;

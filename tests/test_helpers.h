@@ -85,20 +85,32 @@ struct GemmProblem {
     c_expected = c.clone();
   }
 
-  /// Compute the oracle into c_expected.
+  /// Compute the oracle into c_expected, and record alpha, beta and
+  /// c_expected's prior contents as C0 for check().
   void reference(T alpha, T beta) {
+    alpha_ = alpha;
+    beta_ = beta;
+    c0_ = c_expected.clone();
+    referenced_ = true;
     libs::naive_gemm(alpha, a.cview(), b.cview(), beta,
                      c_expected.view());
   }
 
-  /// Verify c against c_expected.
-  [[nodiscard]] ::testing::AssertionResult check(index_t k) const {
-    const double diff = max_abs_diff(c.cview(), c_expected.cview());
-    const double tol = gemm_tolerance<T>(k) * 4.0;
-    if (diff <= tol) return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << "max |diff| = " << diff << " > tol " << tol;
+  /// Verify c = alpha * A * B + beta * C0 under the forward-error bound
+  /// (within_forward_error_bound, no factor), with reference()'s alpha,
+  /// beta and C0.
+  [[nodiscard]] ::testing::AssertionResult check() const {
+    if (!referenced_)
+      return ::testing::AssertionFailure() << "check() before reference()";
+    return within_forward_error_bound(alpha_, a.cview(), b.cview(), beta_,
+                                      c0_.cview(), c.cview());
   }
+
+ private:
+  T alpha_ = T(0);
+  T beta_ = T(0);
+  Matrix<T> c0_;
+  bool referenced_ = false;
 };
 
 }  // namespace smm::test

@@ -279,7 +279,7 @@ TEST(HostPlans, PrepackedAndBatchedSkinnyShapes) {
       prob.c_expected = prob.c.clone();
       prob.reference(1.25f, beta);
       handle.run(1.25f, prob.a.cview(), beta, prob.c.view());
-      EXPECT_TRUE(prob.check(shape.k)) << "beta " << beta;
+      EXPECT_TRUE(prob.check()) << "beta " << beta;
       prob.c = prob.c_expected.clone();
     }
 
@@ -293,7 +293,7 @@ TEST(HostPlans, PrepackedAndBatchedSkinnyShapes) {
     }
     PlanCache cache(reference_smm());
     batched_smm(0.5, items, -0.5, cache, /*nworkers=*/2);
-    for (const auto& p : probs) EXPECT_TRUE(p.check(shape.k));
+    for (const auto& p : probs) EXPECT_TRUE(p.check());
   }
 }
 

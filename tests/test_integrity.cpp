@@ -581,7 +581,7 @@ TEST_F(IntegrityTest, KernelFlipServedAsCorrectedOnFirstAttempt) {
   EXPECT_EQ(report.outcome, Outcome::kCorrected);
   EXPECT_EQ(report.attempts, 1);
   EXPECT_STREQ(report.repair, "element");
-  EXPECT_TRUE(prob.check(kK));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST_F(IntegrityTest, DetectModeStillRecoversByRetry) {
@@ -596,7 +596,7 @@ TEST_F(IntegrityTest, DetectModeStillRecoversByRetry) {
   EXPECT_EQ(report.outcome, Outcome::kRecovered);
   EXPECT_EQ(report.first_error, ErrorCode::kChecksumMismatch);
   EXPECT_STREQ(report.repair, "none");
-  EXPECT_TRUE(prob.check(kK));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST_F(IntegrityTest, ScratchSlabFlipRepairedOrRecovered) {
@@ -612,7 +612,7 @@ TEST_F(IntegrityTest, ScratchSlabFlipRepairedOrRecovered) {
   EXPECT_GE(FaultInjector::instance().fired_count(
                 FaultSite::kScratchSlabFlip),
             1u);
-  EXPECT_TRUE(prob.check(kK));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST_F(IntegrityTest, AccountingDetectedEqualsCorrectedPlusRecomputed) {
@@ -691,12 +691,12 @@ TEST_F(IntegrityTest, PrepackedBRepacksRottedStorage) {
       core::smm_prepack_b<float>(prob.b.cview(), kM, 1, always_pack());
   ASSERT_TRUE(handle.materialized());
   handle.run(1.0f, prob.a.cview(), 0.0f, prob.c.view());
-  EXPECT_TRUE(prob.check(kK));
+  EXPECT_TRUE(prob.check());
 
   ASSERT_TRUE(handle.corrupt_storage_for_test());
   prob.c.view()(0, 0) = 0.0f;  // make a stale pass impossible
   handle.run(1.0f, prob.a.cview(), 0.0f, prob.c.view());
-  EXPECT_TRUE(prob.check(kK)) << "rotted pack served to the kernels";
+  EXPECT_TRUE(prob.check()) << "rotted pack served to the kernels";
   const robust::HealthSnapshot s = robust::health().snapshot();
   EXPECT_EQ(s.integrity_quarantines, 1u);
   EXPECT_EQ(s.prepack_repacks, 1u);
@@ -729,7 +729,7 @@ TEST_F(IntegrityTest, PrepackedStoreFlipSiteIsCaughtBeforeExecution) {
   EXPECT_GE(FaultInjector::instance().fired_count(
                 FaultSite::kPrepackedStoreFlip),
             1u);
-  EXPECT_TRUE(prob.check(kK));
+  EXPECT_TRUE(prob.check());
   EXPECT_GE(robust::health().snapshot().prepack_repacks, 1u);
 }
 

@@ -145,7 +145,7 @@ TEST(NativeExecutor, HandBuiltDirectPlan) {
   prob.reference(1.0f, 0.0f);
   execute_plan(plan, 1.0f, prob.a.cview(), prob.b.cview(), 0.0f,
                prob.c.view());
-  EXPECT_TRUE(prob.check(6));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST(NativeExecutor, ScalarTypeMismatchThrows) {

@@ -247,7 +247,7 @@ TEST_F(RobustTest, BetaSemanticsSurviveRetry) {
   // the result matches the clean run bit-for-bit.
   EXPECT_TRUE(bit_equal(s.prob.c.cview(), s.c_clean.cview()));
   s.prob.reference(1.0f, 0.5f);
-  EXPECT_TRUE(s.prob.check(kK));
+  EXPECT_TRUE(s.prob.check());
 }
 
 TEST_F(RobustTest, PersistentFaultDegradesToNaive) {
@@ -668,7 +668,7 @@ TEST_F(RobustTest, BarrierElidedParallelPlanRecovers) {
                 /*nthreads=*/4);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.first_error, ErrorCode::kWorkerPanic);
-  EXPECT_TRUE(prob.check(32));
+  EXPECT_TRUE(prob.check());
 }
 
 TEST_F(RobustTest, CorruptedPrepackIsCaughtByChecksumVerification) {
@@ -704,7 +704,7 @@ TEST_F(RobustTest, CorruptedPrepackIsCaughtByChecksumVerification) {
       /*tolerance_scale=*/64.0);
   EXPECT_TRUE(cr.ok);
   prob.reference(1.0f, 0.0f);
-  EXPECT_TRUE(prob.check(12));
+  EXPECT_TRUE(prob.check());
 }
 
 }  // namespace

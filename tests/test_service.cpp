@@ -204,7 +204,7 @@ TEST_F(ServiceTest, SubmittedWorkComputesCorrectResult) {
   Ticket t = svc.submit(1.5, p.a.cview(), p.b.cview(), 0.5, p.c.view());
   const Result& r = t.wait();
   ASSERT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(p.check(56));
+  EXPECT_TRUE(p.check());
   svc.shutdown();
 }
 
@@ -230,7 +230,7 @@ TEST_F(ServiceTest, SubmitBatchPacksSharedBOnce) {
                               /*deadline_ms=*/60000);
   const Result& r = t.wait();
   ASSERT_TRUE(r.ok) << r.message;
-  for (auto& p : probs) EXPECT_TRUE(p.check(32));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   EXPECT_EQ(robust::health().snapshot().batched_prepack_reuse,
             reuse_before + kBatch);
   svc.shutdown();
@@ -262,7 +262,7 @@ TEST_F(ServiceTest, WaitForTimesOutOnInFlightWorkThenSeesCompletion) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(t.done());
   EXPECT_TRUE(t.wait().ok);  // no longer blocks
-  EXPECT_TRUE(p.check(32));
+  EXPECT_TRUE(p.check());
   EXPECT_TRUE(busy.wait().ok);
   svc.shutdown();
 }
@@ -531,7 +531,7 @@ TEST_F(ServiceTest, ForkedChildAfterWarmupRunsSmmGemm) {
   test::GemmProblem<double> p(32, 32, 32, 61);
   p.reference(1.0, 0.0);
   core::smm_gemm(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(), 2);
-  ASSERT_TRUE(p.check(32));
+  ASSERT_TRUE(p.check());
   ASSERT_GT(par::WorkerPool::instance().live_threads(), 0);
   ASSERT_GE(common::fork_handler_count(), 2u);
 
@@ -548,7 +548,7 @@ TEST_F(ServiceTest, ForkedChildAfterWarmupRunsSmmGemm) {
       test::GemmProblem<double> q(32, 32, 32, 61);
       q.reference(1.0, 0.0);
       core::smm_gemm(1.0, q.a.cview(), q.b.cview(), 0.0, q.c.view(), 2);
-      if (!q.check(32)) status |= 1;
+      if (!q.check()) status |= 1;
       if (robust::health().snapshot().fork_resets != resets_before + 1)
         status |= 2;
     } catch (...) {
@@ -593,7 +593,7 @@ TEST_F(ServiceTest, CheckFiniteSkipsCWhenBetaZero) {
   // beta == 0 overwrites C: a stale Inf there is harmless and allowed.
   core::smm_gemm(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view(), 1,
                  options);
-  EXPECT_TRUE(p.check(16));
+  EXPECT_TRUE(p.check());
   // beta != 0 reads C: now it must be rejected.
   p.c.view()(0, 0) = std::numeric_limits<double>::infinity();
   try {

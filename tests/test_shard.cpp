@@ -93,7 +93,7 @@ TEST(ShardService, SameShapeRoutesToSameShard) {
         svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()));
   }
   for (auto& t : tickets) EXPECT_TRUE(t.wait().ok) << t.wait().message;
-  for (auto& p : probs) EXPECT_TRUE(p.check(24));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   const auto s = svc.stats();
   ASSERT_EQ(s.routed_per_shard.size(), 4u);
   // Routing is a pure function of the shape class: all six landed home.
@@ -182,7 +182,7 @@ TEST(ShardService, StealsUnderOneHotLoad) {
     tickets.push_back(
         svc.submit(1.0, p.a.cview(), p.b.cview(), 0.0, p.c.view()));
   for (auto& t : tickets) EXPECT_TRUE(t.wait().ok) << t.wait().message;
-  for (auto& p : probs) EXPECT_TRUE(p.check(k));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   const auto s = svc.stats();
   const int home = svc.route_shard(m, n, k, 1);
   EXPECT_EQ(s.routed_per_shard[static_cast<std::size_t>(home)], kLoad);
@@ -227,7 +227,7 @@ TEST(ShardService, CoalescesQueuedSameShapeIntoOneGroup) {
   }
   for (auto& t : tickets) EXPECT_TRUE(t.wait().ok) << t.wait().message;
   EXPECT_TRUE(busy.wait().ok);
-  for (auto& p : probs) EXPECT_TRUE(p.check(32));
+  for (auto& p : probs) EXPECT_TRUE(p.check());
   const auto s = svc.stats();
   // All six were queued behind the blocker, so the lane's pop swept them
   // into one batched dispatch.
@@ -265,7 +265,7 @@ TEST(ShardService, CoalesceWindowFlushesOnDeadline) {
   EXPECT_LT(elapsed_ms, 400);
   if (r.ok) {
     EXPECT_GE(elapsed_ms, 40);  // the window really held it open
-    EXPECT_TRUE(p.check(32));
+    EXPECT_TRUE(p.check());
   } else {
     EXPECT_EQ(r.code, ErrorCode::kDeadlineExceeded) << r.message;
   }
@@ -316,8 +316,8 @@ TEST(ShardService, CoalescedNeighborFailureDoesNotPoisonSiblings) {
   EXPECT_TRUE(tickets[3].wait().ok) << tickets[3].wait().message;
   // The healthy siblings computed the right numbers; the failed and the
   // cancelled members left their C untouched.
-  EXPECT_TRUE(probs[0].check(32));
-  EXPECT_TRUE(probs[3].check(32));
+  EXPECT_TRUE(probs[0].check());
+  EXPECT_TRUE(probs[3].check());
   EXPECT_EQ(max_abs_diff(probs[2].c.cview(), c2_before.cview()), 0.0);
   // A neighbor's NaN is the caller's fault: the shard stays healthy.
   EXPECT_EQ(svc.shard_state(0), failover::ShardState::kHealthy);

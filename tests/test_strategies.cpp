@@ -47,7 +47,7 @@ TEST_P(StrategyCorrectness, MatchesNaiveF32) {
   prob.reference(1.5f, 0.5f);
   libs::run(*strategy, 1.5f, prob.a.cview(), prob.b.cview(), 0.5f,
             prob.c.view());
-  EXPECT_TRUE(prob.check(k)) << name << " " << m << "x" << n << "x" << k;
+  EXPECT_TRUE(prob.check()) << name << " " << m << "x" << n << "x" << k;
 }
 
 TEST_P(StrategyCorrectness, MatchesNaiveF64) {
@@ -59,7 +59,7 @@ TEST_P(StrategyCorrectness, MatchesNaiveF64) {
   prob.reference(-0.75, 2.0);
   libs::run(*strategy, -0.75, prob.a.cview(), prob.b.cview(), 2.0,
             prob.c.view());
-  EXPECT_TRUE(prob.check(k)) << name << " " << m << "x" << n << "x" << k;
+  EXPECT_TRUE(prob.check()) << name << " " << m << "x" << n << "x" << k;
 }
 
 TEST_P(StrategyCorrectness, BetaZeroDoesNotReadC) {
@@ -74,7 +74,7 @@ TEST_P(StrategyCorrectness, BetaZeroDoesNotReadC) {
   prob.reference(2.0f, 0.0f);
   libs::run(*strategy, 2.0f, prob.a.cview(), prob.b.cview(), 0.0f,
             prob.c.view());
-  EXPECT_TRUE(prob.check(k)) << name;
+  EXPECT_TRUE(prob.check()) << name;
 }
 
 TEST_P(StrategyCorrectness, StaleScratchNeverReachesC) {
@@ -104,7 +104,7 @@ TEST_P(StrategyCorrectness, StaleScratchNeverReachesC) {
         GemmShape{m, n, k}, plan::ScalarType::kF32, threads);
     plan::execute_plan(p, 1.0f, prob.a.cview(), prob.b.cview(), 0.5f,
                        prob.c.view());
-    EXPECT_TRUE(prob.check(k)) << name << " on " << threads << " threads";
+    EXPECT_TRUE(prob.check()) << name << " on " << threads << " threads";
   }
 }
 
@@ -164,7 +164,7 @@ TEST_P(ParallelCorrectness, MatchesNaive) {
     prob.reference(1.0f, 1.0f);
     libs::run(*strategy, 1.0f, prob.a.cview(), prob.b.cview(), 1.0f,
               prob.c.view(), threads);
-    EXPECT_TRUE(prob.check(k))
+    EXPECT_TRUE(prob.check())
         << name << " threads=" << threads << " " << m << "x" << n << "x"
         << k;
   }
@@ -270,7 +270,7 @@ TEST(StrategyEdgeCases, KZeroScalesC) {
     prob.reference(3.0f, 0.25f);
     libs::run(*strategy, 3.0f, prob.a.cview(), prob.b.cview(), 0.25f,
               prob.c.view());
-    EXPECT_TRUE(prob.check(1)) << name;
+    EXPECT_TRUE(prob.check()) << name;
   }
 }
 

@@ -161,7 +161,7 @@ TEST_F(TuneTest, ExplicitPackingOptionsAreNeverOverruled) {
   for (std::uint64_t i = 0; i < 3 * Tuner::kSamplePeriod; ++i)
     core::smm_gemm(1.0f, prob.a.cview(), prob.b.cview(), 0.0f,
                    prob.c.view(), 1, options);
-  EXPECT_TRUE(prob.check(44));
+  EXPECT_TRUE(prob.check());
   EXPECT_EQ(tuner().samples(), 0u);
   // The same traffic under default options is sampled 1-in-N.
   for (std::uint64_t i = 0; i < 3 * Tuner::kSamplePeriod; ++i)
@@ -185,7 +185,7 @@ TEST_F(TuneTest, TimedExecutorHonorsCancelAndFillsTimings) {
   const CancelToken token = src.token();
   plan::execute_plan_timed(*plan, 1.0f, p.a.cview(), p.b.cview(), 0.0f,
                            p.c.view(), timings, &token);
-  EXPECT_TRUE(p.check(32));
+  EXPECT_TRUE(p.check());
   ASSERT_EQ(timings.size(), static_cast<std::size_t>(plan->nthreads));
   EXPECT_GT(timings[0].total_ns, 0.0);
   // A pre-stopped token rejects before the first op: C untouched.
