@@ -1,7 +1,6 @@
 #include "src/core/smm.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -311,75 +310,44 @@ bool tiny_path_applies(GemmShape shape, const SmmOptions& options) {
          plan_options_at_defaults(options) && host_family;
 }
 
-namespace {
-
-/// The host family's full tiles a tiny product is covered with, indexed
-/// by log2 of the tile's rows (16, 8, 4, 2, 1) and columns (8, 4, 2, 1).
-template <typename T>
-struct TinyTiles {
-  static constexpr int kRowSizes = 5;
-  static constexpr int kColSizes = 4;
-  kern::MicroKernelFn<T> fn[kRowSizes][kColSizes];
-
-  TinyTiles() {
-    for (int r = 0; r < kRowSizes; ++r)
-      for (int c = 0; c < kColSizes; ++c)
-        fn[r][c] = kern::host_tile_fn<T>(1 << r, 1 << c);
-  }
-};
-
-/// Extent of the next tile along a dimension with `left` elements to
-/// cover: the largest power of two up to `cap`, so every tile is full.
-inline index_t next_chunk(index_t left, index_t cap) {
-  return std::min<index_t>(
-      cap, static_cast<index_t>(
-               std::bit_floor(static_cast<std::uint64_t>(left))));
-}
-
-}  // namespace
+static_assert(kTinyMaxDim <= kern::kHostStripMaxRows,
+              "a tiny product's rows must fit one host strip");
 
 template <typename T>
 void tiny_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
                MatrixView<T> c) {
-  static const TinyTiles<T> tiles;
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = a.cols();
-  // The executor's direct-operand addressing, one panel per tile:
+  // The executor's direct-operand addressing, one panel per strip:
   // A(i, k) = a[i * a_rs + k * a_cs], B(k, j) = b[j * b_cs + k * b_rs].
-  // A col-major A and C run the tiles' vector body; any other layout runs
+  // A col-major A and C run the strips' vector body; any other layout runs
   // their scalar body, with the same bits.
   const index_t a_rs = a.row_stride(), a_cs = a.col_stride();
   const index_t b_rs = b.row_stride(), b_cs = b.col_stride();
   const index_t c_rs = c.row_stride(), c_cs = c.col_stride();
-  for (index_t j0 = 0; j0 < n;) {
-    const index_t nr = next_chunk(n - j0, 8);
-    for (index_t i0 = 0; i0 < m;) {
-      const index_t mr = next_chunk(m - i0, 16);
-      // Every field set: a partly set struct costs a memset per call.
-      const kern::KernelOperands<T> ops{.a = a.data() + i0 * a_rs,
-                                        .a_ps = mr,
-                                        .a_pstride = 0,
-                                        .a_kstride = a_cs,
-                                        .a_istride = a_rs,
-                                        .b = b.data() + j0 * b_cs,
-                                        .b_ps = 1,
-                                        .b_pstride = b_cs,
-                                        .b_kstride = b_rs,
-                                        .b_jstride = 1,
-                                        .c = c.data() + i0 * c_rs + j0 * c_cs,
-                                        .c_rs = c_rs,
-                                        .c_cs = c_cs};
-      tiles.fn[std::countr_zero(static_cast<std::uint64_t>(mr))]
-              [std::countr_zero(static_cast<std::uint64_t>(nr))](
-                  k, alpha, beta, ops, mr, nr);
-      // The executor's fault-injection point: a miscomputing kernel
-      // corrupts its own tile anchor.
-      robust::maybe_corrupt(robust::FaultSite::kKernelMiscompute, ops.c,
-                            index_t{1});
-      i0 += mr;
-    }
-    j0 += nr;
+  for (index_t j0 = 0; j0 < n; j0 += 8) {
+    const index_t nr = std::min<index_t>(8, n - j0);
+    // Every field set: a partly set struct costs a memset per call.
+    const kern::KernelOperands<T> ops{.a = a.data(),
+                                      .a_ps = m,
+                                      .a_pstride = 0,
+                                      .a_kstride = a_cs,
+                                      .a_istride = a_rs,
+                                      .b = b.data() + j0 * b_cs,
+                                      .b_ps = 1,
+                                      .b_pstride = b_cs,
+                                      .b_kstride = b_rs,
+                                      .b_jstride = 1,
+                                      .c = c.data() + j0 * c_cs,
+                                      .c_rs = c_rs,
+                                      .c_cs = c_cs};
+    kern::host_strip_fn<T>(static_cast<int>(m), static_cast<int>(nr))(
+        k, alpha, beta, ops, m, nr);
+    // The executor's fault-injection point: a miscomputing kernel
+    // corrupts its own strip's anchor, C(0, j0).
+    robust::maybe_corrupt(robust::FaultSite::kKernelMiscompute, ops.c,
+                          index_t{1});
   }
 }
 

@@ -156,13 +156,14 @@ inline constexpr index_t kTinyMaxDim = 24;
 /// fork-join. Every other call keeps its plan.
 bool tiny_path_applies(GemmShape shape, const SmmOptions& options);
 
-/// The tiny path: covers C with the host family's full tiles, 16/8/4/2/1
-/// rows by 8/4/2/1 columns, reading the views in place (any layout,
-/// padded leading dimensions), with k as the only runtime loop. No plan,
-/// no scratch, no pool and no heap allocation. Each C element gets the
-/// host family's formula, so C is bit-identical to a one-thread
-/// host-family plan's. The kKernelMiscompute fault site follows each tile,
-/// as it follows each kernel op in the executor. Requires
+/// The tiny path: covers C with the host family's masked strips
+/// (host_strip_fn), all m rows by 8 columns and one last strip of the n % 8
+/// left, so ceil(n / 8) kernel calls, reading the views in place (any
+/// layout, padded leading dimensions), with k as the only runtime loop. No
+/// plan, no scratch, no pool and no heap allocation. Each C element gets
+/// the host family's formula, so C is bit-identical to a one-thread
+/// host-family plan's. The kKernelMiscompute fault site follows each
+/// strip, as it follows each kernel op in the executor. Requires
 /// tiny_path_applies and conforming shapes; checks neither.
 template <typename T>
 void tiny_gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,

@@ -261,4 +261,22 @@ MicroKernelFn<T> tile_clone_fn(int mr, int nr, int max_bits);
 template <typename T>
 MicroKernelFn<T> host_tile_fn(int mr, int nr);
 
+/// Most rows a host_strip_fn kernel takes.
+inline constexpr index_t kHostStripMaxRows = 24;
+
+/// The host family's masked strip kernel for m rows, 1 <= m <=
+/// kHostStripMaxRows, by a compile-time nr of 1 to 8 columns, or nullptr
+/// for any other extent and on a build that is not x86-64. Its m rows are
+/// held in the narrowest registers that cover them (f32 xmm, ymm, zmm or
+/// two zmm for m <= 4, 8, 16, 24; f64 xmm, ymm, zmm, two or three zmm for
+/// m <= 2, 4, 8, 16, 24); the last row vector of A and C is loaded and
+/// stored under a row mask, so no lane past row m - 1 is touched. Called
+/// with mr_eff == m and nr_eff == nr. It runs the vector body on direct
+/// col-major A, direct B of either layout (b_ps == 1) and col-major C, and
+/// the scalar tile body on any other addressing. Same per-element
+/// formula as host_tile_fn, so the same bits. AVX-512F/VL with FMA only:
+/// call it only when host_vector_bits() == 512.
+template <typename T>
+MicroKernelFn<T> host_strip_fn(int m, int nr);
+
 }  // namespace smm::kern

@@ -159,73 +159,59 @@ struct OpRunner {
     run_convert_op(op, is_a ? ctx.a : ctx.b, ctx.buffer(op.buffer));
   }
 
-  void bind_operand(const OperandRef& ref, bool is_a, index_t tile_extent,
-                    kern::KernelOperands<T>& ops, index_t anchor_row,
-                    index_t anchor_col) const {
-    switch (ref.kind) {
-      case OperandRef::Kind::kBuffer: {
-        const T* base = ctx.buffer(ref.buffer) + ref.offset;
-        if (is_a) {
-          ops.a = base;
-          ops.a_ps = ref.ps;
-          ops.a_pstride = ref.pstride;
-          ops.a_kstride = ref.kstride;
-        } else {
-          ops.b = base;
-          ops.b_ps = ref.ps;
-          ops.b_pstride = ref.pstride;
-          ops.b_kstride = ref.kstride;
-        }
-        break;
-      }
-      case OperandRef::Kind::kDirectA: {
-        SMM_EXPECT(is_a, "kDirectA bound to the B slot");
-        if (ctx.a.row_stride() == 1) {
-          kern::set_direct_a_colmajor(ops, &ctx.a(ref.row0, ref.col0),
-                                      ctx.a.col_stride(), tile_extent);
-        } else {
-          // op(A) of a transposed input: rows strided, generic kernel
-          // territory unless the kernel takes any layout (operator()
-          // below).
-          kern::set_direct_a_rowmajor(ops, &ctx.a(ref.row0, ref.col0),
-                                      ctx.a.row_stride(), tile_extent);
-        }
-        (void)anchor_row;
-        (void)anchor_col;
-        break;
-      }
-      case OperandRef::Kind::kDirectB: {
-        SMM_EXPECT(!is_a, "kDirectB bound to the A slot");
-        if (ctx.b.layout() == Layout::kColMajor) {
-          kern::set_direct_b_colmajor(ops, &ctx.b(ref.row0, ref.col0),
-                                      ctx.b.ld());
-        } else {
-          kern::set_direct_b_rowmajor(ops, &ctx.b(ref.row0, ref.col0),
-                                      ctx.b.ld(), tile_extent);
-        }
-        break;
-      }
+  /// One operand's addressing: KernelOperands' a_* or b_* fields, with
+  /// `stride` the in-panel row (A) or column (B) stride. Direct operands
+  /// take the addressing of kern::set_direct_*.
+  struct BoundOperand {
+    const T* p;
+    index_t ps, pstride, kstride, stride;
+  };
+
+  BoundOperand bind_operand(const OperandRef& ref, bool is_a,
+                            index_t tile_extent) const {
+    if (ref.kind == OperandRef::Kind::kBuffer)
+      return {ctx.buffer(ref.buffer) + ref.offset, ref.ps, ref.pstride,
+              ref.kstride, 1};
+    if (ref.kind == OperandRef::Kind::kDirectA) {
+      SMM_EXPECT(is_a, "kDirectA bound to the B slot");
+      // Row-major A, the op(A) of a transposed input, has strided rows:
+      // generic kernel territory unless the kernel takes any layout
+      // (operator() below).
+      return {&ctx.a(ref.row0, ref.col0), tile_extent, 0,
+              ctx.a.col_stride(), ctx.a.row_stride()};
     }
+    SMM_EXPECT(!is_a, "kDirectB bound to the A slot");
+    if (ctx.b.layout() == Layout::kColMajor)
+      return {&ctx.b(ref.row0, ref.col0), 1, ctx.b.ld(), 1, 1};
+    return {&ctx.b(ref.row0, ref.col0), tile_extent, 0, ctx.b.ld(), 1};
   }
 
   void operator()(const KernelOp& op) const {
     const auto& info = kern::KernelRegistry::instance().info(op.kernel);
-    kern::KernelOperands<T> ops;
-    bind_operand(op.a, /*is_a=*/true, info.mr, ops, op.i0, 0);
-    bind_operand(op.b, /*is_a=*/false, info.nr, ops, 0, op.j0);
-    T beta_call = op.first_k_block ? ctx.beta : T(1);
-    if (op.c_buffer >= 0) {
-      // K-split: accumulate into the private slab; the caller's beta is
-      // applied by the reduction, so a fresh tile starts from zero.
-      ops.c = ctx.buffer(op.c_buffer) + op.c_offset;
-      ops.c_rs = 1;
-      ops.c_cs = op.c_ld;
-      beta_call = op.first_k_block ? T(0) : T(1);
-    } else {
-      ops.c = &ctx.c(op.i0, op.j0);
-      ops.c_rs = ctx.c.row_stride();
-      ops.c_cs = ctx.c.col_stride();
-    }
+    const BoundOperand a = bind_operand(op.a, /*is_a=*/true, info.mr);
+    const BoundOperand b = bind_operand(op.b, /*is_a=*/false, info.nr);
+    // K-split: accumulate into the private slab; the caller's beta is
+    // applied by the reduction, so a fresh tile starts from zero.
+    const bool slab = op.c_buffer >= 0;
+    const T beta_call =
+        !op.first_k_block ? T(1) : (slab ? T(0) : ctx.beta);
+    // Every field set in one initializer: a default-constructed struct
+    // filled afterwards costs a zero fill per op.
+    const kern::KernelOperands<T> ops{
+        .a = a.p,
+        .a_ps = a.ps,
+        .a_pstride = a.pstride,
+        .a_kstride = a.kstride,
+        .a_istride = a.stride,
+        .b = b.p,
+        .b_ps = b.ps,
+        .b_pstride = b.pstride,
+        .b_kstride = b.kstride,
+        .b_jstride = b.stride,
+        .c = slab ? ctx.buffer(op.c_buffer) + op.c_offset
+                  : &ctx.c(op.i0, op.j0),
+        .c_rs = slab ? index_t{1} : ctx.c.row_stride(),
+        .c_cs = slab ? op.c_ld : ctx.c.col_stride()};
     // Full tiles with contiguous A run the kernel's specialized
     // implementation; masked (edge) updates and strided-row A (transposed
     // direct input) fall back to the generic kernel, which honours any

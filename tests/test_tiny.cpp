@@ -1,16 +1,22 @@
 // The plan-free tiny path (DESIGN.md §8): which calls take it, and that it
 // computes the bits of a one-thread host-family plan on every layout,
 // through smm_gemm, batched_smm_each and the service, under the
-// componentwise forward-error bound with no factor, and under an injected
-// kernel miscompute. Every test skips, by name, on a host without the host
-// kernel family: there tiny shapes keep their plans.
+// componentwise forward-error bound with no factor, with its operands
+// flush against a guard page, and under an injected kernel miscompute.
+// Every test skips, by name, on a host without the host kernel family:
+// there tiny shapes keep their plans.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -348,15 +354,81 @@ TEST(TinyPath, ServiceSoloAndCoalescedRequestsMatchHostPlanBits) {
   svc.shutdown();
 }
 
-// kKernelMiscompute after the first tile (the anchor C(0, 0)) and after
-// every tile: the tiny path corrupts C exactly as the host plan does.
+// Storage for `count` elements of T whose last one ends at a PROT_NONE
+// page this object maps: any access past the end faults.
 template <typename T>
-void check_miscompute_parity(GemmShape shape, std::uint64_t max_fires) {
+class GuardedStorage {
+ public:
+  explicit GuardedStorage(index_t count) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = sizeof(T) * static_cast<std::size_t>(count);
+    const std::size_t data_bytes = (bytes + page - 1) / page * page;
+    size_ = data_bytes + page;
+    void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + data_bytes, page, PROT_NONE) != 0) {
+      munmap(base_, size_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = reinterpret_cast<T*>(base_ + data_bytes) - count;
+  }
+  ~GuardedStorage() { munmap(base_, size_); }
+  GuardedStorage(const GuardedStorage&) = delete;
+  GuardedStorage& operator=(const GuardedStorage&) = delete;
+
+  [[nodiscard]] T* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t size_ = 0;
+  T* data_ = nullptr;
+};
+
+// A and C packed tight (ld == m) and flush against a guard page, so the
+// masked tail of the last column's row vector is the last mapped element:
+// a masked-off lane that touched memory would fault. Every m, beta 0 (C
+// not read) and not, three strips (8 + 8 + 3 columns).
+template <typename T>
+void check_guard_page_flush() {
+  for (index_t m = 1; m <= kTinyMaxDim; ++m)
+    for (const T beta : {T(0), T(0.5)}) {
+      const GemmShape s{m, 19, 5};
+      const Case<T> t(s, T(0.75), beta, 500u + static_cast<unsigned>(m),
+                      /*pad=*/0);
+      GuardedStorage<T> a(s.m * s.k), c(s.m * s.n);
+      std::memcpy(a.data(), t.a.data(), sizeof(T) * s.m * s.k);
+      std::memcpy(c.data(), t.c0.data(), sizeof(T) * s.m * s.n);
+      smm_gemm(t.alpha, ConstMatrixView<T>(a.data(), s.m, s.k, s.m), t.bv(),
+               t.beta, MatrixView<T>(c.data(), s.m, s.n, s.m));
+      const Matrix<T> want = t.planned();
+      ASSERT_EQ(std::memcmp(c.data(), want.data(), sizeof(T) * s.m * s.n),
+                0)
+          << name(s) << " beta " << beta;
+    }
+}
+
+TEST(TinyPath, MaskedTailsStopAtAGuardPageF32) {
+  SKIP_WITHOUT_HOST_FAMILY();
+  check_guard_page_flush<float>();
+}
+
+TEST(TinyPath, MaskedTailsStopAtAGuardPageF64) {
+  SKIP_WITHOUT_HOST_FAMILY();
+  check_guard_page_flush<double>();
+}
+
+// kKernelMiscompute after the first kernel call: the tiny path's first
+// strip and the host plan's first tile share the anchor C(0, 0), so the
+// tiny path corrupts C exactly as the host plan does.
+template <typename T>
+void check_miscompute_parity(GemmShape shape) {
   const Case<T> t(shape, T(1), T(0.5), 90);
   auto& injector = robust::FaultInjector::instance();
   const auto corrupted = [&](auto&& run) {
     injector.arm(robust::FaultSite::kKernelMiscompute,
-                 {.fire_after = 0, .max_fires = max_fires});
+                 {.fire_after = 0, .max_fires = 1});
     Matrix<T> c = run();
     const auto fired =
         injector.fired_count(robust::FaultSite::kKernelMiscompute);
@@ -371,17 +443,45 @@ void check_miscompute_parity(GemmShape shape, std::uint64_t max_fires) {
   EXPECT_TRUE(same_bits(tiny, planned)) << name(shape);
 }
 
+// kKernelMiscompute after every kernel call: one site fires per 8-column
+// strip, and each flips the top exponent bit of its anchor C(0, j0) and
+// nothing else. (The host plan's tiles have other anchors.)
+template <typename T>
+void check_miscompute_every_strip(GemmShape shape) {
+  const Case<T> t(shape, T(1), T(0.5), 90);
+  Matrix<T> want = t.gemm();
+  for (index_t j0 = 0; j0 < shape.n; j0 += 8) {
+    T& anchor = Case<T>::cv(want, shape)(0, j0);
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                    std::uint64_t>;
+    Bits raw;
+    std::memcpy(&raw, &anchor, sizeof(raw));
+    raw ^= Bits{1} << (sizeof(Bits) * 8 - 2);
+    std::memcpy(&anchor, &raw, sizeof(raw));
+  }
+  auto& injector = robust::FaultInjector::instance();
+  injector.arm(robust::FaultSite::kKernelMiscompute,
+               {.fire_after = 0, .max_fires = 1000});
+  const Matrix<T> got = t.gemm();
+  const auto fired =
+      injector.fired_count(robust::FaultSite::kKernelMiscompute);
+  injector.disarm(robust::FaultSite::kKernelMiscompute);
+  EXPECT_EQ(fired, static_cast<std::uint64_t>((shape.n + 7) / 8))
+      << name(shape);
+  EXPECT_TRUE(same_bits(got, want)) << name(shape);
+}
+
 TEST(TinyPath, KernelMiscomputeCorruptsCAsThePlanPathDoes) {
   SKIP_WITHOUT_HOST_FAMILY();
   for (const GemmShape s : {GemmShape{8, 8, 8}, GemmShape{13, 5, 17},
                             GemmShape{24, 24, 24}, GemmShape{1, 1, 1}}) {
-    check_miscompute_parity<float>(s, 1);
-    check_miscompute_parity<double>(s, 1);
+    check_miscompute_parity<float>(s);
+    check_miscompute_parity<double>(s);
   }
-  // Every tile: the host plan's 32x8 main tile splits 24 rows and 24
-  // columns into the tiny path's own 16/8 x 8 tiles.
-  check_miscompute_parity<float>({24, 24, 24}, 1000);
-  check_miscompute_parity<double>({24, 24, 24}, 1000);
+  for (const GemmShape s : {GemmShape{24, 24, 24}, GemmShape{13, 19, 17}}) {
+    check_miscompute_every_strip<float>(s);
+    check_miscompute_every_strip<double>(s);
+  }
 }
 
 }  // namespace
